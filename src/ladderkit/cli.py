@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -227,10 +226,12 @@ def cmd_factorize(args) -> int:
     elif args.a is not None and args.b is not None:
         coeffs = (args.a, args.b, args.c if args.c is not None else 0.0)
     else:
+        sys.stderr.write("ladderkit: factorize needs --y or both --a and --b\n")
         raise SystemExit(EXIT_CONFIG)
     core_lo, core_hi = args.core
     magnitude = max(abs(c) for c in coeffs)
-    pad = args.pad or algebra.suggested_pad(spec, core_lo, core_hi, magnitude)
+    pad = (args.pad if args.pad is not None
+           else algebra.suggested_pad(spec, core_lo, core_hi, magnitude))
     orderings = (["normal", "anti-normal"] if args.ordering == "both"
                  else [args.ordering])
     pad_hi = pad
@@ -304,12 +305,8 @@ def cmd_gn(args) -> int:
     _require(args, "n")
     spec = _spec_from_args(args)
     ys = _ys_from_args(args)
-    work = [(spec, args.n, args.m, y, args.route, args.recursion) for y in ys]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda w: _gn_row(*w), work))
-    else:
-        rows = [_gn_row(*w) for w in work]
+    rows = [_gn_row(spec, args.n, args.m, y, args.route, args.recursion)
+            for y in ys]
     _emit({"spec": _spec_payload(spec), "rows": rows}, args)
     return EXIT_OK
 
@@ -403,12 +400,7 @@ def _phase_row(n, m, y, oracle_dim):
 def cmd_phase(args) -> int:
     _require(args, "n")
     ys = _ys_from_args(args)
-    work = [(args.n, args.m, y, args.check_oracle) for y in ys]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda w: _phase_row(*w), work))
-    else:
-        rows = [_phase_row(*w) for w in work]
+    rows = [_phase_row(args.n, args.m, y, args.check_oracle) for y in ys]
     _emit({"rows": rows}, args)
     return EXIT_OK
 
@@ -473,7 +465,7 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--route", choices=("closed", "series", "oracle", "auto"),
                    default="auto")
     p.add_argument("--recursion", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored")
     p.set_defaults(func=cmd_gn)
 
     p = add_parser("triangle", help="exact coefficient diagrams")
@@ -507,7 +499,7 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--y-grid", "--sweep", dest="y_grid", type=_parse_grid,
                    default=None)
     p.add_argument("--check-oracle", type=int, default=0, metavar="DIM")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored")
     p.set_defaults(func=cmd_phase)
 
     p = add_parser("sumrule", help="Bessel sum rules")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, IndexWindow, build_matrices, lambda_sq
+from .algebra import AlgebraSpec, IndexWindow, build_matrices, padded_window
 
 
 @dataclass(frozen=True)
@@ -100,31 +100,17 @@ def oracle_element(spec: AlgebraSpec, window: IndexWindow,
     return complex(res.matrix[window.idx(n), window.idx(m)])
 
 
-def enlarged_window(spec: AlgebraSpec, window: IndexWindow, extra: int) -> IndexWindow:
-    """Grow a window by up to ``extra`` states per side, clipped to where
-    real couplings exist.  Sides blocked by lambda^2 < 0 stay put (a finite
-    decoupled block cannot be extended)."""
-    lo = window.j_min
-    for _ in range(extra):
-        if lambda_sq(spec, lo - 2) < 0.0:
-            break
-        lo -= 1
-    hi = window.j_max
-    for _ in range(extra):
-        if lambda_sq(spec, hi + 1) < 0.0:
-            break
-        hi += 1
-    return IndexWindow(lo, hi, window.core_lo, window.core_hi)
-
-
 def pad_sufficiency(spec: AlgebraSpec, window: IndexWindow,
                     coeffs: tuple[complex, complex, complex],
                     n: int, m: int) -> float:
-    """Truncation certificate: |element on window - element on a window
-    enlarged by 8 per open side|.  Exactly zero when no side can grow
-    (finite block) and small once the padding is sufficient."""
+    """Truncation certificate: |element on window - element on the window
+    grown by up to 8 states per side with ``padded_window``|, which stops at
+    a zero coupling (no state past it can change the element) or where real
+    couplings end.  Exactly zero when no side can grow, small once the
+    padding is sufficient."""
     base = oracle_element(spec, window, coeffs, n, m)
-    bigger = enlarged_window(spec, window, 8)
-    if bigger == window:
+    grown = padded_window(spec, window.j_min, window.j_max, 8)
+    if (grown.j_min, grown.j_max) == (window.j_min, window.j_max):
         return 0.0
+    bigger = IndexWindow(grown.j_min, grown.j_max, window.core_lo, window.core_hi)
     return abs(oracle_element(spec, bigger, coeffs, n, m) - base)

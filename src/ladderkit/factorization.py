@@ -274,10 +274,6 @@ def reduces_to_u1(a: complex, b: complex, c: complex) -> bool:
     return a == b and complex(a).real == 0.0 and complex(c) == 0
 
 
-def _is_u1_coeffs(a, b, c) -> bool:
-    return reduces_to_u1(a, b, c)
-
-
 def ordered_form(spec: AlgebraSpec, window: IndexWindow,
                  coeffs: tuple[complex, complex, complex],
                  ordering: str) -> OrderedForm:
@@ -287,8 +283,8 @@ def ordered_form(spec: AlgebraSpec, window: IndexWindow,
     a, b, c = coeffs
     if ordering not in ("normal", "anti-normal"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    if not spec.is_parametric or _is_u1_coeffs(a, b, c):
-        if not _is_u1_coeffs(a, b, c):
+    if not spec.is_parametric or reduces_to_u1(a, b, c):
+        if not reduces_to_u1(a, b, c):
             raise ValueError("profile specs only factor exp(iy(R+L))")
         return u1_ordered_form(spec, window, complex(a).imag, ordering)
     return u2_ordered_form(spec, window, a, b, c, ordering)
@@ -315,29 +311,28 @@ def _anti_scales(spec, coeffs):
     return abs(a) * fac.f, abs(b) * fac.f, 1.0
 
 
-def _anti_term_profile(spec, window, coeffs) -> tuple[float, int]:
-    """Scan the anti-normal sum for the worst core element (n = m =
-    core_hi): returns (natural log of the peak term magnitude, index where
-    terms have decayed 1e-16 below both the peak and unity)."""
+def _anti_scan(spec, n, coeffs, j_max=None, tail_ln=-37.0) -> tuple[float, int]:
+    """Scan the anti-normal sum for the core element n = m: (ln of the peak
+    term magnitude, index where terms fall exp(tail_ln) below both the peak
+    and unity).  Stops at a zero coupling or at ``j_max``; without ``j_max``
+    raises ValueError after 100000 steps."""
     cl, cr, g_abs = _anti_scales(spec, coeffs)
-    n = window.core_hi
     ln_t, peak = 0.0, 0.0
     j = n
-    j_need = window.j_max
-    while j < window.j_max:
+    while j_max is None or j < j_max:
         lam = math.sqrt(max(lambda_sq(spec, j), 0.0))
         if lam == 0.0:
-            j_need = j
-            break
+            return peak, j
         step = (math.log(cl * lam) + math.log(cr * lam)
                 - 2.0 * math.log(j + 1 - n) - 2.0 * math.log(g_abs))
         ln_t += step
         j += 1
-        if ln_t < peak - 37.0 and ln_t < -37.0:
-            j_need = j
-            break
+        if ln_t < peak + tail_ln and ln_t < tail_ln:
+            return peak, j
         peak = max(peak, ln_t)
-    return peak, j_need
+        if j_max is None and j > n + 100000:
+            raise ValueError("anti-normal ordering does not converge for these coefficients")
+    return peak, j
 
 
 def antinormal_reach(spec: AlgebraSpec, core_hi: int,
@@ -347,23 +342,7 @@ def antinormal_reach(spec: AlgebraSpec, core_hi: int,
     elements has converged (terms fallen to exp(tail_ln) relative to their
     peak).  Diverges as |coefficients| approach the ordering's convergence
     edge; raises ValueError beyond it."""
-    cl, cr, g_abs = _anti_scales(spec, coeffs)
-    n = core_hi
-    ln_t, peak = 0.0, 0.0
-    j = n
-    while True:
-        lam = math.sqrt(max(lambda_sq(spec, j), 0.0))
-        if lam == 0.0:
-            return j
-        step = (math.log(cl * lam) + math.log(cr * lam)
-                - 2.0 * math.log(j + 1 - n) - 2.0 * math.log(g_abs))
-        ln_t += step
-        j += 1
-        if ln_t < peak + tail_ln and ln_t < tail_ln:
-            return j
-        peak = max(peak, ln_t)
-        if j > n + 100000:
-            raise ValueError("anti-normal ordering does not converge for these coefficients")
+    return _anti_scan(spec, core_hi, coeffs, tail_ln=tail_ln)[1]
 
 
 def _mp_factors(spec, a, b, c):
@@ -396,7 +375,7 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     if not spec.is_parametric:
         raise ValueError("profile anti-normal products are well conditioned;"
                          " use u1_antinormal")
-    peak_ln, _ = _anti_term_profile(spec, window, coeffs)
+    peak_ln, _ = _anti_scan(spec, window.core_hi, coeffs, window.j_max)
     if dps is None:
         dps = max(30, int(peak_ln / math.log(10.0)) + 25)
     core = list(range(window.core_lo, window.core_hi + 1))
@@ -449,7 +428,7 @@ def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
     oracle = expm(operator_matrix(spec, window, coeffs)).matrix
     sl = window.core_slice()
     if ordering == "anti-normal" and spec.is_parametric and method != "matrix":
-        peak_ln, _ = _anti_term_profile(spec, window, coeffs)
+        peak_ln, _ = _anti_scan(spec, window.core_hi, coeffs, window.j_max)
         if method == "exact" or peak_ln > 4.0:
             block = antinormal_core(spec, window, coeffs)
             return float(np.abs(block - oracle[sl, sl]).max())

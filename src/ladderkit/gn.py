@@ -18,7 +18,7 @@ on sigma only through sigma*y^2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, lambda_coupling, padded_window, suggested_pad
 from .errors import ConvergenceError
@@ -29,13 +29,11 @@ from .factorization import kappa, tau
 @dataclass
 class Hyp2F1Sum:
     """Direct power-series evaluation of 2F1(a, b; c; z): value, a bound on
-    the dropped tail, and the per-term history for diagnostics."""
+    the dropped tail, and whether the series terminated exactly."""
 
     value: float
     err_estimate: float
     terminated: bool
-    term_magnitudes: list[float] = field(default_factory=list, repr=False)
-    partial_sums: list[float] = field(default_factory=list, repr=False)
 
 
 def hyp2f1_series(a: float, b: float, c: float, z: float,
@@ -56,16 +54,13 @@ def hyp2f1_series(a: float, b: float, c: float, z: float,
             f"2F1 series argument |z| = {abs(z):.3g} >= 0.95 and not terminating"
         )
     total, term = 1.0, 1.0
-    mags, partials = [1.0], [1.0]
     for k in range(max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         if term == 0.0:
-            return Hyp2F1Sum(total, 0.0, True, mags, partials)
+            return Hyp2F1Sum(total, 0.0, True)
         total += term
-        mags.append(abs(term))
-        partials.append(total)
         if abs(term) < 1e-17 * max(1.0, abs(total)):
-            return Hyp2F1Sum(total, abs(term), False, mags, partials)
+            return Hyp2F1Sum(total, abs(term), False)
     raise ConvergenceError("2F1 series did not settle within max_terms")
 
 

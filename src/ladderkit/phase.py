@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraSpec, IndexWindow
+from .algebra import AlgebraSpec, IndexWindow, build_matrices
 from .expm import oracle_element
 from .gn import bessel_jn
 
@@ -26,17 +26,16 @@ _PHASE_SPEC = AlgebraSpec.from_profile("phase")
 
 
 def phase_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, P_dagger) on an n_max = dim - 1 window, exact integer entries."""
+    """(P, P_dagger) on an n_max = dim - 1 window: the (L, R) pair of the
+    "phase" profile, complex entries 0 and 1."""
     if dim < 2:
         raise ValueError("need at least a 2-state window")
-    p = np.zeros((dim, dim), dtype=np.int64)
-    for n in range(1, dim):
-        p[n - 1, n] = 1
-    return p, p.T.copy()
+    m = build_matrices(_PHASE_SPEC, IndexWindow(0, dim - 1, 0, dim - 1))
+    return m.L, m.R
 
 
 def phase_commutator(dim: int) -> np.ndarray:
-    """[P, P_dagger] in integer arithmetic.
+    """[P, P_dagger] as a complex matrix with exact 0/+-1 entries.
 
     On the infinite space this is the unit impulse at (0, 0); a finite
     window adds the truncation artifact -1 at the last diagonal entry

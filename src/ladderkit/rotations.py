@@ -14,6 +14,12 @@ with s = cos(omega) - i cos(theta) sin(omega) and
 h = sqrt(2) sin(theta) sin(omega) / s, or anti-normally with (h*, s*) and
 the factors reversed.  The parametrization degenerates where s = 0
 (omega = theta = pi/2): that set is an error, not a limit.
+
+The spin-j multiplet is the parametric block (alpha, beta, sigma) =
+(1, -2j, -1/2) on the window [0, 2j], k = m + j, with R = J_plus,
+L = J_minus and S = -J_z.  The factorized routes form their product there
+with ``factorization.OrderedForm``; ``rotation_direct`` stays the
+independent reference.
 """
 
 import math
@@ -21,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import AlgebraSpec, IndexWindow
 from .errors import SingularS
 from .expm import expm
+from .factorization import OrderedForm
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -106,44 +114,34 @@ class RotationSpec:
                                       math.cos(self.theta)])
 
 
-def _nilpotent_exp(coef: complex, band: np.ndarray) -> np.ndarray:
-    dim = band.shape[0]
-    total = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, dim):
-        term = term @ (coef * band) / k
-        if not term.any():
-            break
-        total += term
-    return total
-
-
-def _s_power_diag(spin: SpinMatrices, s: complex, sign: int) -> np.ndarray:
-    # exponents -+2m are integers for any half-integral j
-    return np.array([s ** int(round(sign * 2 * m)) for m in spin.m_values],
-                    dtype=complex)
+def _on_spin_block(j: float, ordering: str, raising: complex,
+                   lowering: complex, s: complex, sign: int) -> np.ndarray:
+    """The ordered product with diagonal s^(sign*2m) on the spin-j block."""
+    two_j = _check_spin(j)
+    if two_j == 0:  # a window needs two states; the singlet is fixed
+        return np.ones((1, 1), dtype=complex)
+    # 2m = 2k - 2j over the block index k
+    diagonal = np.array([s ** (sign * (2 * k - two_j)) for k in range(two_j + 1)],
+                        dtype=complex)
+    form = OrderedForm(ordering, raising, lowering, diagonal)
+    return form.matrix(AlgebraSpec.parametric(1, -two_j, -0.5),
+                       IndexWindow(0, two_j, 0, two_j))
 
 
 def rotation_factorized(spec: RotationSpec) -> np.ndarray:
     """Normal-ordered product: raising factor, s^(-2m) diagonal, lowering
     factor."""
-    spin = build_spin(spec.j)
     h, s = spec.h, spec.s
-    d = _s_power_diag(spin, s, -1)
-    left = _nilpotent_exp(1j * h * np.exp(-1j * spec.phi), spin.j_plus)
-    right = _nilpotent_exp(1j * h * np.exp(1j * spec.phi), spin.j_minus)
-    return left @ (d[:, None] * right)
+    return _on_spin_block(spec.j, "normal", 1j * h * np.exp(-1j * spec.phi),
+                          1j * h * np.exp(1j * spec.phi), s, -1)
 
 
 def antinormal_rotation(spec: RotationSpec) -> np.ndarray:
     """Reverse ordering with conjugated scalars: lowering factor,
     (s*)^(+2m) diagonal, raising factor."""
-    spin = build_spin(spec.j)
     h, s = np.conj(spec.h), np.conj(spec.s)
-    d = _s_power_diag(spin, s, +1)
-    left = _nilpotent_exp(1j * h * np.exp(1j * spec.phi), spin.j_minus)
-    right = _nilpotent_exp(1j * h * np.exp(-1j * spec.phi), spin.j_plus)
-    return left @ (d[:, None] * right)
+    return _on_spin_block(spec.j, "anti-normal", 1j * h * np.exp(-1j * spec.phi),
+                          1j * h * np.exp(1j * spec.phi), s, +1)
 
 
 def rotation_direct(spec: RotationSpec) -> np.ndarray:

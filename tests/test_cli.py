@@ -77,6 +77,21 @@ def test_gn_table(capsys):
     assert row["route"] == "closed-form"
 
 
+def test_factorize_pad_zero_keeps_the_core_window(capsys):
+    _, doc, _ = run_json(capsys, "factorize", "--alpha", "1", "--beta", "1",
+                         "--sigma", "1", "--y", "0.3", "--core", "2:6",
+                         "--ordering", "normal", "--pad", "0")
+    assert (doc["window"]["j_min"], doc["window"]["j_max"]) == (2, 6)
+
+
+def test_factorize_without_coefficients_exit_3(capsys):
+    code, out, err = run(capsys, "factorize", "--alpha", "1", "--beta", "1",
+                         "--sigma", "1", "--a", "0.1")
+    assert code == 3
+    assert out == ""
+    assert err.strip()
+
+
 def test_gn_sweep_jobs_deterministic(capsys):
     args = ("gn", "--alpha", "1", "--beta", "1", "--sigma", "1", "--n", "1",
             "--y-grid", "0.1:0.5:5", "--recursion")

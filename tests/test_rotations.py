@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ladderkit import (RotationSpec, SingularS, antinormal_rotation,
-                       build_spin, j1_reference_matrix, j1_xaxis_reference,
-                       m_rephasing, rotation_direct, rotation_factorized)
+from ladderkit import (AlgebraSpec, IndexWindow, RotationSpec, SingularS,
+                       antinormal_rotation, build_matrices, build_spin,
+                       j1_reference_matrix, j1_xaxis_reference, m_rephasing,
+                       rotation_direct, rotation_factorized, u2_factors)
+from ladderkit.cli import main
+
+
+def _spin_block(j):
+    two_j = round(2 * j)
+    return (AlgebraSpec.parametric(1, -two_j, -0.5),
+            IndexWindow(0, two_j, 0, two_j))
 
 
 def test_build_spin_half():
@@ -106,3 +114,39 @@ def test_singular_parametrization_raises():
 def test_invalid_j_rejected():
     with pytest.raises(ValueError):
         RotationSpec(0.1, 0.2, 0.3, 0.7)
+
+
+def test_spin_block_matrices_are_the_spin_matrices():
+    for j in (0.5, 1.0, 1.5, 2.0, 2.5, 5.0):
+        spin = build_spin(j)
+        m = build_matrices(*_spin_block(j))
+        assert np.array_equal(m.L, spin.j_minus)
+        assert np.array_equal(m.R, spin.j_plus)
+        assert np.array_equal(m.S, -spin.j_z)
+
+
+def test_rotation_scalars_are_the_u2_factors_on_the_spin_block():
+    # exp(2i W.J) = exp(a L + b R + c S) with a = rs.b, b = rs.a, c = rs.c
+    for omega in np.linspace(0.05, 1.2, 5):
+        for theta in np.linspace(0.1, 3.0, 5):
+            for phi in np.linspace(0.0, 2 * math.pi, 5, endpoint=False):
+                for j in (0.5, 1.0, 2.5):
+                    rs = RotationSpec(omega, theta, phi, j)
+                    block, _ = _spin_block(j)
+                    fac = u2_factors(block, rs.b, rs.a, rs.c)
+                    h, s = rs.h, rs.s
+                    assert abs(rs.a * fac.f_plus
+                               - 1j * h * np.exp(-1j * phi)) <= 1e-13
+                    assert abs(fac.g_plus - 1 / s) <= 1e-13
+                    assert abs(rs.b * fac.f_minus
+                               - 1j * np.conj(h) * np.exp(1j * phi)) <= 1e-13
+                    assert abs(fac.g_minus - 1 / np.conj(s)) <= 1e-13
+
+
+def test_spin_zero_is_the_identity(capsys):
+    spec = RotationSpec(0.7, 1.1, 2.3, 0.0)
+    for fn in (rotation_factorized, rotation_direct, antinormal_rotation):
+        assert np.array_equal(fn(spec), [[1.0]])
+    assert main(["rotate", "--omega", "0.7", "--theta", "1.1", "--phi",
+                 "2.3", "--j", "0"]) == 0
+    capsys.readouterr()
