@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,19 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+
+
+def _join_negative_ranges(argv: list[str]) -> list[str]:
+    """``--core -3:3`` -> ``--core=-3:3``: argparse takes a token that
+    starts with '-' and is not a plain number for an option."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in ("--core", "--window")
+                and re.fullmatch(r"-\d+:-?\d+", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -365,9 +379,15 @@ def cmd_rotate(args) -> int:
               "direct": rotations.rotation_direct,
               "antinormal": rotations.antinormal_rotation}[meth]
         mats[meth] = fn(spec)
+    try:
+        h, s = complex(spec.h), complex(spec.s)
+    except SingularS:
+        if spec.j != 0:
+            raise
+        h = s = None  # the singlet is the identity on every route
     payload = {
         "omega": args.omega, "theta": args.theta, "phi": args.phi, "j": args.j,
-        "h": complex(spec.h), "s": complex(spec.s),
+        "h": h, "s": s,
         "matrices": {k: v for k, v in mats.items()},
         "tol": args.tol,
     }
@@ -513,7 +533,7 @@ def _build_parser() -> tuple[_Parser, list]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_ranges(sys.argv[1:] if argv is None else argv)
     parser, subcommands = _build_parser()
     # apply config-file defaults before the real parse
     probe = _Parser(add_help=False, allow_abbrev=False)

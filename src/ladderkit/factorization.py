@@ -8,8 +8,10 @@ q^2, so the scalar factors are computed as even functions of q^2 and the
 sigma < 0 (tan/sec) and sigma > 0 (tanh/sech) regimes share one analytic
 continuation.
 
-The factor exponentials act on strictly triangular band matrices, so their
-Taylor series terminate on a finite window and are evaluated exactly.
+The factor exponentials have closed-form entries,
+<j+k|exp(cR)|j> = c^k/k! * lambda_j ... lambda_{j+k-1}, and exp(c'L) is the
+transpose of the same construction with c' (the couplings are real), so
+each factor is built one subdiagonal at a time in O(n^2).
 
 Conditioning caveat: the anti-normally ordered product places the growing
 direction of the diagonal against the raising tail, so its core matrix
@@ -132,9 +134,9 @@ class OrderedForm:
     diagonal: np.ndarray
 
     def matrix(self, spec: "AlgebraSpec", window: "IndexWindow") -> np.ndarray:
-        m = build_matrices(spec, window)
-        raising = _nilpotent_exp(self.raising_coefficient, m.R)
-        lowering = _nilpotent_exp(self.lowering_coefficient, m.L)
+        lam = np.diagonal(build_matrices(spec, window).L, 1).real
+        raising = _raising_exp(self.raising_coefficient, lam)
+        lowering = _raising_exp(self.lowering_coefficient, lam).T
         if self.ordering == "normal":
             return raising @ (self.diagonal[:, None] * lowering)
         return lowering @ (self.diagonal[:, None] * raising)
@@ -155,18 +157,28 @@ def u1_factors(spec: AlgebraSpec, y: float) -> U1Factors:
     raise ValueError("the phase profile admits no ordered factorization")
 
 
-def _nilpotent_exp(coef: complex, band: np.ndarray) -> np.ndarray:
-    """exp(coef * band) for a strictly triangular band matrix, by the
-    terminating Taylor series."""
-    n = band.shape[0]
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
+def _raising_exp(coef: complex, lam: np.ndarray) -> np.ndarray:
+    """exp(coef * R) for the real couplings lam_j = <j+1|R|j> of a window,
+    from <j+k|exp(cR)|j> = c^k/k! * lam_j ... lam_{j+k-1}.
+
+    Band k holds the magnitudes |c|^k/k! * prod lam, each the previous band
+    times the next couplings and |c|/k in real arithmetic, so it stays in
+    floating range wherever the entries do; the phase (c/|c|)^k goes on
+    last.  A zero band ends the terminating series.
+    """
+    n = lam.size + 1
+    out = np.zeros((n, n), dtype=complex)
+    out.flat[::n + 1] = 1.0
+    c = complex(coef)
+    r = abs(c)
+    u = c / r if r else 0j
+    band = np.ones(n)
     for k in range(1, n):
-        term = term @ (coef * band) / k
-        if not term.any():
+        band = band[:-1] * lam[k - 1:] * (r / k)
+        if not band.any():
             break
-        total += term
-    return total
+        out.flat[k * n::n + 1] = band * u ** k
+    return out
 
 
 def _power(base: complex, expo: float) -> complex:
@@ -367,9 +379,15 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     """Core block of the anti-normal ordered product, by summing the exact
     factor entries elementwise in extended precision.
 
-    <n|exp(afL)|j> = (af)^(j-n)/(j-n)! * prod lambda and its mirror give
-    each element as a single alternating sum over j; the working precision
-    is chosen from the peak term so the cancellation is exact.
+    Element (n, m) is the alternating sum over j >= max(n, m) of
+    <n|exp(afL)|j> g^(-p_j) <j|exp(bfR)|m>, with the closed-form factor
+    entries (af)^(j-n)/(j-n)! * prod lambda and their mirror.  Each core
+    row's left chain and each core column's right chain (with the diagonal
+    g^(-p_j), built by repeated multiplication with g^-2, folded in) is
+    built once, up to the window edge or the first zero coupling, and each
+    element is one ``mpmath.fdot`` over the overlap of its two chains.  The
+    working precision is chosen from the peak term so the cancellation is
+    exact.
     """
     a, b, c = coeffs
     if not spec.is_parametric:
@@ -391,27 +409,29 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
         for j in range(window.j_min, window.j_max):
             l2 = si * (al + j) * (be + j)
             lam[j] = mpmath.sqrt(l2) if l2 > 0 else mpmath.mpf(0)
+
+        def chain(start, coef):
+            # <start|exp(coef L)|j> = <j|exp(coef R)|start>, j = start, ...
+            el = [mpmath.mpc(1)]
+            for j in range(start, window.j_max):
+                nxt = el[-1] * coef * lam[j] / (j + 1 - start)
+                if nxt == 0:
+                    break
+                el.append(nxt)
+            return el
+
+        diag = [g_minus ** (-(2 * window.core_lo - 1 + al + be))]
+        g_step = g_minus ** -2
+        for _ in range(window.core_lo, window.j_max):
+            diag.append(diag[-1] * g_step)
+        left = [chain(n, cl) for n in core]
+        right = [[d * e for d, e in zip(diag[m - window.core_lo:], chain(m, cr))]
+                 for m in core]
         for ri, n in enumerate(core):
             for ci, m in enumerate(core):
                 j0 = max(n, m)
-                el = mpmath.mpc(1)
-                for k in range(n, j0):
-                    el *= cl * lam[k]
-                el /= mpmath.factorial(j0 - n)
-                er = mpmath.mpc(1)
-                for k in range(m, j0):
-                    er *= cr * lam[k]
-                er /= mpmath.factorial(j0 - m)
-                acc = mpmath.mpc(0)
-                for j in range(j0, window.j_max + 1):
-                    p = 2 * j - 1 + al + be
-                    acc += el * g_minus ** (-p) * er
-                    if j < window.j_max:
-                        el = el * cl * lam[j] / (j + 1 - n)
-                        er = er * cr * lam[j] / (j + 1 - m)
-                        if el == 0 and er == 0:
-                            break
-                out[ri, ci] = complex(acc)
+                out[ri, ci] = complex(mpmath.fdot(left[ri][j0 - n:],
+                                                  right[ci][j0 - m:]))
     return out
 
 

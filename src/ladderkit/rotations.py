@@ -114,16 +114,22 @@ class RotationSpec:
                                       math.cos(self.theta)])
 
 
-def _on_spin_block(j: float, ordering: str, raising: complex,
-                   lowering: complex, s: complex, sign: int) -> np.ndarray:
-    """The ordered product with diagonal s^(sign*2m) on the spin-j block."""
-    two_j = _check_spin(j)
-    if two_j == 0:  # a window needs two states; the singlet is fixed
+def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
+    """The ordered product on the spin-j block: normal order with (h, s)
+    and diagonal s^(-2m), anti-normal order with (h*, s*) and (s*)^(+2m)."""
+    two_j = _check_spin(spec.j)
+    if two_j == 0:
+        # a window needs two states; the singlet is fixed, even where h is
+        # singular
         return np.ones((1, 1), dtype=complex)
+    h, s, sign = spec.h, spec.s, -1
+    if ordering == "anti-normal":
+        h, s, sign = np.conj(h), np.conj(s), +1
     # 2m = 2k - 2j over the block index k
     diagonal = np.array([s ** (sign * (2 * k - two_j)) for k in range(two_j + 1)],
                         dtype=complex)
-    form = OrderedForm(ordering, raising, lowering, diagonal)
+    form = OrderedForm(ordering, 1j * h * np.exp(-1j * spec.phi),
+                       1j * h * np.exp(1j * spec.phi), diagonal)
     return form.matrix(AlgebraSpec.parametric(1, -two_j, -0.5),
                        IndexWindow(0, two_j, 0, two_j))
 
@@ -131,17 +137,13 @@ def _on_spin_block(j: float, ordering: str, raising: complex,
 def rotation_factorized(spec: RotationSpec) -> np.ndarray:
     """Normal-ordered product: raising factor, s^(-2m) diagonal, lowering
     factor."""
-    h, s = spec.h, spec.s
-    return _on_spin_block(spec.j, "normal", 1j * h * np.exp(-1j * spec.phi),
-                          1j * h * np.exp(1j * spec.phi), s, -1)
+    return _on_spin_block(spec, "normal")
 
 
 def antinormal_rotation(spec: RotationSpec) -> np.ndarray:
     """Reverse ordering with conjugated scalars: lowering factor,
     (s*)^(+2m) diagonal, raising factor."""
-    h, s = np.conj(spec.h), np.conj(spec.s)
-    return _on_spin_block(spec.j, "anti-normal", 1j * h * np.exp(-1j * spec.phi),
-                          1j * h * np.exp(1j * spec.phi), s, +1)
+    return _on_spin_block(spec, "anti-normal")
 
 
 def rotation_direct(spec: RotationSpec) -> np.ndarray:

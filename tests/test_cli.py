@@ -116,6 +116,17 @@ def test_triangle_json_and_ascii(capsys):
     assert "n=0" in out
 
 
+def test_negative_range_as_separate_token(capsys):
+    code, doc, err = run_json(capsys, "factorize", "--profile", "constant-one",
+                              "--y", "0.5", "--core", "-3:3")
+    assert code == 0, err
+    assert doc["window"]["core_lo"] == -3 and doc["window"]["core_hi"] == 3
+    code, doc, err = run_json(capsys, "check-algebra", "--alpha", "2",
+                              "--beta", "2", "--sigma", "1", "--window", "-6:-1")
+    assert code == 0, err
+    assert doc["window"]["j_min"] == -6 and doc["window"]["j_max"] == -1
+
+
 def test_rotate_all_methods(capsys):
     code, doc, _ = run_json(capsys, "rotate", "--omega", "0.7", "--theta",
                             "1.1", "--phi", "2.3", "--j", "1")

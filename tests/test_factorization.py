@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ladderkit import (AlgebraSpec, IndexWindow, PoleError, antinormal_core,
-                       antinormal_reach, factorization_residual, kappa,
+from ladderkit import (AlgebraSpec, IndexWindow, OrderedForm, PoleError,
+                       antinormal_core, antinormal_reach, build_matrices,
+                       expm, factorization_residual, kappa, lambda_sq,
                        operator_matrix, padded_window, reduces_to_u1,
                        suggested_pad, tau, u1_antinormal, u1_factors,
                        u1_normal, u2_factors, u2_normal)
@@ -215,3 +218,90 @@ def test_ordered_form_ingredients():
     anti = ordered_form(SPEC111, window, (0.3j, 0.3j, 0.0), "anti-normal")
     assert np.allclose(anti.diagonal,
                        [fac.g ** -(2 * j + 1) for j in range(13)])
+
+
+@st.composite
+def _factor_cases(draw):
+    """(spec, window, coefficient) on 2-40-state windows."""
+    kind = draw(st.sampled_from(["sigma>0", "sigma<0", "block", "sho",
+                                 "constant-one"]))
+    size = draw(st.integers(2, 40))
+    if kind == "block":
+        # the whole finite block, bounded by zero couplings on both sides
+        J = draw(st.integers(1, 19))
+        spec = AlgebraSpec.parametric(J + 1, -J, -0.5)
+        j_min, size = -J, 2 * J + 1
+    elif kind in ("sho", "constant-one"):
+        spec = AlgebraSpec.from_profile(kind)
+        j_min = draw(st.integers(-5, 5))
+    else:
+        alpha, beta = draw(st.sampled_from(
+            [(1, 2), (2, 2), (1.5, 2.5)] if kind == "sigma>0"
+            else [(6, -7), (25, -30), (3.5, -40.5)]))
+        sigma = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        spec = AlgebraSpec.parametric(alpha, beta,
+                                      sigma if kind == "sigma>0" else -sigma)
+        j_min = draw(st.integers(-30, 30))
+    j_max = j_min + size - 1
+    assume(all(lambda_sq(spec, j) >= 0.0 for j in range(j_min - 1, j_max + 1)))
+    coef = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    return spec, IndexWindow(j_min, j_max, j_min, j_max), coef
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_cases())
+def test_factor_exponentials_match_the_oracle(case):
+    # each factor alone: the other one has coefficient 0 and the diagonal
+    # is 1, so the product is that factor times an exact identity
+    spec, window, coef = case
+    m = build_matrices(spec, window)
+    ones = np.ones(window.size)
+    for band, form in ((m.R, OrderedForm("normal", coef, 0.0, ones)),
+                       (m.L, OrderedForm("normal", 0.0, coef, ones))):
+        want = expm(coef * band).matrix
+        got = form.matrix(spec, window)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_factor_entries_stay_finite_on_wide_windows():
+    # lambda_j = 2(j + 1): prod lambda / k! alone reaches 3^699 on this
+    # window, the entries |c|^k/k! * prod lambda stay below 1.2^699
+    spec = AlgebraSpec.parametric(1, 1, 4)
+    window = IndexWindow(0, 699, 0, 699)
+    got = OrderedForm("normal", 0.1j, 0.0, np.ones(700)).matrix(spec, window)
+    assert np.isfinite(got).all()
+    # <k|exp(cR)|0> = c^k/k! * 2^k k!
+    want = np.array([(0.2j) ** k for k in range(300)])
+    assert (np.abs(got[:300, 0] - want) <= 1e-12 * np.abs(want)).all()
+
+
+# antinormal_core at (1, 2, 1), y = 0.5, core 0..5 on the gate's window
+# (0..59), as computed by the per-pair summation it replaced.  Entries with
+# n + m odd are imaginary, the others real.
+_PINNED_CORE = [
+    [0.7864477329659274, 0.51396903602302457, -0.29089394296882148,
+     -0.15522302394534293, 0.080197944884404848, 0.040598123046330682],
+    [0.51396903602302457, 0.28260464412988517, 0.51000327891117203,
+     -0.45893356004051467, -0.33362244652042111, 0.21774265110630447],
+    [-0.29089394296882148, 0.51000327891117203, -0.19847772442889705,
+     0.20176314305254739, -0.39730914636055398, -0.41737038497793877],
+    [-0.15522302394534293, -0.45893356004051467, 0.20176314305254739,
+     -0.38688659439360246, -0.16353873028484295, -0.12709952654081511],
+    [0.080197944884404848, -0.33362244652042111, -0.39730914636055398,
+     -0.16353873028484295, -0.23479674625070276, -0.33162838739528061],
+    [0.040598123046330682, 0.21774265110630447, -0.41737038497793877,
+     -0.12709952654081511, -0.33162838739528061, 0.072980032530626113],
+]
+
+
+def test_antinormal_core_is_pinned():
+    spec = AlgebraSpec.parametric(1, 2, 1)
+    coeffs = (0.5j, 0.5j, 0.0)
+    pad = suggested_pad(spec, 0, 5, 0.5)
+    reach = antinormal_reach(spec, 5, coeffs)
+    window = padded_window(spec, 0, 5, pad, max(pad, reach - 5))
+    assert (window.j_min, window.j_max) == (0, 59)
+    want = np.array([[v if (n + m) % 2 == 0 else 1j * v
+                      for m, v in enumerate(row)]
+                     for n, row in enumerate(_PINNED_CORE)])
+    assert np.array_equal(antinormal_core(spec, window, coeffs), want)

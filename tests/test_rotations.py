@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -144,9 +145,15 @@ def test_rotation_scalars_are_the_u2_factors_on_the_spin_block():
 
 
 def test_spin_zero_is_the_identity(capsys):
-    spec = RotationSpec(0.7, 1.1, 2.3, 0.0)
-    for fn in (rotation_factorized, rotation_direct, antinormal_rotation):
-        assert np.array_equal(fn(spec), [[1.0]])
-    assert main(["rotate", "--omega", "0.7", "--theta", "1.1", "--phi",
-                 "2.3", "--j", "0"]) == 0
-    capsys.readouterr()
+    # the second angle set is the singular point s = 0, where h is undefined
+    for angles in ((0.7, 1.1, 2.3), (math.pi / 2, math.pi / 2, 0.0)):
+        spec = RotationSpec(*angles, 0.0)
+        for fn in (rotation_factorized, rotation_direct, antinormal_rotation):
+            assert np.array_equal(fn(spec), [[1.0]])
+        argv = ["rotate", "--j", "0"]
+        for flag, value in zip(("--omega", "--theta", "--phi"), angles):
+            argv += [flag, repr(value)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is True
+        assert (doc["h"] is None) == (angles[0] == math.pi / 2)
