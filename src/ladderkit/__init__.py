@@ -15,9 +15,8 @@ from .factorization import (OrderedForm, U1Factors, U2Factors,
                             antinormal_core, antinormal_reach,
                             factorization_residual, kappa, ordered_form,
                             ordered_product, reduces_to_u1, tau, u1_factors,
-                            u1_antinormal, u1_normal, u1_ordered_form,
-                            u2_factors, u2_antinormal, u2_normal,
-                            u2_ordered_form)
+                            u1_antinormal, u1_normal, u2_factors,
+                            u2_antinormal, u2_normal)
 from .gn import (GnEvaluation, Hyp2F1Sum, a_n, bar_gn, bessel_jn, gn_auto,
                  gn_bessel_limit, gn_closed, gn_oracle, gn_series,
                  gn_sho_limit, gnm, hyp2f1_series, recursion_residual,
@@ -45,8 +44,8 @@ __all__ = [
     "ExpmResult", "expm", "operator_matrix", "oracle_element",
     "pad_sufficiency",
     "OrderedForm", "U1Factors", "U2Factors", "tau", "kappa", "u1_factors",
-    "u1_normal", "u1_antinormal", "u1_ordered_form", "u2_factors",
-    "u2_normal", "u2_antinormal", "u2_ordered_form", "ordered_form",
+    "u1_normal", "u1_antinormal", "u2_factors", "u2_normal",
+    "u2_antinormal", "ordered_form",
     "ordered_product", "factorization_residual", "antinormal_core",
     "antinormal_reach", "reduces_to_u1",
     "GnEvaluation", "Hyp2F1Sum", "hyp2f1_series", "a_n", "gn_closed",

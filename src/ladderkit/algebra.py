@@ -123,10 +123,11 @@ class IndexWindow:
             raise ValueError("window size must be at least 2")
 
     @classmethod
-    def spanning(cls, j_min: int, j_max: int, core_inset: int = 2) -> "IndexWindow":
-        """Window [j_min, j_max] with the core inset symmetrically."""
-        lo = min(j_min + core_inset, j_max)
-        hi = max(j_max - core_inset, lo)
+    def spanning(cls, j_min: int, j_max: int) -> "IndexWindow":
+        """Window [j_min, j_max] with the core inset by two states per side
+        (or less, on windows too small for that)."""
+        lo = min(j_min + 2, j_max)
+        hi = max(j_max - 2, lo)
         return cls(j_min, j_max, min(lo, hi), hi)
 
     @property
@@ -159,6 +160,24 @@ class LadderMatrices:
     S: np.ndarray
 
 
+def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
+    """lambda_j^2 for j = j_min - 1 .. j_max, everything a window's
+    (L, R, S) are built from: the couplings lambda_{j_min} .. lambda_{j_max-1}
+    and, through lambda_{j_min - 1}, the first diagonal entry of S.
+
+    Raises NonUnitaryRegime if any of them is negative.
+    """
+    js = range(window.j_min - 1, window.j_max + 1)
+    l2 = np.array([lambda_sq(spec, j) for j in js])
+    for j, v in zip(js, l2):
+        if v < 0.0:
+            raise NonUnitaryRegime(
+                f"lambda_{j}^2 = {v:g} < 0 for {spec.label()};"
+                " window not representable with real couplings"
+            )
+    return l2
+
+
 def build_matrices(spec: AlgebraSpec, window: IndexWindow) -> LadderMatrices:
     """Construct the banded (L, R, S) matrices on a window.
 
@@ -166,21 +185,11 @@ def build_matrices(spec: AlgebraSpec, window: IndexWindow) -> LadderMatrices:
     (lambda_{j_min - 1} enters the first diagonal entry of S); raises
     NonUnitaryRegime otherwise.
     """
-    for j in range(window.j_min - 1, window.j_max + 1):
-        if lambda_sq(spec, j) < 0.0:
-            raise NonUnitaryRegime(
-                f"lambda_{j}^2 = {lambda_sq(spec, j):g} < 0 for {spec.label()};"
-                " window not representable with real couplings"
-            )
+    l2 = squared_couplings(spec, window)
     n = window.size
     L = np.zeros((n, n), dtype=complex)
-    S = np.zeros((n, n), dtype=complex)
-    for j in range(window.j_min, window.j_max):
-        L[j - window.j_min, j + 1 - window.j_min] = lambda_coupling(spec, j)
-    for j in window.indices():
-        S[j - window.j_min, j - window.j_min] = (
-            lambda_sq(spec, j) - lambda_sq(spec, j - 1)
-        )
+    L.flat[1::n + 1] = np.sqrt(l2[1:-1])
+    S = np.diag(np.diff(l2)).astype(complex)
     R = L.conj().T.copy()
     return LadderMatrices(window=window, L=L, R=R, S=S)
 

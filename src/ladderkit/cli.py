@@ -248,16 +248,19 @@ def cmd_factorize(args) -> int:
            else algebra.suggested_pad(spec, core_lo, core_hi, magnitude))
     orderings = (["normal", "anti-normal"] if args.ordering == "both"
                  else [args.ordering])
-    pad_hi = pad
+    # only the anti-normal sum needs the window grown to its reach
+    window = algebra.padded_window(spec, core_lo, core_hi, pad)
+    windows = dict.fromkeys(orderings, window)
     if "anti-normal" in orderings and spec.is_parametric:
         reach = factorization.antinormal_reach(spec, core_hi, coeffs)
-        pad_hi = max(pad, reach - core_hi)
-    window = algebra.padded_window(spec, core_lo, core_hi, pad, pad_hi)
+        windows["anti-normal"] = algebra.padded_window(
+            spec, core_lo, core_hi, pad, max(pad, reach - core_hi))
+    outer = windows[orderings[-1]]
 
     payload = {
         "spec": _spec_payload(spec),
         "coeffs": {"a": coeffs[0], "b": coeffs[1], "c": coeffs[2]},
-        "window": {"j_min": window.j_min, "j_max": window.j_max,
+        "window": {"j_min": outer.j_min, "j_max": outer.j_max,
                    "core_lo": core_lo, "core_hi": core_hi},
         "reduces_to_u1": factorization.reduces_to_u1(*coeffs),
         "tol": args.tol,
@@ -277,7 +280,7 @@ def cmd_factorize(args) -> int:
     residuals = {}
     for ordering in orderings:
         residuals[ordering] = factorization.factorization_residual(
-            spec, window, coeffs, ordering)
+            spec, windows[ordering], coeffs, ordering)
     payload["residuals"] = residuals
     if args.certify_pad:
         payload["pad_sufficiency"] = pad_sufficiency(
@@ -382,9 +385,9 @@ def cmd_rotate(args) -> int:
     try:
         h, s = complex(spec.h), complex(spec.s)
     except SingularS:
-        if spec.j != 0:
-            raise
-        h = s = None  # the singlet is the identity on every route
+        # s = 0: the factorized routes have raised already; the direct
+        # route and the singlet need neither
+        h = s = None
     payload = {
         "omega": args.omega, "theta": args.theta, "phi": args.phi, "j": args.j,
         "h": h, "s": s,

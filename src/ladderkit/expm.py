@@ -16,6 +16,11 @@ import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow, build_matrices, padded_window
 
+# the Taylor series stops once its tail bound is below _TAIL_TOL, or after
+# _MAX_TERMS terms
+_TAIL_TOL = 1e-26
+_MAX_TERMS = 80
+
 
 @dataclass(frozen=True)
 class ExpmResult:
@@ -29,7 +34,7 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def expm(a: np.ndarray, *, tail_tol: float = 1e-26, max_terms: int = 80) -> ExpmResult:
+def expm(a: np.ndarray) -> ExpmResult:
     """exp(a) for a square complex matrix, with a bound on the truncation
     error of the underlying Taylor series (rounding is not included).
 
@@ -54,13 +59,13 @@ def expm(a: np.ndarray, *, tail_tol: float = 1e-26, max_terms: int = 80) -> Expm
     term = np.eye(n, dtype=complex)
     term_bound = 1.0
     tail = math.inf
-    for k in range(1, max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         term = term @ b / k
         total += term
         term_bound *= nb / k
         dropped = term_bound * nb / (k + 1)
         tail = dropped / (1.0 - nb / (k + 2))
-        if tail <= tail_tol:
+        if tail <= _TAIL_TOL:
             break
     bound = tail
 

@@ -1,12 +1,21 @@
 """Ordered factorizations of exponentials of the ladder generators.
 
-exp(iy(R+L)) and, more generally, exp(a*L + b*R + c*S) factor exactly into
-(raising exponential) * (diagonal) * (lowering exponential), or the reverse
-order, with scalar factors built from tan/sec evaluated at
-q = sqrt(a*b*sigma - c^2*sigma^2).  Everything depends on q only through
-q^2, so the scalar factors are computed as even functions of q^2 and the
-sigma < 0 (tan/sec) and sigma > 0 (tanh/sech) regimes share one analytic
-continuation.
+exp(a*L + b*R + c*S) factors exactly into (raising exponential) *
+(diagonal) * (lowering exponential), or the reverse order:
+
+    normal:       exp(b f+ R) diag(g+^p_j) exp(a f+ L)
+    anti-normal:  exp(a f- L) diag(g-^-p_j) exp(b f- R)
+
+with p_j = 2j - 1 + alpha + beta, f+- = S/D+-, g+- = 1/D+- and
+D+- = C -+ c*sigma*S, where S = sin(q)/q and C = cos(q) at
+q^2 = a*b*sigma - c^2*sigma^2.  S and C are even and entire in q, so the
+factors are functions of q^2 alone, sigma < 0 (sin/cos) and sigma > 0
+(sinh/cosh) share one continuation, and the factors are finite wherever
+D+- != 0.  exp(iy(R+L)) is the case (a, b, c) = (iy, iy, 0), with
+f = S/C = tanh(y sqrt(sigma))/(y sqrt(sigma)) and g = 1/C =
+sech(y sqrt(sigma)); the "sho" and "constant-one" profiles factor it with
+a scalar diagonal.  Spin rotations are the case of the spin-j block
+(rotations.py).
 
 The factor exponentials have closed-form entries,
 <j+k|exp(cR)|j> = c^k/k! * lambda_j ... lambda_{j+k-1}, and exp(c'L) is the
@@ -29,17 +38,36 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .algebra import AlgebraSpec, IndexWindow, build_matrices, lambda_sq
+from .algebra import AlgebraSpec, IndexWindow, lambda_sq, squared_couplings
 from .errors import PoleError
 from .expm import expm, operator_matrix
 
 _POLE_TOL = 1e-9
+# the anti-normal sum has converged once its terms fall exp(_TAIL_LN) below
+# both their peak and unity
+_TAIL_LN = -37.0
 
 
-def _check_real_pole(r: float):
-    # poles of tan/sec sit at pi/2 + k*pi
-    if abs(math.remainder(r - math.pi / 2.0, math.pi)) < _POLE_TOL:
-        raise PoleError(f"argument {r:.12g} within {_POLE_TOL:g} of a tan/sec pole")
+def _even_pair(q_sq, lib=cmath):
+    """(S, C) = (sin(q)/q, cos(q)) at q = sqrt(q_sq), in ``lib`` (cmath or
+    mpmath) arithmetic.
+
+    Both are even and entire in q, so the branch of the root is immaterial.
+    Below |q_sq| = 1e-30 the series 1 - q^2/6 + q^4/120, 1 - q^2/2 + q^4/24
+    stands in; its error there is below 1e-94.
+    """
+    if abs(q_sq) < 1e-30:
+        return 1 - q_sq / 6 + q_sq * q_sq / 120, 1 - q_sq / 2 + q_sq * q_sq / 24
+    q = lib.sqrt(q_sq)
+    return lib.sin(q) / q, lib.cos(q)
+
+
+def _real_pair(x: float) -> tuple[float, float]:
+    s, c = _even_pair(complex(x))
+    if abs(c) < _POLE_TOL:
+        raise PoleError(f"cos(sqrt({x:.12g})) = {abs(c):.3g}: too close to a"
+                        " tan/sec pole")
+    return s.real, c.real
 
 
 def tau(x: float) -> float:
@@ -48,47 +76,14 @@ def tau(x: float) -> float:
     Even and analytic in sqrt(x), so the branch of the root is immaterial.
     Raises PoleError within 1e-9 of the tan poles (x > 0 only).
     """
-    if abs(x) < 1e-8:
-        return 1.0 + x / 3.0 + 2.0 * x * x / 15.0
-    if x > 0.0:
-        r = math.sqrt(x)
-        _check_real_pole(r)
-        return math.tan(r) / r
-    r = math.sqrt(-x)
-    return math.tanh(r) / r
+    s, c = _real_pair(x)
+    return s / c
 
 
 def kappa(x: float) -> float:
     """sec(sqrt(x)), continued to sech(sqrt(-x)) for x < 0.  Same pole set
     as tau."""
-    if abs(x) < 1e-8:
-        return 1.0 + x / 2.0 + 5.0 * x * x / 24.0
-    if x > 0.0:
-        r = math.sqrt(x)
-        _check_real_pole(r)
-        return 1.0 / math.cos(r)
-    r = math.sqrt(-x)
-    return 1.0 / math.cosh(r)
-
-
-def _tau_c(z: complex) -> complex:
-    if abs(z) < 1e-10:
-        return 1.0 + z / 3.0
-    s = cmath.sqrt(z)
-    c = cmath.cos(s)
-    if abs(c) < _POLE_TOL:
-        raise PoleError(f"cos(q) = {abs(c):.3g}: too close to a sec pole")
-    return cmath.sin(s) / (s * c)
-
-
-def _kappa_c(z: complex) -> complex:
-    if abs(z) < 1e-10:
-        return 1.0 + z / 2.0
-    s = cmath.sqrt(z)
-    c = cmath.cos(s)
-    if abs(c) < _POLE_TOL:
-        raise PoleError(f"cos(q) = {abs(c):.3g}: too close to a sec pole")
-    return 1.0 / c
+    return 1.0 / _real_pair(x)[1]
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,7 @@ class OrderedForm:
     diagonal: np.ndarray
 
     def matrix(self, spec: "AlgebraSpec", window: "IndexWindow") -> np.ndarray:
-        lam = np.diagonal(build_matrices(spec, window).L, 1).real
+        lam = np.sqrt(squared_couplings(spec, window)[1:-1])
         raising = _raising_exp(self.raising_coefficient, lam)
         lowering = _raising_exp(self.lowering_coefficient, lam).T
         if self.ordering == "normal":
@@ -189,33 +184,10 @@ def _power(base: complex, expo: float) -> complex:
     return complex(base) ** expo
 
 
-def _diagonal(spec: AlgebraSpec, window: IndexWindow, fac, sign: int) -> np.ndarray:
-    if spec.is_parametric:
-        if isinstance(fac, U2Factors):
-            g = fac.g_plus if sign > 0 else fac.g_minus
-        else:
-            g = fac.g
-        ab = spec.alpha + spec.beta
-        return np.array([_power(g, sign * (2 * j - 1 + ab))
-                         for j in window.indices()], dtype=complex)
-    scalar = fac.diagonal_scalar ** sign
-    return np.full(window.size, scalar, dtype=complex)
-
-
-def u1_ordered_form(spec: AlgebraSpec, window: IndexWindow, y: float,
-                    ordering: str) -> OrderedForm:
-    fac = u1_factors(spec, y)
-    sign = +1 if ordering == "normal" else -1
-    return OrderedForm(ordering=ordering,
-                       raising_coefficient=1j * y * fac.f,
-                       lowering_coefficient=1j * y * fac.f,
-                       diagonal=_diagonal(spec, window, fac, sign))
-
-
 def u1_normal(spec: AlgebraSpec, window: IndexWindow, y: float) -> np.ndarray:
     """exp(iyfR) * diag(g^p_j) * exp(iyfL): all lowering action on the
     right."""
-    return u1_ordered_form(spec, window, y, "normal").matrix(spec, window)
+    return ordered_product(spec, window, (1j * y, 1j * y, 0.0), "normal")
 
 
 def u1_antinormal(spec: AlgebraSpec, window: IndexWindow, y: float) -> np.ndarray:
@@ -224,46 +196,28 @@ def u1_antinormal(spec: AlgebraSpec, window: IndexWindow, y: float) -> np.ndarra
     See the module note on conditioning: accurate in float arithmetic only
     while sinh-type growth stays small on the window.
     """
-    return u1_ordered_form(spec, window, y, "anti-normal").matrix(spec, window)
+    return ordered_product(spec, window, (1j * y, 1j * y, 0.0), "anti-normal")
 
 
 def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Factors:
     """Scalar factors for exp(a*L + b*R + c*S), parametric specs with any
-    sigma.  Raises PoleError near sec poles and ZeroDivisionError where a
-    denominator q -+ c*sigma*tan(q) vanishes."""
+    sigma: f+- = S/D+-, g+- = 1/D+- with D+- = C -+ c*sigma*S (module
+    docstring).  Finite wherever D+- != 0; raises ZeroDivisionError where
+    |D+| or |D-| falls below 1e-12."""
     if not spec.is_parametric:
         raise ValueError("u2 factorization needs a parametric spec")
     si = spec.sigma
     q_sq = complex(a * b * si - c * c * si * si)
-    if q_sq.imag == 0.0:
-        # shared real path keeps the (iy, iy, 0) reduction bit-exact
-        t = complex(tau(q_sq.real))
-        k = complex(kappa(q_sq.real))
-    else:
-        t = _tau_c(q_sq)
-        k = _kappa_c(q_sq)
-    den_plus = 1.0 - c * si * t
-    den_minus = 1.0 + c * si * t
-    for name, den in (("q - c*sigma*tan(q)", den_plus), ("q + c*sigma*tan(q)", den_minus)):
-        if abs(den) < 1e-12:
-            raise ZeroDivisionError(f"factorization denominator {name} vanishes")
-    return U2Factors(f_plus=t / den_plus, f_minus=t / den_minus,
-                     g_plus=k / den_plus, g_minus=k / den_minus, q_sq=q_sq)
-
-
-def u2_ordered_form(spec: AlgebraSpec, window: IndexWindow,
-                    a: complex, b: complex, c: complex,
-                    ordering: str) -> OrderedForm:
-    fac = u2_factors(spec, a, b, c)
-    if ordering == "normal":
-        return OrderedForm(ordering="normal",
-                           raising_coefficient=b * fac.f_plus,
-                           lowering_coefficient=a * fac.f_plus,
-                           diagonal=_diagonal(spec, window, fac, +1))
-    return OrderedForm(ordering="anti-normal",
-                       raising_coefficient=b * fac.f_minus,
-                       lowering_coefficient=a * fac.f_minus,
-                       diagonal=_diagonal(spec, window, fac, -1))
+    s, cq = _even_pair(q_sq)
+    d_plus = cq - c * si * s
+    d_minus = cq + c * si * s
+    for name, d in (("cos(q) - c*sigma*sin(q)/q", d_plus),
+                    ("cos(q) + c*sigma*sin(q)/q", d_minus)):
+        if abs(d) < 1e-12:
+            raise ZeroDivisionError(f"factorization denominator {name} vanishes:"
+                                    " the factors have a pole here")
+    return U2Factors(f_plus=s / d_plus, f_minus=s / d_minus,
+                     g_plus=1 / d_plus, g_minus=1 / d_minus, q_sq=q_sq)
 
 
 def u2_normal(spec: AlgebraSpec, window: IndexWindow,
@@ -272,13 +226,13 @@ def u2_normal(spec: AlgebraSpec, window: IndexWindow,
 
     The diagonal exponent is p_j = 2j - 1 + alpha + beta, which equals
     S_jj / sigma without the 0/0 bookkeeping."""
-    return u2_ordered_form(spec, window, a, b, c, "normal").matrix(spec, window)
+    return ordered_product(spec, window, (a, b, c), "normal")
 
 
 def u2_antinormal(spec: AlgebraSpec, window: IndexWindow,
                   a: complex, b: complex, c: complex) -> np.ndarray:
     """exp(a*f-*L) * diag(g-^-p_j) * exp(b*f-*R)."""
-    return u2_ordered_form(spec, window, a, b, c, "anti-normal").matrix(spec, window)
+    return ordered_product(spec, window, (a, b, c), "anti-normal")
 
 
 def reduces_to_u1(a: complex, b: complex, c: complex) -> bool:
@@ -289,17 +243,26 @@ def reduces_to_u1(a: complex, b: complex, c: complex) -> bool:
 def ordered_form(spec: AlgebraSpec, window: IndexWindow,
                  coeffs: tuple[complex, complex, complex],
                  ordering: str) -> OrderedForm:
-    """The factorization's three ingredients for either ordering, routing
-    profile specs and (iy, iy, 0) coefficients through the dedicated
-    exp(iy(R+L)) path."""
+    """The factorization's three ingredients for either ordering: f+- and
+    the diagonal g+-^(+-p_j) from ``u2_factors`` for parametric specs.
+    Profiles factor only exp(iy(R+L)), with their scalar diagonal."""
     a, b, c = coeffs
     if ordering not in ("normal", "anti-normal"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    if not spec.is_parametric or reduces_to_u1(a, b, c):
+    sign = +1 if ordering == "normal" else -1
+    if spec.is_parametric:
+        fac = u2_factors(spec, a, b, c)
+        f, g = (fac.f_plus, fac.g_plus) if sign > 0 else (fac.f_minus, fac.g_minus)
+        ab = spec.alpha + spec.beta
+        diagonal = np.array([_power(g, sign * (2 * j - 1 + ab))
+                             for j in window.indices()], dtype=complex)
+    else:
         if not reduces_to_u1(a, b, c):
             raise ValueError("profile specs only factor exp(iy(R+L))")
-        return u1_ordered_form(spec, window, complex(a).imag, ordering)
-    return u2_ordered_form(spec, window, a, b, c, ordering)
+        fac = u1_factors(spec, complex(a).imag)
+        f = fac.f
+        diagonal = np.full(window.size, fac.diagonal_scalar ** sign, dtype=complex)
+    return OrderedForm(ordering, b * f, a * f, diagonal)
 
 
 def ordered_product(spec: AlgebraSpec, window: IndexWindow,
@@ -323,9 +286,9 @@ def _anti_scales(spec, coeffs):
     return abs(a) * fac.f, abs(b) * fac.f, 1.0
 
 
-def _anti_scan(spec, n, coeffs, j_max=None, tail_ln=-37.0) -> tuple[float, int]:
+def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
     """Scan the anti-normal sum for the core element n = m: (ln of the peak
-    term magnitude, index where terms fall exp(tail_ln) below both the peak
+    term magnitude, index where terms fall exp(_TAIL_LN) below both the peak
     and unity).  Stops at a zero coupling or at ``j_max``; without ``j_max``
     raises ValueError after 100000 steps."""
     cl, cr, g_abs = _anti_scales(spec, coeffs)
@@ -339,7 +302,7 @@ def _anti_scan(spec, n, coeffs, j_max=None, tail_ln=-37.0) -> tuple[float, int]:
                 - 2.0 * math.log(j + 1 - n) - 2.0 * math.log(g_abs))
         ln_t += step
         j += 1
-        if ln_t < peak + tail_ln and ln_t < tail_ln:
+        if ln_t < peak + _TAIL_LN and ln_t < _TAIL_LN:
             return peak, j
         peak = max(peak, ln_t)
         if j_max is None and j > n + 100000:
@@ -348,34 +311,25 @@ def _anti_scan(spec, n, coeffs, j_max=None, tail_ln=-37.0) -> tuple[float, int]:
 
 
 def antinormal_reach(spec: AlgebraSpec, core_hi: int,
-                     coeffs: tuple[complex, complex, complex],
-                     tail_ln: float = -37.0) -> int:
+                     coeffs: tuple[complex, complex, complex]) -> int:
     """Smallest j_max for which the anti-normal ordered sum for core
-    elements has converged (terms fallen to exp(tail_ln) relative to their
+    elements has converged (terms fallen to exp(-37) relative to their
     peak).  Diverges as |coefficients| approach the ordering's convergence
     edge; raises ValueError beyond it."""
-    return _anti_scan(spec, core_hi, coeffs, tail_ln=tail_ln)[1]
+    return _anti_scan(spec, core_hi, coeffs)[1]
 
 
 def _mp_factors(spec, a, b, c):
-    """Anti-normal scalar factors in mpmath arithmetic."""
+    """Anti-normal scalar factors (f-, g-) in mpmath arithmetic."""
     si = mpmath.mpf(spec.sigma)
     a, b, c = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c)
-    q_sq = a * b * si - c * c * si * si
-    if abs(q_sq) < mpmath.mpf("1e-60"):
-        t = mpmath.mpc(1)
-        k = mpmath.mpc(1)
-    else:
-        s = mpmath.sqrt(q_sq)
-        t = mpmath.tan(s) / s
-        k = 1 / mpmath.cos(s)
-    den = 1 + c * si * t
-    return t / den, k / den
+    s, cq = _even_pair(a * b * si - c * c * si * si, mpmath)
+    d_minus = cq + c * si * s
+    return s / d_minus, 1 / d_minus
 
 
 def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
-                    coeffs: tuple[complex, complex, complex],
-                    dps: int | None = None) -> np.ndarray:
+                    coeffs: tuple[complex, complex, complex]) -> np.ndarray:
     """Core block of the anti-normal ordered product, by summing the exact
     factor entries elementwise in extended precision.
 
@@ -394,8 +348,7 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
         raise ValueError("profile anti-normal products are well conditioned;"
                          " use u1_antinormal")
     peak_ln, _ = _anti_scan(spec, window.core_hi, coeffs, window.j_max)
-    if dps is None:
-        dps = max(30, int(peak_ln / math.log(10.0)) + 25)
+    dps = max(30, int(peak_ln / math.log(10.0)) + 25)
     core = list(range(window.core_lo, window.core_hi + 1))
     out = np.zeros((len(core), len(core)), dtype=complex)
     with mpmath.workdps(dps):

@@ -25,6 +25,9 @@ from .errors import ConvergenceError
 from .expm import oracle_element
 from .factorization import kappa, tau
 
+# non-terminating 2F1 sums that have not settled after this many terms fail
+_HYP_MAX_TERMS = 500
+
 
 @dataclass
 class Hyp2F1Sum:
@@ -36,8 +39,7 @@ class Hyp2F1Sum:
     terminated: bool
 
 
-def hyp2f1_series(a: float, b: float, c: float, z: float,
-                  max_terms: int = 500) -> Hyp2F1Sum:
+def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     """Gauss hypergeometric series, direct summation only.
 
     Exact (terminating) when a or b is a non-positive integer; otherwise
@@ -54,14 +56,14 @@ def hyp2f1_series(a: float, b: float, c: float, z: float,
             f"2F1 series argument |z| = {abs(z):.3g} >= 0.95 and not terminating"
         )
     total, term = 1.0, 1.0
-    for k in range(max_terms):
+    for k in range(_HYP_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         if term == 0.0:
             return Hyp2F1Sum(total, 0.0, True)
         total += term
         if abs(term) < 1e-17 * max(1.0, abs(total)):
             return Hyp2F1Sum(total, abs(term), False)
-    raise ConvergenceError("2F1 series did not settle within max_terms")
+    raise ConvergenceError(f"2F1 series did not settle within {_HYP_MAX_TERMS} terms")
 
 
 def _sinh_sq_scaled(x: float) -> float:

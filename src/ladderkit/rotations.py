@@ -5,23 +5,24 @@ J_plus|j m> = sqrt((j-m)(j+m+1)/2) |j m+1>, which matches the generator
 algebra at sigma = -1/2: [J_plus, J_minus] = J_z, [J_plus, J_z] = -J_plus,
 [J_z, J_minus] = -J_minus.
 
-A rotation by the vector W with polar coordinates (omega, theta, phi),
-U = exp(2i W.J), factors exactly as
+The spin-j multiplet is the parametric block (alpha, beta, sigma) =
+(1, -2j, -1/2) on the window [0, 2j], k = m + j, with R = J_plus,
+L = J_minus and S = -J_z.  A rotation by the vector W with polar
+coordinates (omega, theta, phi), U = exp(2i W.J), is exp(aL + bR + cS) there
+with (a, b, c) = (RotationSpec.b, RotationSpec.a, RotationSpec.c), so the
+factorized routes are ``factorization.ordered_product`` on that block.  Its
+factors work out to
 
     exp(i h e^{-i phi} J_plus) diag(s^{-2m}) exp(i h e^{+i phi} J_minus)
 
-with s = cos(omega) - i cos(theta) sin(omega) and
+with s = cos(omega) - i cos(theta) sin(omega) = D+ and
 h = sqrt(2) sin(theta) sin(omega) / s, or anti-normally with (h*, s*) and
 the factors reversed.  The parametrization degenerates where s = 0
 (omega = theta = pi/2): that set is an error, not a limit.
-
-The spin-j multiplet is the parametric block (alpha, beta, sigma) =
-(1, -2j, -1/2) on the window [0, 2j], k = m + j, with R = J_plus,
-L = J_minus and S = -J_z.  The factorized routes form their product there
-with ``factorization.OrderedForm``; ``rotation_direct`` stays the
-independent reference.
+``rotation_direct`` stays the independent reference.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 from .algebra import AlgebraSpec, IndexWindow
 from .errors import SingularS
 from .expm import expm
-from .factorization import OrderedForm
+from .factorization import ordered_product
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -96,11 +97,11 @@ class RotationSpec:
 
     @property
     def a(self) -> complex:
-        return 1j * _SQRT2 * self.omega * math.sin(self.theta) * np.exp(-1j * self.phi)
+        return 1j * _SQRT2 * self.omega * math.sin(self.theta) * cmath.exp(-1j * self.phi)
 
     @property
     def b(self) -> complex:
-        return 1j * _SQRT2 * self.omega * math.sin(self.theta) * np.exp(1j * self.phi)
+        return 1j * _SQRT2 * self.omega * math.sin(self.theta) * cmath.exp(1j * self.phi)
 
     @property
     def c(self) -> complex:
@@ -115,23 +116,19 @@ class RotationSpec:
 
 
 def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
-    """The ordered product on the spin-j block: normal order with (h, s)
-    and diagonal s^(-2m), anti-normal order with (h*, s*) and (s*)^(+2m)."""
+    """The ordered product of exp(2i W.J) on the spin-j block."""
     two_j = _check_spin(spec.j)
     if two_j == 0:
-        # a window needs two states; the singlet is fixed, even where h is
-        # singular
+        # a window needs two states; the singlet is fixed, even where s = 0
         return np.ones((1, 1), dtype=complex)
-    h, s, sign = spec.h, spec.s, -1
-    if ordering == "anti-normal":
-        h, s, sign = np.conj(h), np.conj(s), +1
-    # 2m = 2k - 2j over the block index k
-    diagonal = np.array([s ** (sign * (2 * k - two_j)) for k in range(two_j + 1)],
-                        dtype=complex)
-    form = OrderedForm(ordering, 1j * h * np.exp(-1j * spec.phi),
-                       1j * h * np.exp(1j * spec.phi), diagonal)
-    return form.matrix(AlgebraSpec.parametric(1, -two_j, -0.5),
-                       IndexWindow(0, two_j, 0, two_j))
+    try:
+        return ordered_product(AlgebraSpec.parametric(1, -two_j, -0.5),
+                               IndexWindow(0, two_j, 0, two_j),
+                               (spec.b, spec.a, spec.c), ordering)
+    except ZeroDivisionError:
+        # D+- = s, s*: the factors' only singular set
+        raise SingularS(f"s = {spec.s:.3g}: factorization degenerates at"
+                        " this (omega, theta)") from None
 
 
 def rotation_factorized(spec: RotationSpec) -> np.ndarray:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
                        build_matrices, commutator_residual, detect_blocks,
-                       lambda_sq, padded_window)
+                       lambda_coupling, lambda_sq, padded_window)
 
 
 def test_lambda_sq_parametric_values():
@@ -42,6 +42,23 @@ def test_build_superdiagonal_and_s():
     assert np.allclose(np.diag(m.S), [1, 3, 5, 7])
     # only the superdiagonal of L is populated
     assert np.count_nonzero(m.L) == 3
+
+
+@pytest.mark.parametrize("spec,window", [
+    (AlgebraSpec.parametric(1.5, 2.5, 0.7), IndexWindow(0, 20, 2, 18)),
+    (AlgebraSpec.parametric(6, -7, -0.5), IndexWindow(-5, 7, -5, 7)),
+    (AlgebraSpec.from_profile("sho"), IndexWindow(-2, 9, 0, 7)),
+    (AlgebraSpec.from_profile("phase"), IndexWindow(-3, 4, -1, 2)),
+])
+def test_build_matrices_entries_are_the_couplings(spec, window):
+    m = build_matrices(spec, window)
+    for j in window.indices():
+        k = window.idx(j)
+        assert m.S[k, k] == lambda_sq(spec, j) - lambda_sq(spec, j - 1)
+        if j < window.j_max:
+            assert m.L[k, k + 1] == lambda_coupling(spec, j)
+    assert np.count_nonzero(m.L) == np.count_nonzero(np.diag(m.L, 1))
+    assert np.count_nonzero(m.S) == np.count_nonzero(np.diag(m.S))
 
 
 def test_build_phase_profile_s_impulse():

@@ -224,3 +224,25 @@ def test_small_window_default_core(capsys):
 def test_unknown_rule_exit_3(capsys):
     code, out, err = run(capsys, "triangle", "--rule", "zigzag")
     assert code == 3
+
+
+def test_rotate_direct_at_singular_s(capsys):
+    # the direct route needs no h; s = 0 only blocks the factorized routes
+    angles = ["--omega", repr(math.pi / 2), "--theta", repr(math.pi / 2),
+              "--phi", "0", "--j", "1"]
+    code, doc, _ = run_json(capsys, "rotate", *angles, "--method", "direct")
+    assert code == 0
+    assert doc["h"] is None and doc["s"] is None
+    assert len(doc["matrices"]["direct"]) == 3
+    code, _, err = run(capsys, "rotate", *angles)
+    assert code == 2 and "degenerates" in err
+
+
+def test_factorize_both_keeps_the_normal_residual_on_the_padded_window(capsys):
+    # only the anti-normal sum needs the window grown to its reach
+    flags = ["factorize", "--alpha", "1", "--beta", "1", "--sigma", "1",
+             "--y", "0.6", "--core", "0:5"]
+    _, both, _ = run_json(capsys, *flags)
+    _, normal, _ = run_json(capsys, *flags, "--ordering", "normal")
+    assert both["residuals"]["normal"] == normal["residuals"]["normal"]
+    assert normal["window"]["j_max"] < both["window"]["j_max"]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ladderkit import (AlgebraSpec, IndexWindow, OrderedForm, PoleError,
-                       antinormal_core, antinormal_reach, build_matrices,
-                       expm, factorization_residual, kappa, lambda_sq,
+from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
+                       OrderedForm, PoleError, antinormal_core,
+                       antinormal_reach, build_matrices, expm,
+                       factorization_residual, kappa, lambda_sq,
                        operator_matrix, padded_window, reduces_to_u1,
                        suggested_pad, tau, u1_antinormal, u1_factors,
                        u1_normal, u2_factors, u2_normal)
@@ -263,6 +264,14 @@ def test_factor_exponentials_match_the_oracle(case):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_factor_build_rejects_negative_couplings():
+    # the same window check as build_matrices
+    spec = AlgebraSpec.parametric(1, -2, 1)
+    with pytest.raises(NonUnitaryRegime):
+        OrderedForm("normal", 0.1j, 0.1j, np.ones(5)).matrix(
+            spec, IndexWindow(0, 4, 0, 4))
+
+
 def test_factor_entries_stay_finite_on_wide_windows():
     # lambda_j = 2(j + 1): prod lambda / k! alone reaches 3^699 on this
     # window, the entries |c|^k/k! * prod lambda stay below 1.2^699
@@ -305,3 +314,25 @@ def test_antinormal_core_is_pinned():
                       for m, v in enumerate(row)]
                      for n, row in enumerate(_PINNED_CORE)])
     assert np.array_equal(antinormal_core(spec, window, coeffs), want)
+
+
+# q = pi/2 with c = 0.4i on the spin-6 block: cos(q) = 0, so tan/sec have
+# a pole there, but D+- = cos(q) -+ c*sigma*sin(q)/q = +-0.4i/pi do not vanish
+_SU2_BLOCK = AlgebraSpec.parametric(6, -7, -0.5)
+_AT_SEC_POLE = (1j * math.sqrt(math.pi ** 2 / 2 - 0.08),
+                1j * math.sqrt(math.pi ** 2 / 2 - 0.08), 0.4j)
+
+
+def test_u2_factors_are_finite_at_a_sec_pole():
+    fac = u2_factors(_SU2_BLOCK, *_AT_SEC_POLE)
+    assert abs(cmath.sqrt(fac.q_sq) - math.pi / 2) < 1e-15
+    assert all(cmath.isfinite(v)
+               for v in (fac.f_plus, fac.f_minus, fac.g_plus, fac.g_minus))
+
+
+def test_exact_antinormal_residual_at_a_sec_pole():
+    window = padded_window(_SU2_BLOCK, -5, 7, 10)
+    assert (window.j_min, window.j_max) == (-5, 7)
+    res = factorization_residual(_SU2_BLOCK, window, _AT_SEC_POLE, "anti-normal",
+                                 method="exact")
+    assert res <= 1e-10

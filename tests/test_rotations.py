@@ -157,3 +157,12 @@ def test_spin_zero_is_the_identity(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True
         assert (doc["h"] is None) == (angles[0] == math.pi / 2)
+
+
+def test_factorized_rotations_at_a_sec_pole():
+    # omega = pi/2 puts q = omega on the tan/sec pole while s stays nonzero
+    for j in (0.5, 1.0, 1.5, 2.0, 2.5):
+        spec = RotationSpec(math.pi / 2, 1.0, 0.3, j)
+        want = rotation_direct(spec)
+        for fn in (rotation_factorized, antinormal_rotation):
+            assert np.abs(fn(spec) - want).max() <= 1e-11
