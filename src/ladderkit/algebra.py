@@ -67,9 +67,6 @@ class AlgebraSpec:
     def is_parametric(self) -> bool:
         return self.kind == "parametric"
 
-    def lambda_sq(self, j: int) -> float:
-        return lambda_sq(self, j)
-
     def label(self) -> str:
         if self.is_parametric:
             return f"(alpha={self.alpha:g}, beta={self.beta:g}, sigma={self.sigma:g})"

@@ -233,6 +233,10 @@ def cmd_check_algebra(args) -> int:
     return code
 
 
+def _span(window) -> dict:
+    return {"j_min": window.j_min, "j_max": window.j_max}
+
+
 def cmd_factorize(args) -> int:
     spec = _spec_from_args(args)
     if args.y is not None:
@@ -260,8 +264,7 @@ def cmd_factorize(args) -> int:
     payload = {
         "spec": _spec_payload(spec),
         "coeffs": {"a": coeffs[0], "b": coeffs[1], "c": coeffs[2]},
-        "window": {"j_min": outer.j_min, "j_max": outer.j_max,
-                   "core_lo": core_lo, "core_hi": core_hi},
+        "window": {**_span(outer), "core_lo": core_lo, "core_hi": core_hi},
         "reduces_to_u1": factorization.reduces_to_u1(*coeffs),
         "tol": args.tol,
     }
@@ -282,9 +285,11 @@ def cmd_factorize(args) -> int:
         residuals[ordering] = factorization.factorization_residual(
             spec, windows[ordering], coeffs, ordering)
     payload["residuals"] = residuals
+    payload["residual_windows"] = {o: _span(w) for o, w in windows.items()}
     if args.certify_pad:
         payload["pad_sufficiency"] = pad_sufficiency(
             spec, window, coeffs, core_hi, core_lo)
+        payload["pad_sufficiency_window"] = _span(window)
     worst = max(residuals.values())
     payload["pass"] = worst <= args.tol
     _emit(payload, args)

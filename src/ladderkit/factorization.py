@@ -43,8 +43,8 @@ from .errors import PoleError
 from .expm import expm, operator_matrix
 
 _POLE_TOL = 1e-9
-# the anti-normal sum has converged once its terms fall exp(_TAIL_LN) below
-# both their peak and unity
+# an ordered sum (the anti-normal scan here, gn.gn_series) has converged
+# once its terms fall exp(_TAIL_LN) below both their peak and unity
 _TAIL_LN = -37.0
 
 
@@ -184,21 +184,6 @@ def _power(base: complex, expo: float) -> complex:
     return complex(base) ** expo
 
 
-def u1_normal(spec: AlgebraSpec, window: IndexWindow, y: float) -> np.ndarray:
-    """exp(iyfR) * diag(g^p_j) * exp(iyfL): all lowering action on the
-    right."""
-    return ordered_product(spec, window, (1j * y, 1j * y, 0.0), "normal")
-
-
-def u1_antinormal(spec: AlgebraSpec, window: IndexWindow, y: float) -> np.ndarray:
-    """exp(iyfL) * diag(g^-p_j) * exp(iyfR): the reverse ordering.
-
-    See the module note on conditioning: accurate in float arithmetic only
-    while sinh-type growth stays small on the window.
-    """
-    return ordered_product(spec, window, (1j * y, 1j * y, 0.0), "anti-normal")
-
-
 def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Factors:
     """Scalar factors for exp(a*L + b*R + c*S), parametric specs with any
     sigma: f+- = S/D+-, g+- = 1/D+- with D+- = C -+ c*sigma*S (module
@@ -218,21 +203,6 @@ def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Facto
                                     " the factors have a pole here")
     return U2Factors(f_plus=s / d_plus, f_minus=s / d_minus,
                      g_plus=1 / d_plus, g_minus=1 / d_minus, q_sq=q_sq)
-
-
-def u2_normal(spec: AlgebraSpec, window: IndexWindow,
-              a: complex, b: complex, c: complex) -> np.ndarray:
-    """exp(b*f+*R) * diag(g+^p_j) * exp(a*f+*L).
-
-    The diagonal exponent is p_j = 2j - 1 + alpha + beta, which equals
-    S_jj / sigma without the 0/0 bookkeeping."""
-    return ordered_product(spec, window, (a, b, c), "normal")
-
-
-def u2_antinormal(spec: AlgebraSpec, window: IndexWindow,
-                  a: complex, b: complex, c: complex) -> np.ndarray:
-    """exp(a*f-*L) * diag(g-^-p_j) * exp(b*f-*R)."""
-    return ordered_product(spec, window, (a, b, c), "anti-normal")
 
 
 def reduces_to_u1(a: complex, b: complex, c: complex) -> bool:
@@ -346,7 +316,7 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     a, b, c = coeffs
     if not spec.is_parametric:
         raise ValueError("profile anti-normal products are well conditioned;"
-                         " use u1_antinormal")
+                         " use ordered_product")
     peak_ln, _ = _anti_scan(spec, window.core_hi, coeffs, window.j_max)
     dps = max(30, int(peak_ln / math.log(10.0)) + 25)
     core = list(range(window.core_lo, window.core_hi + 1))

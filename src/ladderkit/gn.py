@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraSpec, lambda_coupling, padded_window, suggested_pad
 from .errors import ConvergenceError
 from .expm import oracle_element
-from .factorization import kappa, tau
+from .factorization import _TAIL_LN, kappa, tau
 
 # non-terminating 2F1 sums that have not settled after this many terms fail
 _HYP_MAX_TERMS = 500
@@ -66,15 +66,6 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     raise ConvergenceError(f"2F1 series did not settle within {_HYP_MAX_TERMS} terms")
 
 
-def _sinh_sq_scaled(x: float) -> float:
-    """sinh(y*sqrt(sigma))^2 as an even function of x = sigma*y^2."""
-    if abs(x) < 1e-12:
-        return x
-    if x >= 0.0:
-        return math.sinh(math.sqrt(x)) ** 2
-    return -math.sin(math.sqrt(-x)) ** 2
-
-
 @dataclass(frozen=True)
 class GnEvaluation:
     """One evaluated amplitude with the route that produced it."""
@@ -112,7 +103,7 @@ def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     x = spec.sigma * y * y
     t_over_rootsigma = y * tau(-x)        # tanh(y*sqrt(sigma))/sqrt(sigma)
     sech = kappa(-x)                      # sech(y*sqrt(sigma))
-    z = -_sinh_sq_scaled(x)
+    z = -spec.sigma * (t_over_rootsigma / sech) ** 2   # -sinh(y*sqrt(sigma))^2
     hyp = hyp2f1_series(1.0 - spec.alpha, 1.0 - spec.beta, 1.0 + n, z)
     expo = spec.alpha + spec.beta - 1.0
     if sech <= 0.0 and expo != round(expo):
@@ -126,55 +117,56 @@ def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     return GnEvaluation(n, 0, spec, y, value, "closed-form", err)
 
 
-def gn_series(spec: AlgebraSpec, n: int, y: float,
-              max_terms: int = 80) -> GnEvaluation:
+def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     """Ordered-expansion route: the anti-normally ordered product gives
+    G_n = sum_{j >= n} t_j with
 
-        G_n = sum_j (-1)^(j+n) (yf)^(2j-n) / ((j-n)! j!)
-              * prod_{k=n}^{j-1} lambda_k * prod_{k=0}^{j-1} lambda_k
-              * g^(1 - 2j - alpha - beta)
+        t_n = A_n (yf)^n g^(1 - 2n - alpha - beta),
+        t_{j+1} / t_j = -(yf/g)^2 lambda_j^2 / ((j+1-n) (j+1)),
 
-    summed until the terms stop mattering.  The couplings are needed out to
-    n + max_terms, so the spec must stay representable there (a vanishing
-    coupling terminates the sum exactly).
+    summed by that ratio, which tends to z = -sinh(y*sqrt(sigma))^2.  A
+    vanishing coupling ends the sum exactly (err_estimate 0); otherwise it
+    stops once a term falls exp(_TAIL_LN) below both the peak term and
+    unity, reporting that term as err_estimate.  Raises ConvergenceError
+    where the terms do not fall: |z| >= 1 on a block that does not end, or
+    a term that overflows on the way to its peak.
     """
     _require_parametric(spec)
     x = -spec.sigma * y * y
     f, g = tau(x), kappa(x)
-    ab = spec.alpha + spec.beta
-    total = 0.0
-    prod_n = 1.0            # prod_{k=n}^{j-1} lambda_k
-    prod_0 = 1.0            # prod_{k=0}^{j-1} lambda_k
-    for k in range(n):
-        prod_0 *= lambda_coupling(spec, k)
-    mags = []
-    for j in range(n, n + max_terms):
-        term = ((-1.0) ** (j + n) * (y * f) ** (2 * j - n)
-                / (math.factorial(j - n) * math.factorial(j))
-                * prod_n * prod_0 * g ** (1.0 - 2 * j - ab))
-        total += term
-        mags.append(abs(term))
-        if len(mags) >= 6 and abs(term) < 1e-16 * max(1.0, abs(total)):
-            return GnEvaluation(n, 0, spec, y, total, "series", abs(term))
+    scale = -(y * f / g) ** 2
+    z = spec.sigma * scale
+    # the block ends at a zero coupling lambda_j, j = -alpha or -beta >= n
+    ends = any(v == round(v) and -v >= n for v in (spec.alpha, spec.beta))
+    if abs(z) >= 1.0 and not ends:
+        raise ConvergenceError(f"ordered series terms do not fall: their ratio"
+                               f" tends to {z:.6g}")
+    term = (a_n(spec, n) * (y * f) ** n
+            * g ** (1.0 - 2 * n - spec.alpha - spec.beta))
+    total, peak = term, abs(term)
+    tail = math.exp(_TAIL_LN)
+    j = n
+    while True:
         lam = lambda_coupling(spec, j)
         if lam == 0.0:
             return GnEvaluation(n, 0, spec, y, total, "series", 0.0)
-        prod_n *= lam
-        prod_0 *= lam
-    if len(mags) >= 5 and all(mags[-k - 1] >= mags[-k - 2] for k in range(4)):
-        raise ConvergenceError("ordered series terms not decreasing")
-    return GnEvaluation(n, 0, spec, y, total, "series", mags[-1])
+        term *= scale * lam * lam / ((j + 1 - n) * (j + 1))
+        total += term
+        j += 1
+        if not math.isfinite(total):
+            raise ConvergenceError("ordered series terms overflow")
+        if abs(term) <= tail * min(peak, 1.0):
+            return GnEvaluation(n, 0, spec, y, total, "series", abs(term))
+        peak = max(peak, abs(term))
 
 
-def gn_oracle(spec: AlgebraSpec, n: int, y: float, *, m: int = 0,
-              pad: int | None = None) -> GnEvaluation:
+def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
+              m: int = 0) -> GnEvaluation:
     """Exponential-oracle route: (-i)^(n-m) <n| exp(iy(R+L)) |m> on a
     window padded past the core (down-padding stops at a decoupling
     boundary, so hole sectors are included exactly where they couple)."""
     lo, hi = min(0, m), max(n, m)
-    if pad is None:
-        pad = suggested_pad(spec, lo, hi, y)
-    window = padded_window(spec, lo, hi, pad)
+    window = padded_window(spec, lo, hi, suggested_pad(spec, lo, hi, y))
     val = (-1j) ** ((n - m) % 4) * oracle_element(
         spec, window, (1j * y, 1j * y, 0.0), n, m)
     return GnEvaluation(n, m, spec, y, val.real, "oracle", abs(val.imag) + 1e-15)
@@ -224,6 +216,17 @@ def bessel_jn(n: int, x: float) -> float:
     return total
 
 
+# step of the central differences in the recursion checks
+_H = 1e-5
+
+
+def _recursion_gap(fn, n: int, y: float, lo: float, hi: float) -> float:
+    """|d/dy fn(n+1, y) - (lo fn(n, y) - hi fn(n+2, y))|, the derivative by
+    central differences at step _H."""
+    deriv = (fn(n + 1, y + _H) - fn(n + 1, y - _H)) / (2.0 * _H)
+    return abs(deriv - (lo * fn(n, y) - hi * fn(n + 2, y)))
+
+
 def _recursion_value(spec: AlgebraSpec, k: int, y: float) -> float:
     if spec.is_parametric:
         return gn_closed(spec, k, y).value
@@ -234,15 +237,11 @@ def _recursion_value(spec: AlgebraSpec, k: int, y: float) -> float:
     raise ValueError("phase-profile recursions live in the phase module")
 
 
-def recursion_residual(spec: AlgebraSpec, n: int, y: float,
-                       h: float = 1e-5) -> float:
-    """|d/dy G_{n+1} - (lambda_n G_n - lambda_{n+1} G_{n+2})| with the
-    derivative taken by central differences at step h."""
-    deriv = (_recursion_value(spec, n + 1, y + h)
-             - _recursion_value(spec, n + 1, y - h)) / (2.0 * h)
-    rhs = (lambda_coupling(spec, n) * _recursion_value(spec, n, y)
-           - lambda_coupling(spec, n + 1) * _recursion_value(spec, n + 2, y))
-    return abs(deriv - rhs)
+def recursion_residual(spec: AlgebraSpec, n: int, y: float) -> float:
+    """|d/dy G_{n+1} - (lambda_n G_n - lambda_{n+1} G_{n+2})| by central
+    differences."""
+    return _recursion_gap(lambda k, t: _recursion_value(spec, k, t), n, y,
+                          lambda_coupling(spec, n), lambda_coupling(spec, n + 1))
 
 
 def tilde_gn(p: float, n: int, y: float) -> float:
@@ -262,30 +261,32 @@ def bar_gn(p: float, n: int, y: float) -> float:
     return ratio * tilde_gn(p, n, y)
 
 
+# the rescaled families and the (lo, hi) of their recursions
+# d/dy v_{n+1} = lo v_n - hi v_{n+2}
+_VARIANTS = {
+    "tilde": (tilde_gn, lambda p, n: (n + 1.0, n + 1.0 + p)),
+    "bar": (bar_gn, lambda p, n: (n + p, n + 2.0)),
+}
+
+
+def _variant(which: str):
+    if which not in _VARIANTS:
+        raise ValueError(f"unknown variant {which!r}")
+    return _VARIANTS[which]
+
+
 def tilde_bar_variants(p: float, n: int, y: float, which: str) -> float:
-    if which == "tilde":
-        return tilde_gn(p, n, y)
-    if which == "bar":
-        return bar_gn(p, n, y)
-    raise ValueError(f"unknown variant {which!r}")
+    return _variant(which)[0](p, n, y)
 
 
-def variant_recursion_residual(p: float, n: int, y: float, which: str,
-                               h: float = 1e-5) -> float:
+def variant_recursion_residual(p: float, n: int, y: float, which: str) -> float:
     """Central-difference residual of the rescaled recursions:
 
         d/dy tilde_{n+1} = (n+1) tilde_n - (n+1+p) tilde_{n+2}
         d/dy bar_{n+1}   = (n+p) bar_n   - (n+2)   bar_{n+2}
     """
-    fn = tilde_gn if which == "tilde" else bar_gn
-    if which == "tilde":
-        lo, hi = n + 1.0, n + 1.0 + p
-    elif which == "bar":
-        lo, hi = n + p, n + 2.0
-    else:
-        raise ValueError(f"unknown variant {which!r}")
-    deriv = (fn(p, n + 1, y + h) - fn(p, n + 1, y - h)) / (2.0 * h)
-    return abs(deriv - (lo * fn(p, n, y) - hi * fn(p, n + 2, y)))
+    fn, coeffs = _variant(which)
+    return _recursion_gap(lambda k, t: fn(p, k, t), n, y, *coeffs(p, n))
 
 
 def gnm(spec: AlgebraSpec, n: int, m: int, y: float) -> GnEvaluation:

@@ -14,13 +14,11 @@ dG_{n+1}/dy = G_n - G_{n+2} and whose Taylor numerators count
 border-respecting lattice paths (triangles.path_count_diagram).
 """
 
-import math
-
 import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow, build_matrices
 from .expm import oracle_element
-from .gn import bessel_jn
+from .gn import _recursion_gap, bessel_jn
 
 _PHASE_SPEC = AlgebraSpec.from_profile("phase")
 
@@ -60,27 +58,17 @@ def phase_element(n: int, m: int, y: float) -> complex:
 
 
 def phase_gn(n: int, y: float) -> float:
-    """G_n(y) = (n+1) J_{n+1}(2y) / y, evaluated by the division-free series
-    (n+1) sum_j (-1)^j y^(2j+n) / (j! (j+n+1)!), so y = 0 is regular and
-    gives delta_{n0}."""
+    """G_n(y) = (n+1) J_{n+1}(2y) / y, continued to delta_{n0} at y = 0."""
     if n < 0:
         raise ValueError("need n >= 0")
-    term = 1.0 / math.factorial(n + 1)
-    for _ in range(n):
-        term *= y
-    total = term
-    for j in range(1, 400):
-        term *= -(y * y) / (j * (j + n + 1))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return (n + 1) * total
+    if y == 0.0:
+        return float(n == 0)
+    return (n + 1) * bessel_jn(n + 1, 2.0 * y) / y
 
 
-def phase_recursion_residual(n: int, y: float, h: float = 1e-5) -> float:
+def phase_recursion_residual(n: int, y: float) -> float:
     """|d/dy G_{n+1} - (G_n - G_{n+2})| by central differences."""
-    deriv = (phase_gn(n + 1, y + h) - phase_gn(n + 1, y - h)) / (2.0 * h)
-    return abs(deriv - (phase_gn(n, y) - phase_gn(n + 2, y)))
+    return _recursion_gap(phase_gn, n, y, 1.0, 1.0)
 
 
 def phase_oracle_element(n: int, m: int, y: float, dim: int = 60) -> complex:

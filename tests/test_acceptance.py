@@ -18,7 +18,7 @@ from ladderkit import (AlgebraSpec, IndexWindow, antinormal_reach,
                        phase_recursion_residual, recursion_residual,
                        rotation_direct, rotation_factorized,
                        antinormal_rotation, RotationSpec, sumrule_check,
-                       suggested_pad, u1_normal, u2_normal, generate,
+                       suggested_pad, u2_factors, generate,
                        tilde_rule, bar_rule, gauss_tilde_rule,
                        gauss_bar_rule, unit_rule,
                        variant_recursion_residual)
@@ -108,9 +108,10 @@ def test_criterion_03_u2_factorization():
                                                       ordering))
     # exact reduction at (iy, iy, 0)
     y = 0.4
-    window = padded_window(spec_a, 0, 9, suggested_pad(spec_a, 0, 9, y))
-    red = np.abs(u2_normal(spec_a, window, 1j * y, 1j * y, 0.0)
-                 - u1_normal(spec_a, window, y)).max()
+    u = y * math.sqrt(spec_a.sigma)
+    fac = u2_factors(spec_a, 1j * y, 1j * y, 0.0)
+    red = max(max(abs(f - math.tanh(u) / u), abs(g - 1 / math.cosh(u)))
+              for f, g in ((fac.f_plus, fac.g_plus), (fac.f_minus, fac.g_minus)))
     ok = worst <= 1e-10 and red <= 1e-12
     report(3, "general-exponential factorization", ok,
            f"20 random points worst {worst:.3e}, reduction {red:.3e}")

@@ -246,3 +246,16 @@ def test_factorize_both_keeps_the_normal_residual_on_the_padded_window(capsys):
     _, normal, _ = run_json(capsys, *flags, "--ordering", "normal")
     assert both["residuals"]["normal"] == normal["residuals"]["normal"]
     assert normal["window"]["j_max"] < both["window"]["j_max"]
+
+
+def test_factorize_reports_the_window_of_each_residual_and_certificate(capsys):
+    # the README line: the rule pad gives the normal residual and the
+    # certificate j = 0..43, the anti-normal reach grows its window to 47
+    code, doc, _ = run_json(capsys, "factorize", "--alpha", "1", "--beta", "1",
+                            "--sigma", "1", "--y", "0.3", "--core", "0:11",
+                            "--certify-pad")
+    assert code == 0
+    assert doc["window"]["j_max"] == 47
+    assert doc["residual_windows"]["normal"] == {"j_min": 0, "j_max": 43}
+    assert doc["residual_windows"]["anti-normal"] == {"j_min": 0, "j_max": 47}
+    assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 43}

@@ -10,9 +10,9 @@ from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
                        OrderedForm, PoleError, antinormal_core,
                        antinormal_reach, build_matrices, expm,
                        factorization_residual, kappa, lambda_sq,
-                       operator_matrix, padded_window, reduces_to_u1,
-                       suggested_pad, tau, u1_antinormal, u1_factors,
-                       u1_normal, u2_factors, u2_normal)
+                       operator_matrix, ordered_product, padded_window,
+                       reduces_to_u1, suggested_pad, tau, u1_factors,
+                       u2_factors)
 
 SPEC111 = AlgebraSpec.parametric(1, 1, 1)
 
@@ -74,26 +74,28 @@ def test_u1_normal_matches_oracle_on_core():
 
 def test_u1_identity_at_y_zero():
     window = IndexWindow(0, 10, 0, 8)
-    assert np.array_equal(u1_normal(SPEC111, window, 0.0), np.eye(11))
-    assert np.array_equal(u1_antinormal(SPEC111, window, 0.0), np.eye(11))
+    for ordering in ("normal", "anti-normal"):
+        u = ordered_product(SPEC111, window, (0j, 0j, 0.0), ordering)
+        assert np.array_equal(u, np.eye(11))
 
 
 def test_u1_squeezed_vacuum_element():
     spec = AlgebraSpec.parametric(1, 0.5, 1)
     window = padded_window(spec, 0, 8, 30)
-    u = u1_normal(spec, window, 0.45)
+    u = ordered_product(spec, window, (0.45j, 0.45j, 0.0), "normal")
     assert abs(u[0, 0] - math.cosh(0.45) ** -0.5) < 1e-14
 
 
 def test_u1_alpha_beta_exchange_symmetry():
-    a = u1_normal(AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 20, 0, 8), 0.4)
-    b = u1_normal(AlgebraSpec.parametric(2, 1, 1), IndexWindow(0, 20, 0, 8), 0.4)
+    window, coeffs = IndexWindow(0, 20, 0, 8), (0.4j, 0.4j, 0.0)
+    a = ordered_product(AlgebraSpec.parametric(1, 2, 1), window, coeffs, "normal")
+    b = ordered_product(AlgebraSpec.parametric(2, 1, 1), window, coeffs, "normal")
     assert np.abs(a - b).max() == 0.0
 
 
 def test_u1_normal_unitary_on_core():
     window = padded_window(SPEC111, 0, 8, 30)
-    u = u1_normal(SPEC111, window, 0.4)
+    u = ordered_product(SPEC111, window, (0.4j, 0.4j, 0.0), "normal")
     sl = window.core_slice()
     dev = (u.conj().T @ u - np.eye(window.size))[sl, sl]
     assert np.abs(dev).max() <= 1e-9
@@ -101,10 +103,11 @@ def test_u1_normal_unitary_on_core():
 
 def test_u2_reduces_to_u1():
     y = 0.35
-    window = padded_window(SPEC111, 0, 10, 30)
-    a = u2_normal(SPEC111, window, 1j * y, 1j * y, 0.0)
-    b = u1_normal(SPEC111, window, y)
-    assert np.abs(a - b).max() <= 1e-12
+    u = y * math.sqrt(SPEC111.sigma)
+    fac = u2_factors(SPEC111, 1j * y, 1j * y, 0.0)
+    for f, g in ((fac.f_plus, fac.g_plus), (fac.f_minus, fac.g_minus)):
+        assert abs(f - math.tanh(u) / u) <= 1e-12
+        assert abs(g - 1 / math.cosh(u)) <= 1e-12
     assert reduces_to_u1(1j * y, 1j * y, 0.0)
     assert not reduces_to_u1(1j * y, 1j * y, 0.1)
     assert not reduces_to_u1(0.2 + 1j * y, 0.2 + 1j * y, 0.0)
@@ -114,7 +117,7 @@ def test_u2_pure_diagonal_case():
     spec = AlgebraSpec.parametric(1, 2, 1)
     window = IndexWindow(0, 8, 0, 8)
     c = 0.3
-    got = u2_normal(spec, window, 0.0, 0.0, c)
+    got = ordered_product(spec, window, (0.0, 0.0, c), "normal")
     m = operator_matrix(spec, window, (0.0, 0.0, 1.0))
     want = np.diag(np.exp(c * np.diag(m)))
     assert np.abs(got - want).max() <= 1e-12
@@ -178,7 +181,7 @@ def test_antinormal_core_agrees_with_normal_product():
     y = 0.3
     window = padded_window(SPEC111, 0, 6, 60)
     core = antinormal_core(SPEC111, window, (1j * y, 1j * y, 0.0))
-    full = u1_normal(SPEC111, window, y)
+    full = ordered_product(SPEC111, window, (1j * y, 1j * y, 0.0), "normal")
     sl = window.core_slice()
     assert np.abs(core - full[sl, sl]).max() <= 1e-12
 
@@ -215,7 +218,8 @@ def test_ordered_form_ingredients():
                        [fac.g ** (2 * j + 1) for j in range(13)])
     assert np.all(np.isfinite(form.diagonal))
     assert np.abs(form.matrix(SPEC111, window)
-                  - u1_normal(SPEC111, window, 0.3)).max() == 0.0
+                  - ordered_product(SPEC111, window, (0.3j, 0.3j, 0.0),
+                                    "normal")).max() == 0.0
     anti = ordered_form(SPEC111, window, (0.3j, 0.3j, 0.0), "anti-normal")
     assert np.allclose(anti.diagonal,
                        [fac.g ** -(2 * j + 1) for j in range(13)])

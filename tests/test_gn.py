@@ -67,6 +67,29 @@ def test_gn_series_matches_closed():
 
 def test_gn_series_single_term():
     assert gn_series(SPEC11, 0, 0.0).value == 1.0
+    # every term vanishes off the vacuum at y = 0
+    assert gn_series(SPEC11, 3, 0.0).value == 0.0
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 2), (1, 0.5), (2, 3)])
+def test_gn_series_matches_closed_where_terms_fall_slowly(alpha, beta):
+    # the term ratio tends to -sinh(y)^2, about -0.68 here: the sum needs
+    # well over a hundred terms
+    spec = AlgebraSpec.parametric(alpha, beta, 1)
+    for y in (0.742, 0.7475, 0.753):
+        for n in range(7):
+            a = gn_closed(spec, n, y).value
+            b = gn_series(spec, n, y).value
+            assert abs(a - b) <= 1e-9
+
+
+def test_gn_series_refuses_where_terms_do_not_fall():
+    # ratio -> -sinh(1)^2 = -1.38
+    with pytest.raises(ConvergenceError):
+        gn_series(SPEC11, 0, 1.0)
+    # |z| < 1, but the terms overflow before they peak
+    with pytest.raises(ConvergenceError):
+        gn_series(AlgebraSpec.parametric(1000, 1000, 1), 0, 0.3)
 
 
 def test_gn_routes_match_oracle_phase():
