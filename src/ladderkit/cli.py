@@ -493,7 +493,6 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--route", choices=("closed", "series", "oracle", "auto"),
                    default="auto")
     p.add_argument("--recursion", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="ignored")
     p.set_defaults(func=cmd_gn)
 
     p = add_parser("triangle", help="exact coefficient diagrams")
@@ -527,7 +526,6 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--y-grid", "--sweep", dest="y_grid", type=_parse_grid,
                    default=None)
     p.add_argument("--check-oracle", type=int, default=0, metavar="DIM")
-    p.add_argument("--jobs", type=int, default=1, help="ignored")
     p.set_defaults(func=cmd_phase)
 
     p = add_parser("sumrule", help="Bessel sum rules")

@@ -23,6 +23,7 @@ Everything here is exact rational arithmetic; no floats enter a diagram.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -121,34 +122,62 @@ class CoeffDiagram:
         return len(self.rows)
 
 
+def _weights(rule: WeightRule, side: str, cache: dict, columns) -> dict:
+    """The rule's `side` weights on `columns` as (numerator, denominator)
+    pairs; `cache` holds each column asked so far, so the rule sees every
+    column at most once per diagram."""
+    out = {}
+    for n in columns:
+        pair = cache.get(n)
+        if pair is None:
+            w = getattr(rule, side)(n)
+            if not isinstance(w, numbers.Rational):
+                raise TypeError(f"rule {rule.name!r}: {side}({n}) = {w!r} is "
+                                "not an exact rational")
+            pair = cache[n] = (w.numerator, w.denominator)
+        out[n] = pair
+    return out
+
+
 def generate(rule: WeightRule, boundary: str, start_column: int,
              num_rows: int) -> CoeffDiagram:
-    """Build the diagram row by row from the seed column."""
+    """Build the diagram row by row from the seed column.
+
+    Rows are computed on integer numerators over one scale per row: each
+    row's scale is the previous one times the lcm of the denominators of
+    the weights the step uses, so every node is normalised once, as
+    Fraction(numerator, scale).  The rule is asked for each weight once
+    per column, and only on columns next to a nonzero node.
+    """
     if boundary not in _BOUNDARIES:
         raise ValueError(f"boundary must be one of {_BOUNDARIES}")
     if num_rows < 1:
         raise ValueError("need at least one row")
-    if boundary == "triangular" and start_column < 0:
+    triangular = boundary == "triangular"
+    if triangular and start_column < 0:
         raise ValueError("triangular diagrams start at a column >= 0")
+    right: dict[int, tuple[int, int]] = {}
+    left: dict[int, tuple[int, int]] = {}
+    nums, scale = {start_column: 1}, 1
     rows = [{start_column: Fraction(1)}]
     for _ in range(1, num_rows):
-        prev = rows[-1]
-        cur: dict[int, Fraction] = {}
-        targets = set()
-        for n in prev:
-            targets.add(n - 1)
-            targets.add(n + 1)
-        for n in sorted(targets):
-            if boundary == "triangular" and n < 0:
-                continue
-            v = Fraction(0)
-            if (n - 1) in prev:
-                v += rule.w_right(n - 1) * prev[n - 1]
-            if (n + 1) in prev:
-                v += rule.w_left(n) * prev[n + 1]
-            if v:
-                cur[n] = v
-        rows.append(cur)
+        w_right = _weights(rule, "w_right", right, nums)
+        w_left = _weights(rule, "w_left", left,
+                          [m - 1 for m in nums if m > 0 or not triangular])
+        step = math.lcm(*(d for _, d in w_right.values()),
+                        *(d for _, d in w_left.values()))
+        scale *= step
+        mul_right = {m: a * (step // d) for m, (a, d) in w_right.items()}
+        mul_left = {m: a * (step // d) for m, (a, d) in w_left.items()}
+        # ascending columns: m + 1 is new to `cur`, m - 1 may already hold
+        # the right step of the node two columns left
+        cur: dict[int, int] = {}
+        for m, a in nums.items():
+            if m > 0 or not triangular:
+                cur[m - 1] = cur.get(m - 1, 0) + mul_left[m - 1] * a
+            cur[m + 1] = mul_right[m] * a
+        nums = {n: v for n, v in cur.items() if v}
+        rows.append({n: Fraction(v, scale) for n, v in nums.items()})
     return CoeffDiagram(rule.name, boundary, start_column, tuple(rows))
 
 
@@ -176,22 +205,27 @@ def series_match(d: CoeffDiagram, n: int, target_fn, y_grid) -> float:
 
 
 def row_sums(d: CoeffDiagram, signs: str = "plain") -> list[Fraction]:
-    """Per-row node sums; the alternating variant flips sign at every
-    occupied site left to right (occupied sites step by two columns)."""
+    """Per-row node sums, each one exact sum over the lcm of the row's
+    denominators.  The alternating variant gives the node at column n the
+    sign (-1)^((n - n_min)/2), n_min the row's leftmost occupied column:
+    the sign follows the column, so a vanished node between two occupied
+    ones still takes its turn."""
     if signs not in ("plain", "alternating"):
         raise ValueError("signs must be 'plain' or 'alternating'")
     out = []
-    for r in range(d.num_rows):
-        cols = d.occupied(r)
-        if not cols:
+    for row in d.rows:
+        if not row:
             out.append(Fraction(0))
             continue
-        if signs == "plain":
-            out.append(sum(d.rows[r][n] for n in cols))
-        else:
-            n_min = cols[0]
-            out.append(sum((-1) ** (((n - n_min) // 2) % 2) * d.rows[r][n]
-                           for n in cols))
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        n_min = min(row)
+        total = 0
+        for n, v in row.items():
+            term = v.numerator * (scale // v.denominator)
+            if signs == "alternating" and (n - n_min) // 2 % 2:
+                term = -term
+            total += term
+        out.append(Fraction(total, scale))
     return out
 
 
@@ -257,17 +291,17 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
 def render_ascii(d: CoeffDiagram) -> str:
     """Node values laid out on their staggered columns, one text row per
     diagram row."""
-    cols = sorted({n for row in d.rows for n in row})
+    texts = [{n: str(v) for n, v in row.items()} for row in d.rows]
+    cols = sorted({n for row in texts for n in row})
     if not cols:
         return ""
-    width = max(len(str(row[n])) for row in d.rows for n in row) + 2
-    col_pos = {n: i for i, n in enumerate(range(cols[0], cols[-1] + 1))}
+    width = max(len(t) for row in texts for t in row.values()) + 2
     header = "".join(f"n={n}".center(width) for n in range(cols[0], cols[-1] + 1))
     lines = [header]
-    for r in range(d.num_rows):
+    for row in texts:
         cells = [" " * width] * (cols[-1] - cols[0] + 1)
-        for n, v in sorted(d.rows[r].items()):
-            cells[col_pos[n]] = str(v).center(width)
+        for n, t in row.items():
+            cells[n - cols[0]] = t.center(width)
         lines.append("".join(cells).rstrip())
     return "\n".join(lines)
 

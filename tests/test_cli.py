@@ -92,13 +92,22 @@ def test_factorize_without_coefficients_exit_3(capsys):
     assert err.strip()
 
 
-def test_gn_sweep_jobs_deterministic(capsys):
-    args = ("gn", "--alpha", "1", "--beta", "1", "--sigma", "1", "--n", "1",
-            "--y-grid", "0.1:0.5:5", "--recursion")
-    code1, out1, _ = run(capsys, *args, "--jobs", "1")
-    code2, out2, _ = run(capsys, *args, "--jobs", "4")
+_SWEEP = ("gn", "--alpha", "1", "--beta", "1", "--sigma", "1", "--n", "1",
+          "--y-grid", "0.1:0.5:5", "--recursion")
+
+
+def test_gn_sweep_is_deterministic(capsys):
+    code1, out1, _ = run(capsys, *_SWEEP)
+    code2, out2, _ = run(capsys, *_SWEEP)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_gn_sweep_rejects_jobs(capsys):
+    code, out, err = run(capsys, *_SWEEP, "--jobs", "4")
+    assert code == 3
+    assert out == ""
+    assert "--jobs" in err
 
 
 def test_triangle_json_and_ascii(capsys):

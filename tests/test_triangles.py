@@ -11,6 +11,7 @@ from ladderkit import (AlgebraSpec, bar_rule, bessel_jn, column_series,
                        lambda_symmetric_rule, path_count_diagram,
                        render_ascii, row_sums, series_match, sumrule_check,
                        tilde_rule, to_records, unit_rule)
+from ladderkit.triangles import WeightRule
 
 
 def col_ints(d, n):
@@ -140,6 +141,136 @@ def test_row_sums_border_triangle():
     d = generate(unit_rule(), "triangular", 0, 10)
     alt = row_sums(d, "alternating")
     assert [int(v) for v in alt] == [1, 1, 0, 1, 0, 2, 0, 5, 0, 14]
+
+
+def test_alternating_row_sum_sign_follows_the_column():
+    # tilde(-6) row 11 occupies columns 1, 3, 5, 7, 11: the node at column
+    # 9 cancels.  The sign is (-1)^((n - n_min)/2) by column, so column 11
+    # takes +; a sign by position among the occupied sites would give it -
+    # and the sum -4740352.
+    d = generate(tilde_rule(-6), "triangular", 0, 12)
+    assert d.occupied(11) == [1, 3, 5, 7, 11]
+    assert row_sums(d, "alternating")[11] == -84573952
+
+
+def reference_rows(rule, boundary, start, num_rows):
+    """The recursion node by node in Fraction arithmetic."""
+    rows = [{start: Fraction(1)}]
+    for _ in range(1, num_rows):
+        prev = rows[-1]
+        cur = {}
+        for n in sorted({m + s for m in prev for s in (-1, 1)}):
+            if boundary == "triangular" and n < 0:
+                continue
+            v = Fraction(0)
+            if n - 1 in prev:
+                v += rule.w_right(n - 1) * prev[n - 1]
+            if n + 1 in prev:
+                v += rule.w_left(n) * prev[n + 1]
+            if v:
+                cur[n] = v
+        rows.append(cur)
+    return tuple(rows)
+
+
+def _rule_cases():
+    ratios = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    # lambda_symmetric_rule reads alpha and beta as floats: keep them exact
+    dyadic = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
+    return st.one_of(
+        ratios.map(tilde_rule), ratios.map(bar_rule),
+        st.sampled_from([unit_rule(), gauss_tilde_rule(), gauss_bar_rule()]),
+        dyadic.map(lambda p: lambda_symmetric_rule(
+            AlgebraSpec.parametric(float(p), float(p), 1))))
+
+
+@st.composite
+def _diagram_cases(draw):
+    rule = draw(_rule_cases())
+    boundary = draw(st.sampled_from(["triangular", "diamond"]))
+    start = draw(st.integers(0, 3) if boundary == "triangular"
+                 else st.integers(-3, 3))
+    return rule, boundary, start, draw(st.integers(1, 40))
+
+
+@given(_diagram_cases())
+@settings(max_examples=80, deadline=None)
+def test_generate_and_row_sums_match_the_fraction_recursion(case):
+    rule, boundary, start, num_rows = case
+    d = generate(rule, boundary, start, num_rows)
+    assert d.rows == reference_rows(rule, boundary, start, num_rows)
+    assert all(type(v) is Fraction for row in d.rows for v in row.values())
+    assert row_sums(d, "plain") == [sum(row.values(), Fraction(0))
+                                    for row in d.rows]
+    assert row_sums(d, "alternating") == [
+        sum(((-1) ** ((n - min(row)) // 2) * v for n, v in row.items()),
+            Fraction(0)) for row in d.rows]
+
+
+def recording(rule):
+    asked = []
+    return asked, WeightRule(
+        rule.name,
+        lambda n: asked.append(("right", n)) or rule.w_right(n),
+        lambda n: asked.append(("left", n)) or rule.w_left(n))
+
+
+@pytest.mark.parametrize("rule,boundary,start,num_rows,right,left", [
+    # the border stops the left links at column 0, and the last row asks
+    # for nothing
+    (tilde_rule(-6), "triangular", 0, 12, range(0, 11), range(0, 10)),
+    # w_right(2) = 0 and w_left(-1) = 0 fence the diamond in to columns
+    # 0..2: no link beyond them is asked for
+    (bar_rule(-2), "diamond", 1, 7, range(0, 3), range(-1, 2)),
+])
+def test_rule_is_asked_once_per_column(rule, boundary, start, num_rows,
+                                       right, left):
+    asked, recorder = recording(rule)
+    generate(recorder, boundary, start, num_rows)
+    assert len(asked) == len(set(asked))
+    assert sorted(asked) == sorted([("right", n) for n in right]
+                                   + [("left", n) for n in left])
+
+
+def test_non_rational_weights_are_rejected():
+    rule = WeightRule("halves", lambda n: 1.5, lambda n: Fraction(1))
+    with pytest.raises(TypeError, match=r"'halves'.*w_right\(0\)"):
+        generate(rule, "triangular", 0, 3)
+
+
+def zigzag_numbers(count):
+    """Euler zigzag numbers E(n, n) from the Seidel-Entringer recursion
+    E(n, k) = E(n, k-1) + E(n-1, n-k), E(n, 0) = 0 for n > 0."""
+    prev, out = [1], [1]
+    for n in range(1, count):
+        row = [0]
+        for k in range(1, n + 1):
+            row.append(row[k - 1] + prev[n - k])
+        prev = row
+        out.append(row[n])
+    return out
+
+
+def test_unit_diamond_at_120_rows_is_binomial():
+    d = generate(unit_rule(), "diamond", 0, 120)
+    for r, row in enumerate(d.rows):
+        assert row == {n: math.comb(r, (r + n) // 2) for n in range(-r, r + 1, 2)}
+
+
+def test_column_zero_at_60_rows_is_secant_and_tangent():
+    zigzag = zigzag_numbers(60)
+    assert zigzag[:8] == [1, 1, 1, 2, 5, 16, 61, 272]
+    assert column_values(generate(tilde_rule(1), "triangular", 0, 60), 0) \
+        == zigzag[0::2]
+    assert column_values(generate(tilde_rule(2), "triangular", 0, 60), 0) \
+        == zigzag[1::2]
+
+
+def test_bar_three_halves_at_60_rows_matches_the_recursion():
+    rule = bar_rule(Fraction(3, 2))
+    d = generate(rule, "triangular", 0, 60)
+    assert d.rows == reference_rows(rule, "triangular", 0, 60)
+    assert d.value(59, 59) == math.prod(n + Fraction(3, 2) for n in range(59))
 
 
 def test_series_match_reference_functions():
