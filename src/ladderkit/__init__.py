@@ -28,7 +28,8 @@ from .rotations import (RotationSpec, SpinMatrices, antinormal_rotation,
                         m_rephasing, rotation_direct, rotation_factorized)
 from .triangles import (CoeffDiagram, WeightRule, bar_rule, column_series,
                         gauss_bar_rule, gauss_tilde_rule, generate,
-                        lambda_symmetric_rule, path_count_diagram,
+                        lambda_rule, lambda_symmetric_rule,
+                        path_count_diagram,
                         render_ascii, row_sums, series_match, sumrule_check,
                         tilde_rule, to_records, unit_rule)
 
@@ -51,7 +52,8 @@ __all__ = [
     "bessel_jn", "recursion_residual", "tilde_gn", "bar_gn",
     "tilde_bar_variants", "variant_recursion_residual", "gnm",
     "WeightRule", "CoeffDiagram", "unit_rule", "tilde_rule", "bar_rule",
-    "gauss_tilde_rule", "gauss_bar_rule", "lambda_symmetric_rule",
+    "gauss_tilde_rule", "gauss_bar_rule", "lambda_rule",
+    "lambda_symmetric_rule",
     "generate", "column_series", "series_match", "row_sums",
     "sumrule_check", "path_count_diagram", "render_ascii", "to_records",
     "RotationSpec", "SpinMatrices", "build_spin", "rotation_factorized",

@@ -346,8 +346,7 @@ def _rule_from_text(text: str) -> triangles.WeightRule:
         return triangles.bar_rule(Fraction(text.split(":", 1)[1]))
     if text.startswith("lambda:"):
         al, be, si = (Fraction(t) for t in text.split(":", 1)[1].split(","))
-        return triangles.lambda_symmetric_rule(
-            algebra.AlgebraSpec.parametric(float(al), float(be), float(si)))
+        return triangles.lambda_rule(al, be, si)
     raise argparse.ArgumentTypeError(f"unknown rule {text!r}")
 
 

@@ -3,10 +3,14 @@
 This is the independent reference ("oracle") against which every closed
 form and ordered factorization in the package is checked, so it shares no
 code with them: plain scaling-and-squaring around a truncated Taylor
-series.  The dropped Taylor tail is bounded in the induced infinity norm by
-a crude geometric estimate from the first dropped term, and that bound is
-propagated through the squarings.  Taylor-plus-scaling is used instead of
-an eigendecomposition because truncated band matrices need not be normal.
+series.  The argument is scaled by 2^-s to induced infinity norm <= 1.  The
+Taylor degree m comes from a scalar tail rule run before any matrix work:
+the dropped tail is bounded by a geometric estimate from the first dropped
+term, and that bound is propagated through the squarings.  The degree-m
+polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
+about 2 sqrt(m) matrix products instead of m.  Taylor-plus-scaling is used
+instead of an eigendecomposition because truncated band matrices need not be
+normal.
 """
 
 import math
@@ -34,6 +38,36 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
+def _taylor_ps(a: np.ndarray, scale: float, coef: list[float]) -> np.ndarray:
+    """sum_k coef[k] b^k at b = scale * a by Paterson-Stockmeyer: with the
+    powers b, ..., b^p held once, the sum is Horner's rule in b^p over blocks
+    Q_i = sum_j coef[ip + j] b^j, each one row of coefficients times the
+    stacked powers.  The last block may reach b^p itself.  Costs
+    p - 1 + (m - 1) // p products for degree m >= 1, least at p = isqrt(m)."""
+    n = a.shape[0]
+    m = len(coef) - 1
+    p = math.isqrt(m)
+    powers = np.empty((p, n, n), dtype=complex)
+    np.multiply(a, scale, out=powers[0])
+    for k in range(1, p):
+        np.matmul(powers[k - 1], powers[0], out=powers[k])
+    flat = powers.reshape(p, n * n)
+    c = np.array(coef)
+
+    def block(lo, hi):
+        # c[lo] I + c[lo+1] b + ... + c[hi] b^(hi-lo)
+        q = c[lo + 1:hi + 1] @ flat[:hi - lo]
+        q[::n + 1] += c[lo]
+        return q.reshape(n, n)
+
+    r = (m - 1) // p
+    total = block(r * p, m)
+    for i in range(r - 1, -1, -1):
+        total = total @ powers[p - 1]
+        total += block(i * p, i * p + p - 1)
+    return total
+
+
 def expm(a: np.ndarray) -> ExpmResult:
     """exp(a) for a square complex matrix, with a bound on the truncation
     error of the underlying Taylor series (rounding is not included).
@@ -50,23 +84,23 @@ def expm(a: np.ndarray) -> ExpmResult:
     if norm == 0.0:
         return ExpmResult(np.eye(n, dtype=complex), 0.0)
 
-    # scale so the Taylor argument has norm <= 1/2
-    squarings = max(0, math.ceil(math.log2(norm / 0.5)))
-    b = a / (2.0 ** squarings)
+    # scale so the Taylor argument has norm <= 1; the tail's geometric
+    # ratio nb/(k+2) then stays <= 1/3
+    squarings = max(0, math.ceil(math.log2(norm)))
     nb = norm / (2.0 ** squarings)
 
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
+    # the degree from the tail rule, on scalars only
+    coef = [1.0]
     term_bound = 1.0
     tail = math.inf
     for k in range(1, _MAX_TERMS + 1):
-        term = term @ b / k
-        total += term
+        coef.append(coef[-1] / k)
         term_bound *= nb / k
         dropped = term_bound * nb / (k + 1)
         tail = dropped / (1.0 - nb / (k + 2))
         if tail <= _TAIL_TOL:
             break
+    total = _taylor_ps(a, 2.0 ** -squarings, coef)
     bound = tail
 
     # overflow is detected and raised explicitly; keep numpy quiet about it

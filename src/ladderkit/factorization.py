@@ -280,6 +280,18 @@ def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
     return peak, j
 
 
+def _anti_peak(spec, window, coeffs) -> float:
+    """ln of the peak anti-normal term over the core, scanned from both core
+    edges.  Terms grow with the couplings, so the peak can sit at either
+    edge or in between; the top scan starts below any zero couplings at
+    core_hi, where a scan would stop at once."""
+    top = window.core_hi
+    while top > window.core_lo and lambda_sq(spec, top) <= 0.0:
+        top -= 1
+    return max(_anti_scan(spec, n, coeffs, window.j_max)[0]
+               for n in (window.core_lo, top))
+
+
 def antinormal_reach(spec: AlgebraSpec, core_hi: int,
                      coeffs: tuple[complex, complex, complex]) -> int:
     """Smallest j_max for which the anti-normal ordered sum for core
@@ -317,8 +329,7 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     if not spec.is_parametric:
         raise ValueError("profile anti-normal products are well conditioned;"
                          " use ordered_product")
-    peak_ln, _ = _anti_scan(spec, window.core_hi, coeffs, window.j_max)
-    dps = max(30, int(peak_ln / math.log(10.0)) + 25)
+    dps = max(30, int(_anti_peak(spec, window, coeffs) / math.log(10.0)) + 25)
     core = list(range(window.core_lo, window.core_hi + 1))
     out = np.zeros((len(core), len(core)), dtype=complex)
     with mpmath.workdps(dps):
@@ -371,8 +382,7 @@ def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
     oracle = expm(operator_matrix(spec, window, coeffs)).matrix
     sl = window.core_slice()
     if ordering == "anti-normal" and spec.is_parametric and method != "matrix":
-        peak_ln, _ = _anti_scan(spec, window.core_hi, coeffs, window.j_max)
-        if method == "exact" or peak_ln > 4.0:
+        if method == "exact" or _anti_peak(spec, window, coeffs) > 4.0:
             block = antinormal_core(spec, window, coeffs)
             return float(np.abs(block - oracle[sl, sl]).max())
     prod = ordered_product(spec, window, coeffs, ordering)

@@ -75,26 +75,32 @@ def _rational_sqrt(x: Fraction) -> Fraction:
     return Fraction(pn, pd)
 
 
-def lambda_symmetric_rule(spec: AlgebraSpec) -> WeightRule:
-    """Both link directions carry the coupling lambda_n itself.
+def lambda_rule(alpha, beta, sigma) -> WeightRule:
+    """Both link directions carry the coupling
+    lambda_n = sqrt(sigma (alpha+n) (beta+n)) itself, for exact rational
+    parameters (anything ``Fraction`` accepts; a float is read as the binary
+    value it holds).
 
-    Exactness demands rational lambda_n, so this accepts only parametric
-    specs whose lambda_n^2 are perfect rational squares (e.g. alpha = beta).
-    Profiles with square roots should go through the tilde/bar rescalings
-    instead.
+    Exactness demands rational lambda_n, so the lambda_n^2 must be perfect
+    rational squares (e.g. alpha = beta, sigma = 1).  Profiles with square
+    roots should go through the tilde/bar rescalings instead.
     """
-    if not spec.is_parametric:
-        raise ValueError("lambda-symmetric rule needs a parametric spec")
-    al = Fraction(spec.alpha)
-    be = Fraction(spec.beta)
-    si = Fraction(spec.sigma)
+    al, be, si = Fraction(alpha), Fraction(beta), Fraction(sigma)
 
     def lam(n: int) -> Fraction:
         return _rational_sqrt(si * (al + n) * (be + n))
 
     for probe in range(4):
         lam(probe)
-    return WeightRule(f"lambda-symmetric{spec.label()}", lam, lam)
+    return WeightRule(f"lambda-symmetric(alpha={al}, beta={be}, sigma={si})",
+                      lam, lam)
+
+
+def lambda_symmetric_rule(spec: AlgebraSpec) -> WeightRule:
+    """``lambda_rule`` on a parametric spec's (float) parameters."""
+    if not spec.is_parametric:
+        raise ValueError("lambda-symmetric rule needs a parametric spec")
+    return lambda_rule(spec.alpha, spec.beta, spec.sigma)
 
 
 _BOUNDARIES = ("triangular", "diamond")

@@ -268,3 +268,26 @@ def test_factorize_reports_the_window_of_each_residual_and_certificate(capsys):
     assert doc["residual_windows"]["normal"] == {"j_min": 0, "j_max": 43}
     assert doc["residual_windows"]["anti-normal"] == {"j_min": 0, "j_max": 47}
     assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 43}
+
+
+def test_factorize_scans_the_antinormal_peak_from_both_core_edges(capsys):
+    # lambda_7 = 0 at core_hi: a scan from there alone sees no peak and the
+    # float product misses by 3.1e-3; the peak e^8.8 sits mid-core
+    code, doc, _ = run_json(capsys, "factorize", "--alpha", "6", "--beta",
+                            "-7", "--sigma", "-0.5", "--a",
+                            "0,2.203361568273505", "--b",
+                            "0,2.203361568273505", "--c", "0,0.4",
+                            "--core", "-5:7", "--ordering", "anti-normal")
+    assert code == 0
+    assert doc["residuals"]["anti-normal"] <= 1e-13
+
+
+def test_triangle_lambda_rule_is_exact(capsys):
+    code, doc, _ = run_json(capsys, "triangle", "--rule", "lambda:1/3,1/3,1",
+                            "--rows", "3")
+    assert code == 0
+    assert doc["rule"] == "lambda-symmetric(alpha=1/3, beta=1/3, sigma=1)"
+    nodes = {(r["row"], r["column"]): (r["numerator"], r["denominator"])
+             for r in doc["nodes"]}
+    assert nodes[(1, 1)] == ("1", "3")
+    assert nodes[(2, 2)] == ("4", "9")

@@ -1,17 +1,60 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, expm,
                        operator_matrix, oracle_element, pad_sufficiency,
                        padded_window)
 
+_EPS = np.finfo(float).eps
+
+
+def _norm(a):
+    return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
+
+
+def _taylor_loop(a):
+    """The term-by-term Taylor oracle (argument scaled to norm <= 1/2, one
+    product per term), kept as the reference for the Paterson-Stockmeyer
+    evaluation."""
+    norm = _norm(a)
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm else 0
+    b = a / 2.0 ** s
+    total = np.eye(a.shape[0], dtype=complex)
+    term = total.copy()
+    for k in range(1, 80):
+        term = term @ b / k
+        total += term
+        if np.abs(term).max() <= 1e-30 * np.abs(total).max():
+            break
+    for _ in range(s):
+        total = total @ total
+    return total
+
 
 def test_zero_matrix():
-    res = expm(np.zeros((4, 4)))
-    assert np.array_equal(res.matrix, np.eye(4))
-    assert res.remainder_bound == 0.0
+    for n in (1, 4):
+        res = expm(np.zeros((n, n)))
+        assert np.array_equal(res.matrix, np.eye(n))
+        assert res.remainder_bound == 0.0
+
+
+@pytest.mark.parametrize("z", [0.3, -2.0, 0.5j, 1.0, 1 + 1j, -40.0, 7.5 - 3j,
+                               1024j, math.nextafter(1.0, 2.0)])
+def test_one_by_one_is_the_scalar_exponential(z):
+    res = expm(np.array([[z]]))
+    want = cmath.exp(z)
+    # a relative rounding floor that grows with the squarings' doublings
+    allow = 16 * _EPS * abs(want) * max(1.0, abs(z))
+    assert abs(res.matrix[0, 0] - want) <= res.remainder_bound + allow
+    assert abs(res.matrix[0, 0] - _taylor_loop(np.array([[z]]))[0, 0]) <= 2 * allow
 
 
 def test_nilpotent_is_exact():
@@ -29,14 +72,19 @@ def test_u1_vacuum_element_sech():
 
 
 def test_remainder_bound_honest_against_closed_form():
-    for theta in (0.3, 1.7, 11.0):
+    # the scaling edge (norm 1), the squaring counts around it and one
+    # squaring-heavy angle, each also one ulp above
+    edges = (0.5, 1.0, 2.0, 1024.0)
+    for theta in (0.3, 1.7, 11.0, *edges,
+                  *(math.nextafter(t, math.inf) for t in edges)):
         a = np.array([[0.0, theta], [-theta, 0.0]], dtype=complex)
         exact = np.array([[math.cos(theta), math.sin(theta)],
                           [-math.sin(theta), math.cos(theta)]])
         res = expm(a)
         true_err = np.abs(res.matrix - exact).max()
-        # rounding floor on top of the Taylor-tail bound
-        assert true_err <= res.remainder_bound + 64 * np.finfo(float).eps
+        # rounding floor on top of the Taylor-tail bound: 64 eps, and past
+        # theta = 16 the angle error each squaring doubles, about theta eps
+        assert true_err <= res.remainder_bound + max(64, 4 * theta) * _EPS
 
 
 def test_unitary_for_skew_hermitian():
@@ -113,3 +161,89 @@ def test_expm_overflow_raises():
         expm(np.diag(np.full(3, 3000.0)))
     with pytest.raises(OverflowError):
         expm(np.array([[np.inf, 0], [0, 0]]))
+
+
+# Rounding allowance on top of remainder_bound: _ROUNDING * eps *
+# max(1, ||a||) * _frechet_scale(a) (infinity norms).  A backward error of
+# eps ||a|| moves exp(a) by up to that times the norm of exp's Frechet
+# derivative.  In 1500 examples of this property, with Hypothesis targeting
+# the ratio, the worst was 2.5 for Paterson-Stockmeyer and 10.6 for the
+# term-by-term Taylor loop it replaced.
+_ROUNDING = 4.0
+
+
+def _frechet_scale(a):
+    """max over t = k/16 of ||exp(t a)|| ||exp((1 - t) a)||, which bounds the
+    norm of L(a, E) = int_0^1 exp((1 - t) a) E exp(t a) dt per unit E up to
+    the grid.  It is ||exp(a)|| for normal a and grows with non-normality
+    (scipy's expm: a scale, not a reference)."""
+    step = scipy.linalg.expm(a / 16)
+    powers = [np.eye(a.shape[0])]
+    for _ in range(16):
+        powers.append(powers[-1] @ step)
+    x = [_norm(p) for p in powers]
+    return max(x[k] * x[16 - k] for k in range(17))
+
+
+_COEFF = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                            allow_infinity=False)
+
+
+@st.composite
+def _exponents(draw):
+    kind = draw(st.sampled_from(["sigma>0", "sigma<0", "block", "dense"]))
+    if kind == "dense":
+        n = draw(st.integers(1, 12))
+        a = draw(arrays(complex, (n, n), elements=st.complex_numbers(
+            max_magnitude=4, allow_nan=False, allow_infinity=False)))
+    else:
+        # independent a, b, c: a*L + b*R + c*S is not normal in general
+        coeffs = (draw(_COEFF), draw(_COEFF), draw(_COEFF))
+        if kind == "sigma>0":
+            spec = AlgebraSpec.parametric(draw(st.sampled_from([1, 1.5, 2])),
+                                          draw(st.sampled_from([1, 2, 2.5])), 1)
+            lo = draw(st.integers(0, 3))
+            window = IndexWindow(lo, lo + draw(st.integers(1, 11)), lo, lo)
+        elif kind == "sigma<0":
+            # a truncated window inside -alpha < j < -beta, where lambda^2 > 0
+            spec = AlgebraSpec.parametric(draw(st.sampled_from([3.5, 5, 8])),
+                                          draw(st.sampled_from([-13.5, -16])),
+                                          -0.5)
+            lo = draw(st.integers(-2, 2))
+            window = IndexWindow(lo, lo + draw(st.integers(1, 9)), lo, lo)
+        else:
+            # the finite block [1 - A, B] of (A, -B, -1/2), whole
+            big_a = draw(st.integers(1, 6))
+            big_b = draw(st.integers(max(1, 2 - big_a), 12 - big_a))
+            spec = AlgebraSpec.parametric(big_a, -big_b, -0.5)
+            window = IndexWindow(1 - big_a, big_b, 1 - big_a, 1 - big_a)
+        a = operator_matrix(spec, window, coeffs)
+    edge = draw(st.sampled_from([None, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
+                                 64.0]))
+    if edge is not None and _norm(a) > 0:
+        # just below or just above the edge
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        a = a * (edge / _norm(a) * (1.0 + side * 2.0 ** -40))
+    return a
+
+
+@given(_exponents())
+@settings(max_examples=40, deadline=None)
+def test_expm_against_mpmath_reference(a):
+    res = expm(a)
+    with mpmath.workdps(30):
+        ref = mpmath.expm(mpmath.matrix(a.tolist()))
+        ref = np.array(ref.tolist(), dtype=complex)
+    allow = _ROUNDING * _EPS * max(1.0, _norm(a)) * _frechet_scale(a)
+    assert _norm(res.matrix - ref) <= res.remainder_bound + allow
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_paterson_stockmeyer_matches_the_taylor_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = (1, 2, 6, 20, 40, 60)[seed]
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for norm in (0.3, 0.99, 1.01, 3.0, 11.0):
+        b = a * (norm / _norm(a))
+        got, want = expm(b).matrix, _taylor_loop(b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

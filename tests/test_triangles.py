@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from exact_series import bessel2y_series, gaussian_series, sech_tanh_series
 from ladderkit import (AlgebraSpec, bar_rule, bessel_jn, column_series,
                        gauss_bar_rule, gauss_tilde_rule, generate,
-                       lambda_symmetric_rule, path_count_diagram,
+                       lambda_rule, lambda_symmetric_rule, path_count_diagram,
                        render_ascii, row_sums, series_match, sumrule_check,
                        tilde_rule, to_records, unit_rule)
 from ladderkit.triangles import WeightRule
@@ -181,7 +181,8 @@ def _rule_cases():
         ratios.map(tilde_rule), ratios.map(bar_rule),
         st.sampled_from([unit_rule(), gauss_tilde_rule(), gauss_bar_rule()]),
         dyadic.map(lambda p: lambda_symmetric_rule(
-            AlgebraSpec.parametric(float(p), float(p), 1))))
+            AlgebraSpec.parametric(float(p), float(p), 1))),
+        ratios.map(lambda p: lambda_rule(p, p, 1)))
 
 
 @st.composite
@@ -299,6 +300,10 @@ def test_lambda_symmetric_requires_rational_roots():
         lambda_symmetric_rule(AlgebraSpec.from_profile("sho"))
     rule = lambda_symmetric_rule(AlgebraSpec.parametric(1, 1, 1))
     assert rule.w_right(3) == 4
+    # exact parameters stay exact; a float 1/3 is the nearest double
+    third = Fraction(1, 3)
+    assert lambda_rule(third, third, 1).w_left(0) == third
+    assert lambda_rule(1 / 3, 1 / 3, 1).w_left(0) == Fraction(1 / 3)
 
 
 def test_diamond_triangle_decoupling():
