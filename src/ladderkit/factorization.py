@@ -24,18 +24,23 @@ each factor is built one subdiagonal at a time in O(n^2).
 
 Conditioning caveat: the anti-normally ordered product places the growing
 direction of the diagonal against the raising tail, so its core matrix
-elements are alternating sums whose intermediate terms can dwarf the
-result (they grow until roughly coupling*|coefficient| stops beating the
-index growth).  ``factorization_residual`` detects this and switches to an
-exact-arithmetic element evaluation; the plain matrix products are only
-accurate where the returned conditioning estimate is benign.
+elements are alternating sums whose terms grow (until coupling*|coefficient|
+stops beating the index growth) to e^peak times the result before they
+cancel; a float product loses about peak/ln 10 digits.
+``factorization_residual`` scans that peak and, above e^4, takes
+``antinormal_core``, which sums every element exactly in fixed-point
+Python ints with at least peak/ln 2 + 136 bits and rounds it to float
+once.  The normal ordering has no exact route: its factor entries peak near
+exp(|c| lambda_max) on wide blocks, and the float product's error is about
+that peak squared times the float epsilon.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
-import mpmath
 import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow, lambda_sq, squared_couplings
@@ -48,9 +53,8 @@ _POLE_TOL = 1e-9
 _TAIL_LN = -37.0
 
 
-def _even_pair(q_sq, lib=cmath):
-    """(S, C) = (sin(q)/q, cos(q)) at q = sqrt(q_sq), in ``lib`` (cmath or
-    mpmath) arithmetic.
+def _even_pair(q_sq):
+    """(S, C) = (sin(q)/q, cos(q)) at q = sqrt(q_sq) in complex floats.
 
     Both are even and entire in q, so the branch of the root is immaterial.
     Below |q_sq| = 1e-30 the series 1 - q^2/6 + q^4/120, 1 - q^2/2 + q^4/24
@@ -58,8 +62,8 @@ def _even_pair(q_sq, lib=cmath):
     """
     if abs(q_sq) < 1e-30:
         return 1 - q_sq / 6 + q_sq * q_sq / 120, 1 - q_sq / 2 + q_sq * q_sq / 24
-    q = lib.sqrt(q_sq)
-    return lib.sin(q) / q, lib.cos(q)
+    q = cmath.sqrt(q_sq)
+    return cmath.sin(q) / q, cmath.cos(q)
 
 
 def _real_pair(x: float) -> tuple[float, float]:
@@ -259,14 +263,15 @@ def _anti_scales(spec, coeffs):
 def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
     """Scan the anti-normal sum for the core element n = m: (ln of the peak
     term magnitude, index where terms fall exp(_TAIL_LN) below both the peak
-    and unity).  Stops at a zero coupling or at ``j_max``; without ``j_max``
-    raises ValueError after 100000 steps."""
+    and unity).  Stops at a zero coupling or coefficient (the terms after
+    it vanish) or at ``j_max``; without ``j_max`` raises ValueError after
+    100000 steps."""
     cl, cr, g_abs = _anti_scales(spec, coeffs)
     ln_t, peak = 0.0, 0.0
     j = n
     while j_max is None or j < j_max:
         lam = math.sqrt(max(lambda_sq(spec, j), 0.0))
-        if lam == 0.0:
+        if cl * cr * lam == 0.0:
             return peak, j
         step = (math.log(cl * lam) + math.log(cr * lam)
                 - 2.0 * math.log(j + 1 - n) - 2.0 * math.log(g_abs))
@@ -301,71 +306,180 @@ def antinormal_reach(spec: AlgebraSpec, core_hi: int,
     return _anti_scan(spec, core_hi, coeffs)[1]
 
 
-def _mp_factors(spec, a, b, c):
-    """Anti-normal scalar factors (f-, g-) in mpmath arithmetic."""
-    si = mpmath.mpf(spec.sigma)
-    a, b, c = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c)
-    s, cq = _even_pair(a * b * si - c * c * si * si, mpmath)
-    d_minus = cq + c * si * s
-    return s / d_minus, 1 / d_minus
+def _fixed(x, p: int) -> int:
+    """floor(x * 2^p) for an int, binary float or Fraction x; exact when
+    x * 2^p is an integer."""
+    num, den = x.as_integer_ratio()
+    return (num << p) // den
+
+
+def _cmul(x, y, p: int):
+    """Product of two fixed-point complex numbers (re, im) at scale 2^p."""
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi) >> p, (xr * yi + xi * yr) >> p
+
+
+def _even_series(q_sq, p: int):
+    """(S, C) = (sin(q)/q, cos(q)) at fixed-point complex q^2 = ``q_sq``,
+    both fixed-point complex at scale 2^p.
+
+    C sums t_k = (-q^2)^k/(2k)! and S sums t_k/(2k+1).  The terms grow to
+    about e^|q| before they fall, so the caller adds |q|/ln 2 guard bits.
+    Floor division leaves a small negative term at -1, never at 0, so the
+    loop stops on magnitude.
+    """
+    xr, xi = q_sq
+    tr, ti = 1 << p, 0
+    sr, si, cr, ci = tr, 0, tr, 0
+    k = 0
+    while abs(tr) + abs(ti) > 2:
+        k += 1
+        d = (2 * k - 1) * 2 * k
+        tr, ti = ((ti * xi - tr * xr) >> p) // d, (-(tr * xi + ti * xr) >> p) // d
+        cr += tr
+        ci += ti
+        sr += tr // (2 * k + 1)
+        si += ti // (2 * k + 1)
+    return (sr, si), (cr, ci)
+
+
+def _fixed_couplings(spec, j_lo: int, j_hi: int, p: int) -> list[int]:
+    """floor(lambda_j * 2^p) for j_lo <= j < j_hi, by ``math.isqrt`` of the
+    exact rational sigma (alpha + j)(beta + j) of the binary parameters;
+    0 where that is <= 0."""
+    (sn, sd), (an, ad), (bn, bd) = (float(v).as_integer_ratio() for v in
+                                    (spec.sigma, spec.alpha, spec.beta))
+    den = sd * ad * bd
+    out = []
+    for j in range(j_lo, j_hi):
+        num = sn * (an + j * ad) * (bn + j * bd)
+        out.append(math.isqrt((num << 2 * p) // den) if num > 0 else 0)
+    return out
 
 
 def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
                     coeffs: tuple[complex, complex, complex]) -> np.ndarray:
-    """Core block of the anti-normal ordered product, by summing the exact
-    factor entries elementwise in extended precision.
+    """Core block of the anti-normal ordered product, each element an exact
+    fixed-point sum in Python ints, rounded to float once.
 
-    Element (n, m) is the alternating sum over j >= max(n, m) of
-    <n|exp(afL)|j> g^(-p_j) <j|exp(bfR)|m>, with the closed-form factor
-    entries (af)^(j-n)/(j-n)! * prod lambda and their mirror.  Each core
-    row's left chain and each core column's right chain (with the diagonal
-    g^(-p_j), built by repeated multiplication with g^-2, folded in) is
-    built once, up to the window edge or the first zero coupling, and each
-    element is one ``mpmath.fdot`` over the overlap of its two chains.  The
-    working precision is chosen from the peak term so the cancellation is
-    exact.
+    Element (n, m) is the sum over j >= max(n, m) of
+    <n|exp(a f- L)|j> g-^(-p_j) <j|exp(b f- R)|m>.  With f- = S g- and
+    g- = 1/D- (module docstring) its term is
+
+        D-^(n+m-1+alpha+beta) * (aS)^(j-n)/(j-n)! prod lambda
+                              * (bS)^(j-m)/(j-m)! prod lambda,
+
+    so the diagonal's growth in j splits evenly between row n's chain,
+    stepping by a S lambda_j / k, and column m's chain, stepping by
+    b S lambda_j / k.  (Folded into one chain, the diagonal makes it
+    overflow while the other underflows.)  Each chain is built once, up to
+    the window edge or a zero coupling; each element is four
+    ``sum(map(mul, ...))`` over the overlap of its two chains, times its
+    prefactor.  For a = b the block is symmetric and each pair is summed
+    once.
+
+    Precision: fixed point at scale 2^P with P = 53 + peak/ln 2 + 83 bits
+    plus the bits of the largest |prefactor|, where the peak is the ln of
+    the largest term relative to the first (``_anti_peak``), or of the
+    largest chain entry when |a| and |b| differ enough for one chain to
+    outgrow the terms.  The cancellation then loses nothing within 83 bits
+    of double precision.  The scalars carry |q|/ln 2 + 64 more guard bits:
+    q^2 = ab sigma - c^2 sigma^2 is exact from the binary floats, S and C
+    are its even series in ints, and lambda_j is the integer square root of
+    the exact rational sigma (alpha + j)(beta + j).  The prefactor is an
+    exact power of D- for the integer part of its exponent; a fractional
+    part f (alpha + beta not an integer) adds one float power g-^(-f), on
+    the principal branch ``ordered_form`` uses.  Each element is rounded to
+    float once, by the correctly rounded int division at the end; that and
+    the fractional power are the only float roundings.
     """
-    a, b, c = coeffs
+    a, b, c = (complex(v) for v in coeffs)
     if not spec.is_parametric:
         raise ValueError("profile anti-normal products are well conditioned;"
                          " use ordered_product")
-    dps = max(30, int(_anti_peak(spec, window, coeffs) / math.log(10.0)) + 25)
-    core = list(range(window.core_lo, window.core_hi + 1))
-    out = np.zeros((len(core), len(core)), dtype=complex)
-    with mpmath.workdps(dps):
-        f_minus, g_minus = _mp_factors(spec, a, b, c)
-        cl = mpmath.mpc(a) * f_minus
-        cr = mpmath.mpc(b) * f_minus
-        al = mpmath.mpf(spec.alpha)
-        be = mpmath.mpf(spec.beta)
-        si = mpmath.mpf(spec.sigma)
-        lam = {}
-        for j in range(window.j_min, window.j_max):
-            l2 = si * (al + j) * (be + j)
-            lam[j] = mpmath.sqrt(l2) if l2 > 0 else mpmath.mpf(0)
+    ab = spec.alpha + spec.beta
+    lo, hi = window.core_lo, window.core_hi
+    e_lo = 2 * lo - 1 + ab
+    af, bf, g_abs = _anti_scales(spec, coeffs)
+    peak = _anti_peak(spec, window, coeffs)
+    # a chain entry is at most e^(|xS| lambda_max) for x = a, b, and at most
+    # e^(peak/2) times the (|a|/|b|)^(+-k/2) tilt between the two chains
+    lam_max = max((math.sqrt(max(lambda_sq(spec, j), 0.0))
+                   for j in range(lo, window.j_max)), default=0.0)
+    tilt = (window.j_max - lo) * abs(math.log(af / bf)) / 2 if af and bf else math.inf
+    chain = min(peak / 2 + tilt, max(af, bf) / g_abs * lam_max)
+    ln2_g = math.log2(g_abs)  # |D-^e| = 2^(-e ln2_g)
+    p = (53 + math.ceil(max(peak, chain) / math.log(2)) + 83
+         + max(0, math.ceil(-ln2_g * e_lo), math.ceil(-ln2_g * (2 * hi - 1 + ab))))
+    si = Fraction(spec.sigma)
+    ar, ai, br, bi, cr, ci = map(Fraction, (a.real, a.imag, b.real, b.imag,
+                                            c.real, c.imag))
+    q_sq = (si * (ar * br - ai * bi) - si * si * (cr * cr - ci * ci),
+            si * (ar * bi + ai * br) - 2 * si * si * cr * ci)
+    w = p + math.ceil(abs(complex(*map(float, q_sq))) ** 0.5 / math.log(2)) + 64
 
-        def chain(start, coef):
-            # <start|exp(coef L)|j> = <j|exp(coef R)|start>, j = start, ...
-            el = [mpmath.mpc(1)]
-            for j in range(start, window.j_max):
-                nxt = el[-1] * coef * lam[j] / (j + 1 - start)
-                if nxt == 0:
+    def fix(z):
+        return _fixed(z.real, w), _fixed(z.imag, w)
+
+    s, cq = _even_series((_fixed(q_sq[0], w), _fixed(q_sq[1], w)), w)
+    cs = _cmul((_fixed(cr * si, w), _fixed(ci * si, w)), s, w)
+    d = (cq[0] + cs[0], cq[1] + cs[1])
+    a_s = tuple(x >> (w - p) for x in _cmul(fix(a), s, w))
+    b_s = tuple(x >> (w - p) for x in _cmul(fix(b), s, w))
+
+    # prefactors D-^e, e = n + m - 1 + alpha + beta, for n + m = 2lo..2hi:
+    # D-^k exactly for the integer part k of e_lo, then one float power
+    # g-^(k - e_lo) for its fractional part
+    nrm = d[0] * d[0] + d[1] * d[1]
+    g = ((d[0] << 2 * w) // nrm, (-d[1] << 2 * w) // nrm)
+    k0 = math.floor(e_lo)
+    pref = (1 << w, 0)
+    for _ in range(abs(k0)):
+        pref = _cmul(pref, d if k0 > 0 else g, w)
+    if e_lo != k0:
+        frac = complex(g[0] / (1 << w), g[1] / (1 << w)) ** (k0 - e_lo)
+        pref = _cmul(pref, fix(frac), w)
+    prefs = [pref]
+    for _ in range(2 * (hi - lo)):
+        prefs.append(_cmul(prefs[-1], d, w))
+
+    lam = _fixed_couplings(spec, lo, window.j_max, p)
+
+    def chains(coef):
+        steps = [((coef[0] * x) >> p, (coef[1] * x) >> p) for x in lam]
+        out = []
+        for n in range(lo, hi + 1):
+            xr, xi = 1 << p, 0
+            re, im = [xr], [xi]
+            for k, (x, (sr, s_i)) in enumerate(zip(lam[n - lo:], steps[n - lo:]), 1):
+                if not x:  # a zero coupling ends the chain
                     break
-                el.append(nxt)
-            return el
+                xr, xi = (((xr * sr - xi * s_i) >> p) // k,
+                          ((xr * s_i + xi * sr) >> p) // k)
+                re.append(xr)
+                im.append(xi)
+            out.append((re, im))
+        return out
 
-        diag = [g_minus ** (-(2 * window.core_lo - 1 + al + be))]
-        g_step = g_minus ** -2
-        for _ in range(window.core_lo, window.j_max):
-            diag.append(diag[-1] * g_step)
-        left = [chain(n, cl) for n in core]
-        right = [[d * e for d, e in zip(diag[m - window.core_lo:], chain(m, cr))]
-                 for m in core]
-        for ri, n in enumerate(core):
-            for ci, m in enumerate(core):
-                j0 = max(n, m)
-                out[ri, ci] = complex(mpmath.fdot(left[ri][j0 - n:],
-                                                  right[ci][j0 - m:]))
+    rows = chains(a_s)
+    cols = rows if a_s == b_s else chains(b_s)
+    size = hi - lo + 1
+    scale = 1 << (2 * p + w)
+    out = np.zeros((size, size), dtype=complex)
+    for i in range(size):
+        for k in range(i if cols is rows else 0, size):
+            (xr, xi), (yr, yi) = rows[i], cols[k]
+            if i > k:
+                yr, yi = yr[i - k:], yi[i - k:]
+            else:
+                xr, xi = xr[k - i:], xi[k - i:]
+            sum_r = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+            sum_i = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
+            fr, fi = prefs[i + k]
+            out[i, k] = complex((sum_r * fr - sum_i * fi) / scale,
+                                (sum_r * fi + sum_i * fr) / scale)
+    if cols is rows:
+        out += np.triu(out, 1).T
     return out
 
 
@@ -376,12 +490,19 @@ def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
     oracle on the window core.
 
     ``method``: "matrix" forces the plain three-matrix product, "exact"
-    forces the extended-precision element sums (anti-normal, parametric
-    only), "auto" picks by the conditioning estimate.
+    forces the fixed-point element sums of ``antinormal_core`` (anti-normal
+    ordering on parametric specs only; ValueError elsewhere), "auto" picks
+    by the conditioning estimate.  Any other value raises ValueError.
     """
+    if method not in ("auto", "matrix", "exact"):
+        raise ValueError(f"unknown method {method!r}; choose auto, matrix or exact")
+    exact_ok = ordering == "anti-normal" and spec.is_parametric
+    if method == "exact" and not exact_ok:
+        raise ValueError("method='exact' needs the anti-normal ordering on a"
+                         " parametric spec")
     oracle = expm(operator_matrix(spec, window, coeffs)).matrix
     sl = window.core_slice()
-    if ordering == "anti-normal" and spec.is_parametric and method != "matrix":
+    if exact_ok and method != "matrix":
         if method == "exact" or _anti_peak(spec, window, coeffs) > 4.0:
             block = antinormal_core(spec, window, coeffs)
             return float(np.abs(block - oracle[sl, sl]).max())

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
@@ -340,3 +341,118 @@ def test_exact_antinormal_residual_at_a_sec_pole():
     res = factorization_residual(_SU2_BLOCK, window, _AT_SEC_POLE, "anti-normal",
                                  method="exact")
     assert res <= 1e-10
+
+
+def test_residual_rejects_methods_it_cannot_run():
+    window = IndexWindow(0, 20, 0, 6)
+    coeffs = (0.3j, 0.3j, 0.0)
+    with pytest.raises(ValueError, match="anti-normal"):
+        factorization_residual(AlgebraSpec.parametric(1, 2, 1), window, coeffs,
+                               "normal", method="exact")
+    with pytest.raises(ValueError, match="parametric"):
+        factorization_residual(AlgebraSpec.from_profile("sho"), window, coeffs,
+                               "anti-normal", method="exact")
+    with pytest.raises(ValueError, match="unknown method"):
+        factorization_residual(SPEC111, window, coeffs, "anti-normal",
+                               method="exactt")
+
+
+def _reference_core(spec, window, coeffs):
+    """Core block of the anti-normal product, element by element: the sum of
+    <n|exp(a f- L)|j> g-^(-p_j) <j|exp(b f- R)|m> over max(n, m) <= j <=
+    j_max (up to a zero coupling) in mpmath, with f- and g- from mpmath's
+    sin and cos.  A pass at 20 digits finds the largest term; the sum is
+    then taken at 2 * max(30, log10(largest term) + 25) digits, twice the
+    rule the mpmath implementation of ``antinormal_core`` used."""
+    core = range(window.core_lo, window.core_hi + 1)
+
+    def block():
+        a, b, c = (mpmath.mpc(x) for x in coeffs)
+        si, al, be = (mpmath.mpf(x) for x in (spec.sigma, spec.alpha, spec.beta))
+        q_sq = a * b * si - c * c * si * si
+        q = mpmath.sqrt(q_sq)
+        s = mpmath.sin(q) / q if q_sq else mpmath.mpf(1)
+        g = 1 / (mpmath.cos(q) + c * si * s)
+        cl, cr = a * s * g, b * s * g
+        j_range = range(window.core_lo, window.j_max + 1)
+        lam = {j: mpmath.sqrt(max(si * (al + j) * (be + j), 0)) for j in j_range}
+        diag = {j: g ** -(2 * j - 1 + al + be) for j in j_range}
+        rows, top = [], mpmath.mpf(0)
+        for n in core:
+            row = []
+            for m in core:
+                left = right = mpmath.mpc(1)
+                for j in range(n, max(n, m)):
+                    left *= cl * lam[j] / (j + 1 - n)
+                for j in range(m, max(n, m)):
+                    right *= cr * lam[j] / (j + 1 - m)
+                total = mpmath.mpc(0)
+                for j in range(max(n, m), window.j_max + 1):
+                    term = left * diag[j] * right
+                    top = max(top, abs(term))
+                    total += term
+                    if lam[j] == 0:
+                        break
+                    left *= cl * lam[j] / (j + 1 - n)
+                    right *= cr * lam[j] / (j + 1 - m)
+                row.append(total)
+            rows.append(row)
+        return rows, top
+
+    with mpmath.workdps(20):
+        top = block()[1]
+    digits = int(mpmath.log10(top)) + 25 if top > 1 else 0
+    with mpmath.workdps(2 * max(30, digits)):
+        rows = block()[0]
+    return np.array([[complex(x) for x in row] for row in rows])
+
+
+def _u2_coeffs(draw, radii=(0.3, 0.3, 0.15)):
+    return tuple(complex(draw(st.floats(-r, r)), draw(st.floats(-r, r)))
+                 for r in radii)
+
+
+@st.composite
+def _core_cases(draw):
+    """(spec, window, coefficients) for antinormal_core: u1 points, random
+    u2 coefficients, whole finite sigma < 0 blocks and a zero coupling
+    inside the window."""
+    kind = draw(st.sampled_from(["u1", "u2", "block", "zero coupling"]))
+    lo = draw(st.integers(0, 3))
+    hi = lo + draw(st.integers(0, 3))
+    if kind == "u1":
+        spec = AlgebraSpec.parametric(1, draw(st.sampled_from([1, 2])), 1)
+        y = draw(st.floats(0.05, 0.55))
+        coeffs = (1j * y, 1j * y, 0.0)
+    elif kind == "u2":
+        # alpha + beta = 1.5 puts the prefactor on the float power
+        spec = AlgebraSpec.parametric(*draw(st.sampled_from(
+            [(1, 2), (1, 0.5), (1.5, 2.5)])), 1)
+        coeffs = _u2_coeffs(draw)
+    elif kind == "block":
+        # spin-J block: couplings vanish at j = -J - 1 and j = J
+        J = draw(st.integers(1, 8))
+        spec = AlgebraSpec.parametric(J + 1, -J, -0.5)
+        lo = draw(st.integers(-J, J))
+        hi = draw(st.integers(lo, J))
+        coeffs = _u2_coeffs(draw, (0.6, 0.6, 0.3))
+        return spec, IndexWindow(-J, J, lo, hi), coeffs
+    else:
+        # lambda_j = |j - 3|: chains from j <= 3 stop at j = 3
+        spec = AlgebraSpec.parametric(-3, -3, 1)
+        coeffs = _u2_coeffs(draw)
+    j_max = max(hi + 1, antinormal_reach(spec, hi, coeffs))
+    return spec, IndexWindow(0, j_max, lo, hi), coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_core_cases())
+@example((_SU2_BLOCK, IndexWindow(-5, 7, -5, 7), _AT_SEC_POLE))
+# |b| / |a| = 160: the chains grow and shrink like 4^k and 0.025^k apart
+# from their balance
+@example((SPEC111, IndexWindow(0, 120, 0, 5), (0.02 + 0.01j, 3 + 1j, 0.0)))
+def test_antinormal_core_matches_mpmath_reference(case):
+    spec, window, coeffs = case
+    want = _reference_core(spec, window, coeffs)
+    got = antinormal_core(spec, window, coeffs)
+    assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())

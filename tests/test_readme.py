@@ -1,7 +1,9 @@
 """Every ``ladderkit ...`` line of the README's "Command line" block runs,
-exits 0, reports no failed check and prints the same bytes twice."""
+exits 0, reports no failed check and prints the same bytes twice; the
+install block names the runtime dependencies pyproject.toml declares."""
 
 import io
+import re
 import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 
 from ladderkit.cli import main
 
-_README = Path(__file__).resolve().parents[1] / "README.md"
+_ROOT = Path(__file__).resolve().parents[1]
+_README = _ROOT / "README.md"
 
 
 def _cli_lines():
@@ -37,3 +40,13 @@ def test_readme_cli_line(line):
     assert first[0] == 0
     assert first == second
     assert '"pass": false' not in first[1]
+
+
+def test_readme_runtime_line_names_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                for dep in project["dependencies"]}
+    lines = re.findall(r"# runtime: (.*)", _README.read_text())
+    assert len(lines) == 1
+    assert {name.strip() for name in lines[0].split(",")} == declared
