@@ -11,10 +11,9 @@ from .errors import (ConvergenceError, LadderError, NonUnitaryRegime,
                      PoleError, SingularS)
 from .expm import (ExpmResult, expm, operator_matrix, oracle_element,
                    pad_sufficiency)
-from .factorization import (OrderedForm, U1Factors, U2Factors,
-                            antinormal_core, antinormal_reach,
-                            factorization_residual, kappa, ordered_form,
-                            ordered_product, reduces_to_u1, tau, u1_factors,
+from .factorization import (OrderedForm, U2Factors, antinormal_core,
+                            antinormal_reach, factorization_residual,
+                            ordered_form, ordered_product, reduces_to_u1,
                             u2_factors)
 from .gn import (GnEvaluation, Hyp2F1Sum, a_n, bar_gn, bessel_jn, gn_auto,
                  gn_bessel_limit, gn_closed, gn_oracle, gn_series,
@@ -43,8 +42,7 @@ __all__ = [
     "SingularS",
     "ExpmResult", "expm", "operator_matrix", "oracle_element",
     "pad_sufficiency",
-    "OrderedForm", "U1Factors", "U2Factors", "tau", "kappa", "u1_factors",
-    "u2_factors", "ordered_form",
+    "OrderedForm", "U2Factors", "u2_factors", "ordered_form",
     "ordered_product", "factorization_residual", "antinormal_core",
     "antinormal_reach", "reduces_to_u1",
     "GnEvaluation", "Hyp2F1Sum", "hyp2f1_series", "a_n", "gn_closed",

@@ -18,8 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, factorization, gn, phase, rotations, triangles
-from .errors import (ConvergenceError, LadderError, NonUnitaryRegime,
-                     PoleError, SingularS)
+from .errors import ConvergenceError, LadderError, SingularS
 from .expm import pad_sufficiency
 
 EXIT_OK = 0
@@ -27,8 +26,8 @@ EXIT_TOL = 1
 EXIT_DOMAIN = 2
 EXIT_CONFIG = 3
 
-_DOMAIN_ERRORS = (NonUnitaryRegime, PoleError, ConvergenceError, SingularS,
-                  ZeroDivisionError, OverflowError, LadderError)
+# arithmetic outside the library's own checks can still raise the last two
+_DOMAIN_ERRORS = (LadderError, ZeroDivisionError, OverflowError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,17 +267,14 @@ def cmd_factorize(args) -> int:
         "reduces_to_u1": factorization.reduces_to_u1(*coeffs),
         "tol": args.tol,
     }
-    if spec.is_parametric and not factorization.reduces_to_u1(*coeffs):
+    if spec.is_parametric:
         fac = factorization.u2_factors(spec, *coeffs)
         payload["factors"] = {"f_plus": fac.f_plus, "f_minus": fac.f_minus,
                               "g_plus": fac.g_plus, "g_minus": fac.g_minus,
                               "q_sq": fac.q_sq}
     else:
-        y = complex(coeffs[0]).imag
-        fac = factorization.u1_factors(spec, y)
-        payload["factors"] = {"f": fac.f, "g": fac.g}
-        if fac.diagonal_scalar is not None:
-            payload["factors"]["diagonal_scalar"] = fac.diagonal_scalar
+        payload["factors"] = {"diagonal_scalar": factorization._profile_diagonal(
+            spec, complex(coeffs[0]).imag)}
 
     residuals = {}
     for ordering in orderings:

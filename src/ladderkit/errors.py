@@ -11,7 +11,9 @@ class NonUnitaryRegime(LadderError):
 
 
 class PoleError(LadderError):
-    """Evaluation point too close to a pole of tan/sec."""
+    """Evaluation point within 1e-9 of a pole of the factorization's
+    scalar factors: |D+| or |D-| below 1e-9 (a tan/sec pole for
+    exp(iy(R+L)))."""
 
 
 class ConvergenceError(LadderError):

@@ -47,6 +47,7 @@ from .algebra import AlgebraSpec, IndexWindow, lambda_sq, squared_couplings
 from .errors import PoleError
 from .expm import expm, operator_matrix
 
+# u2_factors raises PoleError where |D+-| falls below this
 _POLE_TOL = 1e-9
 # an ordered sum (the anti-normal scan here, gn.gn_series) has converged
 # once its terms fall exp(_TAIL_LN) below both their peak and unity
@@ -64,45 +65,6 @@ def _even_pair(q_sq):
         return 1 - q_sq / 6 + q_sq * q_sq / 120, 1 - q_sq / 2 + q_sq * q_sq / 24
     q = cmath.sqrt(q_sq)
     return cmath.sin(q) / q, cmath.cos(q)
-
-
-def _real_pair(x: float) -> tuple[float, float]:
-    s, c = _even_pair(complex(x))
-    if abs(c) < _POLE_TOL:
-        raise PoleError(f"cos(sqrt({x:.12g})) = {abs(c):.3g}: too close to a"
-                        " tan/sec pole")
-    return s.real, c.real
-
-
-def tau(x: float) -> float:
-    """tan(sqrt(x))/sqrt(x), continued through x = 0 to tanh(sqrt(-x))/sqrt(-x).
-
-    Even and analytic in sqrt(x), so the branch of the root is immaterial.
-    Raises PoleError within 1e-9 of the tan poles (x > 0 only).
-    """
-    s, c = _real_pair(x)
-    return s / c
-
-
-def kappa(x: float) -> float:
-    """sec(sqrt(x)), continued to sech(sqrt(-x)) for x < 0.  Same pole set
-    as tau."""
-    return 1.0 / _real_pair(x)[1]
-
-
-@dataclass(frozen=True)
-class U1Factors:
-    """Scalar factors of the exp(iy(R+L)) factorization.
-
-    f multiplies the triangular exponents, g feeds the diagonal
-    g^(+-p_j) with p_j = 2j - 1 + alpha + beta.  For the profile limits the
-    diagonal collapses to a single scalar (diagonal_scalar below is its
-    normal-ordered value; the anti-normal diagonal is its reciprocal).
-    """
-
-    f: float
-    g: float
-    diagonal_scalar: float | None = None
 
 
 @dataclass(frozen=True)
@@ -141,18 +103,15 @@ class OrderedForm:
         return lowering @ (self.diagonal[:, None] * raising)
 
 
-def u1_factors(spec: AlgebraSpec, y: float) -> U1Factors:
-    """f = tanh(y*sqrt(sigma))/(y*sqrt(sigma)), g = sech(y*sqrt(sigma)),
-    continued to tan/sec for sigma < 0.  The "sho" profile replaces the
-    diagonal by the scalar exp(-y^2/2); "constant-one" by 1 (R and L
-    commute there)."""
-    if spec.is_parametric:
-        x = -spec.sigma * y * y
-        return U1Factors(f=tau(x), g=kappa(x))
+def _profile_diagonal(spec: AlgebraSpec, y: float) -> float:
+    """Normal-ordered scalar diagonal of exp(iy(R+L)) on a profile spec:
+    exp(-y^2/2) for "sho", 1 for "constant-one" (R and L commute there).
+    The anti-normal diagonal is its reciprocal; both shift factors carry
+    f = 1.  The phase profile has no ordered factorization: ValueError."""
     if spec.profile == "sho":
-        return U1Factors(f=1.0, g=1.0, diagonal_scalar=math.exp(-0.5 * y * y))
+        return math.exp(-0.5 * y * y)
     if spec.profile == "constant-one":
-        return U1Factors(f=1.0, g=1.0, diagonal_scalar=1.0)
+        return 1.0
     raise ValueError("the phase profile admits no ordered factorization")
 
 
@@ -191,20 +150,25 @@ def _power(base: complex, expo: float) -> complex:
 def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Factors:
     """Scalar factors for exp(a*L + b*R + c*S), parametric specs with any
     sigma: f+- = S/D+-, g+- = 1/D+- with D+- = C -+ c*sigma*S (module
-    docstring).  Finite wherever D+- != 0; raises ZeroDivisionError where
-    |D+| or |D-| falls below 1e-12."""
+    docstring).  exp(iy(R+L)) is (a, b, c) = (iy, iy, 0), where D+ = D- = C
+    and f+-, g+- are real: tanh(y sqrt(sigma))/(y sqrt(sigma)) and
+    sech(y sqrt(sigma)), continued to tan/sec for sigma < 0.  Finite
+    wherever D+- != 0; raises PoleError where |D+| or |D-| falls below
+    1e-9.  The factors grow as 1/|D+-| towards a pole and the ordered
+    products cancel that growth: at |D+| = 1e-10 the spin-1 rotation
+    product is off by about 1e4."""
     if not spec.is_parametric:
         raise ValueError("u2 factorization needs a parametric spec")
     si = spec.sigma
-    q_sq = complex(a * b * si - c * c * si * si)
+    # sigma first: at (iy, iy, 0) q^2 is then the float -(sigma*y)*y of the
+    # amplitude formulas (gn.py)
+    q_sq = complex(si * a * b - si * si * c * c)
     s, cq = _even_pair(q_sq)
-    d_plus = cq - c * si * s
-    d_minus = cq + c * si * s
-    for name, d in (("cos(q) - c*sigma*sin(q)/q", d_plus),
-                    ("cos(q) + c*sigma*sin(q)/q", d_minus)):
-        if abs(d) < 1e-12:
-            raise ZeroDivisionError(f"factorization denominator {name} vanishes:"
-                                    " the factors have a pole here")
+    shift = c * si * s
+    d_plus, d_minus = cq - shift, cq + shift
+    if min(abs(d_plus), abs(d_minus)) < _POLE_TOL:
+        raise PoleError(f"factorization denominators D+- = {d_plus:.3g},"
+                        f" {d_minus:.3g}: too close to a pole of the factors")
     return U2Factors(f_plus=s / d_plus, f_minus=s / d_minus,
                      g_plus=1 / d_plus, g_minus=1 / d_minus, q_sq=q_sq)
 
@@ -218,8 +182,10 @@ def ordered_form(spec: AlgebraSpec, window: IndexWindow,
                  coeffs: tuple[complex, complex, complex],
                  ordering: str) -> OrderedForm:
     """The factorization's three ingredients for either ordering: f+- and
-    the diagonal g+-^(+-p_j) from ``u2_factors`` for parametric specs.
-    Profiles factor only exp(iy(R+L)), with their scalar diagonal."""
+    the diagonal g+-^(+-p_j) from ``u2_factors`` for parametric specs
+    (PoleError near a pole of the factors).  Profiles factor only
+    exp(iy(R+L)), with f = 1 and their scalar diagonal (ValueError for the
+    phase profile)."""
     a, b, c = coeffs
     if ordering not in ("normal", "anti-normal"):
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -233,9 +199,10 @@ def ordered_form(spec: AlgebraSpec, window: IndexWindow,
     else:
         if not reduces_to_u1(a, b, c):
             raise ValueError("profile specs only factor exp(iy(R+L))")
-        fac = u1_factors(spec, complex(a).imag)
-        f = fac.f
-        diagonal = np.full(window.size, fac.diagonal_scalar ** sign, dtype=complex)
+        f = 1.0
+        diagonal = np.full(window.size,
+                           _profile_diagonal(spec, complex(a).imag) ** sign,
+                           dtype=complex)
     return OrderedForm(ordering, b * f, a * f, diagonal)
 
 
@@ -255,9 +222,9 @@ def _anti_scales(spec, coeffs):
     if spec.is_parametric:
         fac = u2_factors(spec, a, b, c)
         return abs(a * fac.f_minus), abs(b * fac.f_minus), abs(fac.g_minus)
-    fac = u1_factors(spec, complex(a).imag)
-    # profile diagonals are scalars; only the shift amplitude matters
-    return abs(a) * fac.f, abs(b) * fac.f, 1.0
+    _profile_diagonal(spec, 0.0)  # ValueError for the phase profile
+    # profile diagonals are scalars and f = 1; only the shift amplitude matters
+    return abs(a), abs(b), 1.0
 
 
 def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:

@@ -13,8 +13,11 @@ error estimate per value, and checks the recursions by central
 differences.
 
 sigma < 0 is reached by the even continuation sinh^2 -> -sin^2,
-tanh -> tan, sech -> sec (see factorization.tau/kappa); everything depends
-on sigma only through sigma*y^2.
+tanh -> tan, sech -> sec; the closed form and the ordered series read
+tanh(y*sqrt(sigma))/(y*sqrt(sigma)) and sech(y*sqrt(sigma)) as the factors
+f and g of factorization.u2_factors at (a, b, c) = (iy, iy, 0), and raise
+its PoleError within 1e-9 of a tan/sec pole.  Everything depends on sigma
+only through sigma*y^2.
 """
 
 import math
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraSpec, lambda_coupling, padded_window, suggested_pad
 from .errors import ConvergenceError
 from .expm import oracle_element
-from .factorization import _TAIL_LN, kappa, tau
+from .factorization import _TAIL_LN, u2_factors
 
 # non-terminating 2F1 sums that have not settled after this many terms fail
 _HYP_MAX_TERMS = 500
@@ -100,9 +103,9 @@ def _require_parametric(spec):
 def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     """Closed-form route."""
     _require_parametric(spec)
-    x = spec.sigma * y * y
-    t_over_rootsigma = y * tau(-x)        # tanh(y*sqrt(sigma))/sqrt(sigma)
-    sech = kappa(-x)                      # sech(y*sqrt(sigma))
+    fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
+    t_over_rootsigma = y * fac.f_plus.real    # tanh(y*sqrt(sigma))/sqrt(sigma)
+    sech = fac.g_plus.real                    # sech(y*sqrt(sigma))
     z = -spec.sigma * (t_over_rootsigma / sech) ** 2   # -sinh(y*sqrt(sigma))^2
     hyp = hyp2f1_series(1.0 - spec.alpha, 1.0 - spec.beta, 1.0 + n, z)
     expo = spec.alpha + spec.beta - 1.0
@@ -129,11 +132,12 @@ def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     stops once a term falls exp(_TAIL_LN) below both the peak term and
     unity, reporting that term as err_estimate.  Raises ConvergenceError
     where the terms do not fall: |z| >= 1 on a block that does not end, or
-    a term that overflows on the way to its peak.
+    a term that overflows on the way to its peak.  f and g are the real
+    factors of ``u2_factors`` at (iy, iy, 0) (module docstring).
     """
     _require_parametric(spec)
-    x = -spec.sigma * y * y
-    f, g = tau(x), kappa(x)
+    fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
+    f, g = fac.f_plus.real, fac.g_plus.real
     scale = -(y * f / g) ** 2
     z = spec.sigma * scale
     # the block ends at a zero coupling lambda_j, j = -alpha or -beta >= n
@@ -199,7 +203,9 @@ def bessel_jn(n: int, x: float) -> float:
     J_{-n}(x) = (-1)^n J_n(x).
 
     Plain summation: converges for all x but loses accuracy to
-    cancellation as |x| grows; intended domain |x| <= 30.
+    cancellation as |x| grows.  Domain |x| <= 17, where the error against
+    scipy is at most 5.3e-11 for n <= 40 (below the sum rules' 1e-10);
+    on 17 < |x| <= 30 it reaches 2.6e-5, and nothing raises there.
     """
     if n < 0:
         return (-1.0) ** (-n) * bessel_jn(-n, x)

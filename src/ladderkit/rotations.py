@@ -18,8 +18,10 @@ factors work out to
 with s = cos(omega) - i cos(theta) sin(omega) = D+ and
 h = sqrt(2) sin(theta) sin(omega) / s, or anti-normally with (h*, s*) and
 the factors reversed.  The parametrization degenerates where s = 0
-(omega = theta = pi/2): that set is an error, not a limit.
-``rotation_direct`` stays the independent reference.
+(omega = theta = pi/2): that set is an error, not a limit, and the
+factorized routes raise SingularS wherever |s| < 1e-9 (the pole guard of
+``factorization.u2_factors``).  ``rotation_direct`` stays the independent
+reference.
 """
 
 import cmath
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow
-from .errors import SingularS
+from .errors import PoleError, SingularS
 from .expm import expm
 from .factorization import ordered_product
 
@@ -125,7 +127,7 @@ def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
         return ordered_product(AlgebraSpec.parametric(1, -two_j, -0.5),
                                IndexWindow(0, two_j, 0, two_j),
                                (spec.b, spec.a, spec.c), ordering)
-    except ZeroDivisionError:
+    except PoleError:
         # D+- = s, s*: the factors' only singular set
         raise SingularS(f"s = {spec.s:.3g}: factorization degenerates at"
                         " this (omega, theta)") from None

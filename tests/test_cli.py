@@ -47,7 +47,21 @@ def test_factorize_u1(capsys):
     assert doc["residuals"]["normal"] <= 1e-10
     assert doc["residuals"]["anti-normal"] <= 1e-10
     assert doc["pad_sufficiency"] <= 1e-12
-    assert abs(doc["factors"]["f"] - math.tanh(0.3) / 0.3) < 1e-12
+    assert abs(doc["factors"]["f_plus"]["re"] - math.tanh(0.3) / 0.3) < 1e-12
+    assert doc["factors"]["f_plus"]["im"] == 0.0
+
+
+def test_factorize_profiles(capsys):
+    code, doc, _ = run_json(capsys, "factorize", "--profile", "sho",
+                            "--y", "0.4", "--core", "0:6")
+    assert code == 0
+    assert doc["factors"] == {"diagonal_scalar": math.exp(-0.08)}
+    assert doc["residuals"]["normal"] <= 1e-10
+    assert doc["residuals"]["anti-normal"] <= 1e-10
+    code, _, err = run(capsys, "factorize", "--profile", "phase", "--y", "0.4",
+                       "--core", "0:6")
+    assert code == 3
+    assert "phase" in err
 
 
 def test_factorize_u2_reduction_flag(capsys):

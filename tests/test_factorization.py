@@ -10,62 +10,84 @@ from hypothesis import strategies as st
 from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
                        OrderedForm, PoleError, antinormal_core,
                        antinormal_reach, build_matrices, expm,
-                       factorization_residual, kappa, lambda_sq,
-                       operator_matrix, ordered_product, padded_window,
-                       reduces_to_u1, suggested_pad, tau, u1_factors,
-                       u2_factors)
+                       factorization_residual, gn_closed, gn_series,
+                       lambda_sq, operator_matrix, ordered_form,
+                       ordered_product, padded_window, reduces_to_u1,
+                       suggested_pad, u2_factors)
 
 SPEC111 = AlgebraSpec.parametric(1, 1, 1)
 
 
+def _u1_factors(spec, y):
+    """(f, g) of exp(iy(R+L)): u2_factors at (iy, iy, 0), where f+- and
+    g+- coincide and are real."""
+    fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
+    assert fac.f_plus == fac.f_minus and fac.g_plus == fac.g_minus
+    assert fac.f_plus.imag == 0.0 and fac.g_plus.imag == 0.0
+    return fac.f_plus.real, fac.g_plus.real
+
+
+def _tau_kappa(x):
+    """(tau, kappa) = (tan(sqrt(x))/sqrt(x), sec(sqrt(x))), continued to
+    tanh/sech for x < 0: the u1 factors (f, g) at x = q^2 = -sigma y^2."""
+    return _u1_factors(AlgebraSpec.parametric(1, 1, -1.0 if x >= 0 else 1.0),
+                       math.sqrt(abs(x)))
+
+
 def test_tau_basic_values():
-    assert tau(0.0) == 1.0
+    assert _tau_kappa(0.0)[0] == 1.0
     t = 0.7
-    assert abs(tau(-t * t) - math.tanh(t) / t) < 1e-15
+    assert abs(_tau_kappa(-t * t)[0] - math.tanh(t) / t) < 1e-15
     x = 0.5
-    assert abs(tau(x) - math.tan(math.sqrt(x)) / math.sqrt(x)) < 1e-15
+    assert abs(_tau_kappa(x)[0] - math.tan(math.sqrt(x)) / math.sqrt(x)) < 1e-15
 
 
 def test_tau_pole():
-    with pytest.raises(PoleError):
-        tau((math.pi / 2 - 1e-12) ** 2)
-    with pytest.raises(PoleError):
-        kappa((math.pi / 2 + math.pi) ** 2)
+    for x in ((math.pi / 2 - 1e-12) ** 2, (math.pi / 2 + math.pi) ** 2):
+        with pytest.raises(PoleError):
+            _tau_kappa(x)
 
 
 def test_tau_even_continuation_is_smooth():
     # across x = 0 the two branches meet the series expansion
-    assert abs(tau(1e-9) - 1.0) < 1e-9
-    assert abs(tau(-1e-9) - 1.0) < 1e-9
-    assert abs(kappa(1e-9) - 1.0) < 1e-9
+    assert abs(_tau_kappa(1e-9)[0] - 1.0) < 1e-9
+    assert abs(_tau_kappa(-1e-9)[0] - 1.0) < 1e-9
+    assert abs(_tau_kappa(1e-9)[1] - 1.0) < 1e-9
 
 
 def test_u1_factors_values():
-    fac = u1_factors(SPEC111, 0.5)
-    assert abs(fac.f - math.tanh(0.5) / 0.5) < 1e-15
-    assert abs(fac.g - 1.0 / math.cosh(0.5)) < 1e-15
-    fac0 = u1_factors(SPEC111, 0.0)
-    assert fac0.f == 1.0 and fac0.g == 1.0
+    f, g = _u1_factors(SPEC111, 0.5)
+    assert abs(f - math.tanh(0.5) / 0.5) < 1e-15
+    assert abs(g - 1.0 / math.cosh(0.5)) < 1e-15
+    assert _u1_factors(SPEC111, 0.0) == (1.0, 1.0)
 
 
 def test_u1_factors_sho_gaussian():
-    fac = u1_factors(AlgebraSpec.from_profile("sho"), 1.3)
-    assert fac.f == 1.0
-    assert abs(fac.diagonal_scalar - math.exp(-1.3 ** 2 / 2)) < 1e-15
+    y = 1.3
+    window = IndexWindow(0, 10, 0, 8)
+    form = ordered_form(AlgebraSpec.from_profile("sho"), window,
+                        (1j * y, 1j * y, 0.0), "normal")
+    assert form.raising_coefficient == form.lowering_coefficient == 1j * y
+    assert np.abs(form.diagonal - math.exp(-y ** 2 / 2)).max() < 1e-15
+    anti = ordered_form(AlgebraSpec.from_profile("sho"), window,
+                        (1j * y, 1j * y, 0.0), "anti-normal")
+    assert np.abs(anti.diagonal - math.exp(y ** 2 / 2)).max() < 1e-14
 
 
 def test_u1_factors_negative_sigma_uses_tan_branch():
-    spec = AlgebraSpec.parametric(6, -7, -0.5)
     y = 0.9
-    fac = u1_factors(spec, y)
+    f, g = _u1_factors(AlgebraSpec.parametric(6, -7, -0.5), y)
     u = y * math.sqrt(0.5)
-    assert abs(fac.f - math.tan(u) / u) < 1e-14
-    assert abs(fac.g - 1.0 / math.cos(u)) < 1e-14
+    assert abs(f - math.tan(u) / u) < 1e-14
+    assert abs(g - 1.0 / math.cos(u)) < 1e-14
 
 
 def test_u1_factors_phase_profile_rejected():
+    spec, coeffs = AlgebraSpec.from_profile("phase"), (0.3j, 0.3j, 0.0)
     with pytest.raises(ValueError):
-        u1_factors(AlgebraSpec.from_profile("phase"), 0.3)
+        ordered_form(spec, IndexWindow(0, 10, 0, 8), coeffs, "normal")
+    with pytest.raises(ValueError):
+        antinormal_reach(spec, 8, coeffs)
 
 
 def test_u1_normal_matches_oracle_on_core():
@@ -150,15 +172,31 @@ def test_u2_denominator_zero_raises():
     c = math.pi / 4
     ab = (math.pi / 4) ** 2 + c ** 2
     a = b = math.sqrt(ab)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(PoleError):
         u2_factors(spec, a, b, c)
+    # moving c leaves |D+| about 1e-10 from the pole: still inside the guard
+    c_near = c + 2.5e-10
+    q = cmath.sqrt(ab - c_near ** 2)
+    assert 5e-11 < abs(cmath.cos(q) - c_near * cmath.sin(q) / q) < 2e-10
+    with pytest.raises(PoleError):
+        u2_factors(spec, a, b, c_near)
 
 
 def test_u1_pole_negative_sigma():
+    # the guard reaches every consumer of the factors: at the sec pole and
+    # 5e-10 below it, where |cos(y sqrt(0.5))| is 3.5e-10
     spec = AlgebraSpec.parametric(6, -7, -0.5)
     y_pole = (math.pi / 2) / math.sqrt(0.5)
-    with pytest.raises(PoleError):
-        u1_factors(spec, y_pole)
+    for y in (y_pole, y_pole - 5e-10):
+        with pytest.raises(PoleError):
+            u2_factors(spec, 1j * y, 1j * y, 0.0)
+        with pytest.raises(PoleError):
+            gn_closed(spec, 1, y)
+        with pytest.raises(PoleError):
+            gn_series(spec, 1, y)
+        with pytest.raises(PoleError):
+            ordered_form(spec, IndexWindow(-5, 7, -5, 7), (1j * y, 1j * y, 0.0),
+                         "normal")
 
 
 def test_antinormal_residual_small_y_matrix_route():
@@ -209,21 +247,20 @@ def test_ordered_product_profile_routes():
 
 
 def test_ordered_form_ingredients():
-    from ladderkit import ordered_form
     window = IndexWindow(0, 12, 0, 8)
     form = ordered_form(SPEC111, window, (0.3j, 0.3j, 0.0), "normal")
-    fac = u1_factors(SPEC111, 0.3)
-    assert form.raising_coefficient == 1j * 0.3 * fac.f
+    f, g = _u1_factors(SPEC111, 0.3)
+    assert form.raising_coefficient == 1j * 0.3 * f
     # diagonal entries are g^(2j+1) for alpha = beta = 1
     assert np.allclose(form.diagonal,
-                       [fac.g ** (2 * j + 1) for j in range(13)])
+                       [g ** (2 * j + 1) for j in range(13)])
     assert np.all(np.isfinite(form.diagonal))
     assert np.abs(form.matrix(SPEC111, window)
                   - ordered_product(SPEC111, window, (0.3j, 0.3j, 0.0),
                                     "normal")).max() == 0.0
     anti = ordered_form(SPEC111, window, (0.3j, 0.3j, 0.0), "anti-normal")
     assert np.allclose(anti.diagonal,
-                       [fac.g ** -(2 * j + 1) for j in range(13)])
+                       [g ** -(2 * j + 1) for j in range(13)])
 
 
 @st.composite

@@ -145,10 +145,15 @@ def test_bessel_reference_values():
     assert bessel_jn(-2, 1.3) == bessel_jn(2, 1.3)
 
 
-@given(st.integers(0, 8), st.floats(-4, 4))
-@settings(max_examples=60)
-def test_bessel_against_scipy(n, x):
-    assert abs(bessel_jn(n, x) - jv(n, x)) < 1e-12
+# (|x| bound, largest n, tolerance): the small-argument range, and the
+# whole documented domain at the sum-rule tolerance
+@given(st.sampled_from([(4.0, 8, 1e-12), (17.0, 40, 1e-10)]).flatmap(
+    lambda c: st.tuples(st.integers(0, c[1]), st.floats(-c[0], c[0]),
+                        st.just(c[2]))))
+@settings(max_examples=120)
+def test_bessel_against_scipy(case):
+    n, x, tol = case
+    assert abs(bessel_jn(n, x) - jv(n, x)) < tol
 
 
 def test_bessel_leading_series():

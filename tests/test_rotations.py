@@ -107,9 +107,12 @@ def test_m_reversal_symmetry_j1():
 
 
 def test_singular_parametrization_raises():
-    spec = RotationSpec(math.pi / 2, math.pi / 2, 0.3, 1.0)
-    with pytest.raises(SingularS):
-        rotation_factorized(spec)
+    # |s| = 1e-10 is inside the factors' pole guard: the factorized product
+    # would be off from rotation_direct by about 1e4 there
+    for omega in (math.pi / 2, math.pi / 2 - 1e-10):
+        spec = RotationSpec(omega, math.pi / 2, 0.3, 1.0)
+        with pytest.raises(SingularS):
+            rotation_factorized(spec)
 
 
 def test_invalid_j_rejected():
