@@ -11,14 +11,13 @@ from .errors import (ConvergenceError, LadderError, NonUnitaryRegime,
                      PoleError, SingularS)
 from .expm import (ExpmResult, expm, operator_matrix, oracle_element,
                    pad_sufficiency)
-from .factorization import (OrderedForm, U2Factors, antinormal_core,
-                            antinormal_reach, factorization_residual,
-                            ordered_form, ordered_product, reduces_to_u1,
-                            u2_factors)
+from .factorization import (U2Factors, antinormal_core, antinormal_reach,
+                            factorization_residual, ordered_product,
+                            reduces_to_u1, u2_factors)
 from .gn import (GnEvaluation, Hyp2F1Sum, a_n, bar_gn, bessel_jn, gn_auto,
                  gn_bessel_limit, gn_closed, gn_oracle, gn_series,
                  gn_sho_limit, gnm, hyp2f1_series, recursion_residual,
-                 tilde_bar_variants, tilde_gn, variant_recursion_residual)
+                 tilde_gn, variant_recursion_residual)
 from .phase import (phase_commutator, phase_element, phase_gn, phase_gnm,
                     phase_matrices, phase_oracle_element,
                     phase_recursion_residual)
@@ -42,13 +41,12 @@ __all__ = [
     "SingularS",
     "ExpmResult", "expm", "operator_matrix", "oracle_element",
     "pad_sufficiency",
-    "OrderedForm", "U2Factors", "u2_factors", "ordered_form",
-    "ordered_product", "factorization_residual", "antinormal_core",
-    "antinormal_reach", "reduces_to_u1",
+    "U2Factors", "u2_factors", "ordered_product", "factorization_residual",
+    "antinormal_core", "antinormal_reach", "reduces_to_u1",
     "GnEvaluation", "Hyp2F1Sum", "hyp2f1_series", "a_n", "gn_closed",
     "gn_series", "gn_oracle", "gn_auto", "gn_sho_limit", "gn_bessel_limit",
     "bessel_jn", "recursion_residual", "tilde_gn", "bar_gn",
-    "tilde_bar_variants", "variant_recursion_residual", "gnm",
+    "variant_recursion_residual", "gnm",
     "WeightRule", "CoeffDiagram", "unit_rule", "tilde_rule", "bar_rule",
     "gauss_tilde_rule", "gauss_bar_rule", "lambda_rule",
     "lambda_symmetric_rule",

@@ -119,14 +119,6 @@ class IndexWindow:
         if self.size < 2:
             raise ValueError("window size must be at least 2")
 
-    @classmethod
-    def spanning(cls, j_min: int, j_max: int) -> "IndexWindow":
-        """Window [j_min, j_max] with the core inset by two states per side
-        (or less, on windows too small for that)."""
-        lo = min(j_min + 2, j_max)
-        hi = max(j_max - 2, lo)
-        return cls(j_min, j_max, min(lo, hi), hi)
-
     @property
     def size(self) -> int:
         return self.j_max - self.j_min + 1

@@ -213,15 +213,14 @@ def cmd_check_algebra(args) -> int:
         "tol": args.tol,
     }
     code = EXIT_OK
+    m = algebra.build_matrices(spec, window)
     if spec.is_parametric:
-        m = algebra.build_matrices(spec, window)
         resid = algebra.commutator_residual(m, spec)
         payload["commutator_residual"] = resid
         payload["pass"] = resid <= args.tol
         if resid > args.tol:
             code = EXIT_TOL
     else:
-        m = algebra.build_matrices(spec, window)
         s_diag = [float(x.real) for x in np.diag(m.S)]
         payload["s_diagonal"] = s_diag
         if spec.profile == "phase":
@@ -293,23 +292,22 @@ def cmd_factorize(args) -> int:
 
 
 def _gn_row(spec, n, m, y, route, with_recursion):
-    if not spec.is_parametric:
-        if spec.profile == "sho":
-            ev = gn.gn_sho_limit(n, y)
-        elif spec.profile == "constant-one":
-            ev = gn.gn_bessel_limit(n, y)
-        else:
-            raise ConvergenceError("no amplitude route for the phase profile;"
-                                   " use the phase command")
+    if spec.profile == "phase":
+        raise ConvergenceError("no amplitude route for the phase profile;"
+                               " use the phase command")
+    # the profile limits give G_n only
+    if route == "oracle" or (m > 0 and not spec.is_parametric):
+        ev = gn.gn_oracle(spec, n, y, m=m)
     elif m > 0:
-        ev = gn.gnm(spec, n, m, y) if route != "oracle" else gn.gn_oracle(
-            spec, n, y, m=m)
+        ev = gn.gnm(spec, n, m, y)
+    elif spec.profile == "sho":
+        ev = gn.gn_sho_limit(n, y)
+    elif spec.profile == "constant-one":
+        ev = gn.gn_bessel_limit(n, y)
     elif route == "closed":
         ev = gn.gn_closed(spec, n, y)
     elif route == "series":
         ev = gn.gn_series(spec, n, y)
-    elif route == "oracle":
-        ev = gn.gn_oracle(spec, n, y)
     else:
         ev = gn.gn_auto(spec, n, y)
     row = {"y": y, "n": n, "m": m, "value": ev.value, "route": ev.route,

@@ -37,9 +37,9 @@ that peak squared times the float epsilon.
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def _even_pair(q_sq):
     return cmath.sin(q) / q, cmath.cos(q)
 
 
-@dataclass(frozen=True)
-class U2Factors:
+class U2Factors(NamedTuple):
     """Scalar factors of the exp(a*L + b*R + c*S) factorization."""
 
     f_plus: complex
@@ -76,31 +75,6 @@ class U2Factors:
     g_plus: complex
     g_minus: complex
     q_sq: complex
-
-
-@dataclass(frozen=True)
-class OrderedForm:
-    """One ordered factorization, kept as its three ingredients.
-
-    raising_coefficient scales R in its exponential, lowering_coefficient
-    scales L, and diagonal holds the middle factor's entries over the
-    window (g^(+-p_j) with p_j = 2j - 1 + alpha + beta, or the profile
-    scalar).  ``normal`` order multiplies raising * diag * lowering;
-    ``anti-normal`` the reverse.
-    """
-
-    ordering: str
-    raising_coefficient: complex
-    lowering_coefficient: complex
-    diagonal: np.ndarray
-
-    def matrix(self, spec: "AlgebraSpec", window: "IndexWindow") -> np.ndarray:
-        lam = np.sqrt(squared_couplings(spec, window)[1:-1])
-        raising = _raising_exp(self.raising_coefficient, lam)
-        lowering = _raising_exp(self.lowering_coefficient, lam).T
-        if self.ordering == "normal":
-            return raising @ (self.diagonal[:, None] * lowering)
-        return lowering @ (self.diagonal[:, None] * raising)
 
 
 def _profile_diagonal(spec: AlgebraSpec, y: float) -> float:
@@ -169,8 +143,7 @@ def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Facto
     if min(abs(d_plus), abs(d_minus)) < _POLE_TOL:
         raise PoleError(f"factorization denominators D+- = {d_plus:.3g},"
                         f" {d_minus:.3g}: too close to a pole of the factors")
-    return U2Factors(f_plus=s / d_plus, f_minus=s / d_minus,
-                     g_plus=1 / d_plus, g_minus=1 / d_minus, q_sq=q_sq)
+    return U2Factors(s / d_plus, s / d_minus, 1 / d_plus, 1 / d_minus, q_sq)
 
 
 def reduces_to_u1(a: complex, b: complex, c: complex) -> bool:
@@ -178,12 +151,14 @@ def reduces_to_u1(a: complex, b: complex, c: complex) -> bool:
     return a == b and complex(a).real == 0.0 and complex(c) == 0
 
 
-def ordered_form(spec: AlgebraSpec, window: IndexWindow,
-                 coeffs: tuple[complex, complex, complex],
-                 ordering: str) -> OrderedForm:
-    """The factorization's three ingredients for either ordering: f+- and
-    the diagonal g+-^(+-p_j) from ``u2_factors`` for parametric specs
-    (PoleError near a pole of the factors).  Profiles factor only
+def ordered_product(spec: AlgebraSpec, window: IndexWindow,
+                    coeffs: tuple[complex, complex, complex],
+                    ordering: str) -> np.ndarray:
+    """Dense matrix of the factorized exp(a*L + b*R + c*S) on the window:
+    exp(b f R) diag exp(a f L) for ``normal`` order, exp(a f L) diag
+    exp(b f R) for ``anti-normal``.  f = f+- and the diagonal g+-^(+-p_j),
+    p_j = 2j - 1 + alpha + beta, come from ``u2_factors`` for parametric
+    specs (PoleError near a pole of the factors).  Profiles factor only
     exp(iy(R+L)), with f = 1 and their scalar diagonal (ValueError for the
     phase profile)."""
     a, b, c = coeffs
@@ -203,28 +178,23 @@ def ordered_form(spec: AlgebraSpec, window: IndexWindow,
         diagonal = np.full(window.size,
                            _profile_diagonal(spec, complex(a).imag) ** sign,
                            dtype=complex)
-    return OrderedForm(ordering, b * f, a * f, diagonal)
-
-
-def ordered_product(spec: AlgebraSpec, window: IndexWindow,
-                    coeffs: tuple[complex, complex, complex],
-                    ordering: str) -> np.ndarray:
-    """Dense matrix of the factorized product for either ordering."""
-    return ordered_form(spec, window, coeffs, ordering).matrix(spec, window)
+    lam = np.sqrt(squared_couplings(spec, window)[1:-1])
+    raising = _raising_exp(b * f, lam)
+    lowering = _raising_exp(a * f, lam).T
+    if sign > 0:
+        return raising @ (diagonal[:, None] * lowering)
+    return lowering @ (diagonal[:, None] * raising)
 
 
 # ---------------------------------------------------------------------------
 # anti-normal conditioning analysis and exact-arithmetic element evaluation
 
 def _anti_scales(spec, coeffs):
-    """(|a f-|, |b f-|, |g-|) for the anti-normal term recurrence."""
+    """(|a f-|, |b f-|, |g-|) for the anti-normal term recurrence
+    (parametric specs; ValueError for profiles)."""
     a, b, c = coeffs
-    if spec.is_parametric:
-        fac = u2_factors(spec, a, b, c)
-        return abs(a * fac.f_minus), abs(b * fac.f_minus), abs(fac.g_minus)
-    _profile_diagonal(spec, 0.0)  # ValueError for the phase profile
-    # profile diagonals are scalars and f = 1; only the shift amplitude matters
-    return abs(a), abs(b), 1.0
+    fac = u2_factors(spec, a, b, c)
+    return abs(a * fac.f_minus), abs(b * fac.f_minus), abs(fac.g_minus)
 
 
 def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
@@ -268,8 +238,9 @@ def antinormal_reach(spec: AlgebraSpec, core_hi: int,
                      coeffs: tuple[complex, complex, complex]) -> int:
     """Smallest j_max for which the anti-normal ordered sum for core
     elements has converged (terms fallen to exp(-37) relative to their
-    peak).  Diverges as |coefficients| approach the ordering's convergence
-    edge; raises ValueError beyond it."""
+    peak), parametric specs only: ValueError for profiles.  Diverges as
+    |coefficients| approach the ordering's convergence edge; raises
+    ValueError beyond it."""
     return _anti_scan(spec, core_hi, coeffs)[1]
 
 
@@ -356,9 +327,9 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     the exact rational sigma (alpha + j)(beta + j).  The prefactor is an
     exact power of D- for the integer part of its exponent; a fractional
     part f (alpha + beta not an integer) adds one float power g-^(-f), on
-    the principal branch ``ordered_form`` uses.  Each element is rounded to
-    float once, by the correctly rounded int division at the end; that and
-    the fractional power are the only float roundings.
+    the principal branch ``ordered_product`` uses.  Each element is rounded
+    to float once, by the correctly rounded int division at the end; that
+    and the fractional power are the only float roundings.
     """
     a, b, c = (complex(v) for v in coeffs)
     if not spec.is_parametric:
@@ -452,26 +423,20 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
 
 def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
                            coeffs: tuple[complex, complex, complex],
-                           ordering: str, *, method: str = "auto") -> float:
+                           ordering: str) -> float:
     """Max abs deviation between the ordered product and the exponential
     oracle on the window core.
 
-    ``method``: "matrix" forces the plain three-matrix product, "exact"
-    forces the fixed-point element sums of ``antinormal_core`` (anti-normal
-    ordering on parametric specs only; ValueError elsewhere), "auto" picks
-    by the conditioning estimate.  Any other value raises ValueError.
+    The anti-normal ordering on a parametric spec takes the exact
+    ``antinormal_core`` where its scanned peak term exceeds e^4 (a float
+    product would lose about peak/ln 10 digits); every other case takes
+    the core of ``ordered_product``.
     """
-    if method not in ("auto", "matrix", "exact"):
-        raise ValueError(f"unknown method {method!r}; choose auto, matrix or exact")
-    exact_ok = ordering == "anti-normal" and spec.is_parametric
-    if method == "exact" and not exact_ok:
-        raise ValueError("method='exact' needs the anti-normal ordering on a"
-                         " parametric spec")
     oracle = expm(operator_matrix(spec, window, coeffs)).matrix
     sl = window.core_slice()
-    if exact_ok and method != "matrix":
-        if method == "exact" or _anti_peak(spec, window, coeffs) > 4.0:
-            block = antinormal_core(spec, window, coeffs)
-            return float(np.abs(block - oracle[sl, sl]).max())
-    prod = ordered_product(spec, window, coeffs, ordering)
-    return float(np.abs((prod - oracle)[sl, sl]).max())
+    if (ordering == "anti-normal" and spec.is_parametric
+            and _anti_peak(spec, window, coeffs) > 4.0):
+        block = antinormal_core(spec, window, coeffs)
+    else:
+        block = ordered_product(spec, window, coeffs, ordering)[sl, sl]
+    return float(np.abs(block - oracle[sl, sl]).max())

@@ -275,23 +275,15 @@ _VARIANTS = {
 }
 
 
-def _variant(which: str):
-    if which not in _VARIANTS:
-        raise ValueError(f"unknown variant {which!r}")
-    return _VARIANTS[which]
-
-
-def tilde_bar_variants(p: float, n: int, y: float, which: str) -> float:
-    return _variant(which)[0](p, n, y)
-
-
 def variant_recursion_residual(p: float, n: int, y: float, which: str) -> float:
     """Central-difference residual of the rescaled recursions:
 
         d/dy tilde_{n+1} = (n+1) tilde_n - (n+1+p) tilde_{n+2}
         d/dy bar_{n+1}   = (n+p) bar_n   - (n+2)   bar_{n+2}
     """
-    fn, coeffs = _variant(which)
+    if which not in _VARIANTS:
+        raise ValueError(f"unknown variant {which!r}")
+    fn, coeffs = _VARIANTS[which]
     return _recursion_gap(lambda k, t: fn(p, k, t), n, y, *coeffs(p, n))
 
 

@@ -145,7 +145,6 @@ def test_window_validation():
         IndexWindow(3, 2, 3, 2)
     with pytest.raises(ValueError):
         IndexWindow(0, 5, -1, 5)
-    assert IndexWindow.spanning(0, 10).core_lo == 2
 
 
 def test_padded_window_stops_at_decoupling():

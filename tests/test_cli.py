@@ -1,6 +1,7 @@
 import json
 import math
 
+from ladderkit import bessel_jn
 from ladderkit.cli import main
 
 
@@ -89,6 +90,27 @@ def test_gn_table(capsys):
     want = math.sqrt(3) / math.cosh(0.3) ** 2 * math.tanh(0.3) ** 2
     assert abs(row["value"] - want) < 1e-12
     assert row["route"] == "closed-form"
+
+
+def test_gn_profile_off_diagonal_takes_the_oracle(capsys):
+    # the profile limits give G_n only; G_nm with m > 0 and --route oracle
+    # take the oracle.  Boson ladder: G_31 = y^2 (3 - y^2) e^(-y^2/2)/sqrt(6)
+    # and G_30 = y^3 e^(-y^2/2)/sqrt(6); constant couplings: J_(n-m)(2y)
+    y = 0.7
+    gauss = math.exp(-y * y / 2) / math.sqrt(6)
+    cases = [("sho", 1, [], y ** 2 * (3 - y ** 2) * gauss),
+             ("sho", 0, ["--route", "oracle"], y ** 3 * gauss),
+             ("constant-one", 1, [], bessel_jn(2, 2 * y))]
+    for profile, m, extra, want in cases:
+        code, doc, _ = run_json(capsys, "gn", "--profile", profile, "--n", "3",
+                                "--m", str(m), "--y", str(y), *extra)
+        assert code == 0
+        row = doc["rows"][0]
+        assert (row["m"], row["route"]) == (m, "oracle")
+        assert abs(row["value"] - want) < 1e-10
+    code, _, _ = run(capsys, "gn", "--profile", "phase", "--n", "3", "--m", "1",
+                     "--y", str(y))
+    assert code == 2
 
 
 def test_factorize_pad_zero_keeps_the_core_window(capsys):

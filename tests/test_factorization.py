@@ -8,12 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
-                       OrderedForm, PoleError, antinormal_core,
-                       antinormal_reach, build_matrices, expm,
-                       factorization_residual, gn_closed, gn_series,
-                       lambda_sq, operator_matrix, ordered_form,
+                       PoleError, antinormal_core, antinormal_reach,
+                       build_matrices, expm, factorization_residual,
+                       gn_closed, gn_series, lambda_sq, operator_matrix,
                        ordered_product, padded_window, reduces_to_u1,
                        suggested_pad, u2_factors)
+from ladderkit.algebra import squared_couplings
+from ladderkit.factorization import _raising_exp
 
 SPEC111 = AlgebraSpec.parametric(1, 1, 1)
 
@@ -63,15 +64,17 @@ def test_u1_factors_values():
 
 
 def test_u1_factors_sho_gaussian():
+    # both factors are triangular with unit diagonal, so [0, 0] is the
+    # diagonal and its neighbours add the shift coefficients times lambda_0
     y = 1.3
     window = IndexWindow(0, 10, 0, 8)
-    form = ordered_form(AlgebraSpec.from_profile("sho"), window,
-                        (1j * y, 1j * y, 0.0), "normal")
-    assert form.raising_coefficient == form.lowering_coefficient == 1j * y
-    assert np.abs(form.diagonal - math.exp(-y ** 2 / 2)).max() < 1e-15
-    anti = ordered_form(AlgebraSpec.from_profile("sho"), window,
-                        (1j * y, 1j * y, 0.0), "anti-normal")
-    assert np.abs(anti.diagonal - math.exp(y ** 2 / 2)).max() < 1e-14
+    spec = AlgebraSpec.from_profile("sho")
+    form = ordered_product(spec, window, (1j * y, 1j * y, 0.0), "normal")
+    assert abs(form[0, 0] - math.exp(-y ** 2 / 2)) < 1e-15
+    assert form[1, 0] == 1j * y * form[0, 0]
+    assert form[0, 1] == 1j * y * form[0, 0]
+    anti = ordered_product(spec, window, (1j * y, 1j * y, 0.0), "anti-normal")
+    assert abs(anti[-1, -1] - math.exp(y ** 2 / 2)) < 1e-14
 
 
 def test_u1_factors_negative_sigma_uses_tan_branch():
@@ -84,10 +87,17 @@ def test_u1_factors_negative_sigma_uses_tan_branch():
 
 def test_u1_factors_phase_profile_rejected():
     spec, coeffs = AlgebraSpec.from_profile("phase"), (0.3j, 0.3j, 0.0)
+    window = IndexWindow(0, 10, 0, 8)
     with pytest.raises(ValueError):
-        ordered_form(spec, IndexWindow(0, 10, 0, 8), coeffs, "normal")
+        ordered_product(spec, window, coeffs, "normal")
     with pytest.raises(ValueError):
         antinormal_reach(spec, 8, coeffs)
+    # the anti-normal scan and exact core are parametric-only
+    sho = AlgebraSpec.from_profile("sho")
+    with pytest.raises(ValueError):
+        antinormal_reach(sho, 8, coeffs)
+    with pytest.raises(ValueError):
+        antinormal_core(sho, window, coeffs)
 
 
 def test_u1_normal_matches_oracle_on_core():
@@ -195,15 +205,17 @@ def test_u1_pole_negative_sigma():
         with pytest.raises(PoleError):
             gn_series(spec, 1, y)
         with pytest.raises(PoleError):
-            ordered_form(spec, IndexWindow(-5, 7, -5, 7), (1j * y, 1j * y, 0.0),
-                         "normal")
+            ordered_product(spec, IndexWindow(-5, 7, -5, 7),
+                            (1j * y, 1j * y, 0.0), "normal")
 
 
 def test_antinormal_residual_small_y_matrix_route():
     window = padded_window(SPEC111, 0, 8, 56)
-    res = factorization_residual(SPEC111, window, (0.25j, 0.25j, 0), "anti-normal",
-                                 method="matrix")
-    assert res <= 1e-10
+    coeffs = (0.25j, 0.25j, 0)
+    prod = ordered_product(SPEC111, window, coeffs, "anti-normal")
+    oracle = expm(operator_matrix(SPEC111, window, coeffs)).matrix
+    sl = window.core_slice()
+    assert np.abs(prod[sl, sl] - oracle[sl, sl]).max() <= 1e-10
 
 
 def test_antinormal_exact_route_handles_growth():
@@ -211,9 +223,14 @@ def test_antinormal_exact_route_handles_growth():
     y = 0.6
     reach = antinormal_reach(SPEC111, 10, (1j * y, 1j * y, 0.0))
     window = IndexWindow(0, reach, 0, 10)
-    res = factorization_residual(SPEC111, window, (1j * y, 1j * y, 0.0),
-                                 "anti-normal")
+    coeffs = (1j * y, 1j * y, 0.0)
+    res = factorization_residual(SPEC111, window, coeffs, "anti-normal")
     assert res <= 1e-10
+    # the route rule is what passes: the float product misses on this window
+    prod = ordered_product(SPEC111, window, coeffs, "anti-normal")
+    oracle = expm(operator_matrix(SPEC111, window, coeffs)).matrix
+    sl = window.core_slice()
+    assert np.abs(prod[sl, sl] - oracle[sl, sl]).max() > 1e-10
 
 
 def test_antinormal_core_agrees_with_normal_product():
@@ -246,21 +263,19 @@ def test_ordered_product_profile_routes():
         assert res_a <= 1e-10
 
 
-def test_ordered_form_ingredients():
+def test_ordered_product_ingredients():
+    # both factors are triangular with unit diagonal: normal [0, 0] is the
+    # diagonal at j_min and [1, 0] is b f lambda_0 times it; anti-normal
+    # [-1, -1] is the diagonal at j_max.  For alpha = beta = 1 the diagonal
+    # is g^(2j+1) (normal) and g^-(2j+1) (anti-normal)
     window = IndexWindow(0, 12, 0, 8)
-    form = ordered_form(SPEC111, window, (0.3j, 0.3j, 0.0), "normal")
+    form = ordered_product(SPEC111, window, (0.3j, 0.3j, 0.0), "normal")
     f, g = _u1_factors(SPEC111, 0.3)
-    assert form.raising_coefficient == 1j * 0.3 * f
-    # diagonal entries are g^(2j+1) for alpha = beta = 1
-    assert np.allclose(form.diagonal,
-                       [g ** (2 * j + 1) for j in range(13)])
-    assert np.all(np.isfinite(form.diagonal))
-    assert np.abs(form.matrix(SPEC111, window)
-                  - ordered_product(SPEC111, window, (0.3j, 0.3j, 0.0),
-                                    "normal")).max() == 0.0
-    anti = ordered_form(SPEC111, window, (0.3j, 0.3j, 0.0), "anti-normal")
-    assert np.allclose(anti.diagonal,
-                       [g ** -(2 * j + 1) for j in range(13)])
+    assert np.isclose(form[0, 0], g)
+    assert np.isclose(form[1, 0], 1j * 0.3 * f * math.sqrt(lambda_sq(SPEC111, 0)) * g)
+    assert np.all(np.isfinite(form))
+    anti = ordered_product(SPEC111, window, (0.3j, 0.3j, 0.0), "anti-normal")
+    assert np.isclose(anti[-1, -1], g ** -(2 * 12 + 1))
 
 
 @st.composite
@@ -294,15 +309,13 @@ def _factor_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_factor_cases())
 def test_factor_exponentials_match_the_oracle(case):
-    # each factor alone: the other one has coefficient 0 and the diagonal
-    # is 1, so the product is that factor times an exact identity
+    # each factor alone: exp(cL) is the transpose of exp(cR), the couplings
+    # being real
     spec, window, coef = case
     m = build_matrices(spec, window)
-    ones = np.ones(window.size)
-    for band, form in ((m.R, OrderedForm("normal", coef, 0.0, ones)),
-                       (m.L, OrderedForm("normal", 0.0, coef, ones))):
+    raising = _raising_exp(coef, np.sqrt(squared_couplings(spec, window)[1:-1]))
+    for band, got in ((m.R, raising), (m.L, raising.T)):
         want = expm(coef * band).matrix
-        got = form.matrix(spec, window)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -310,8 +323,7 @@ def test_factor_build_rejects_negative_couplings():
     # the same window check as build_matrices
     spec = AlgebraSpec.parametric(1, -2, 1)
     with pytest.raises(NonUnitaryRegime):
-        OrderedForm("normal", 0.1j, 0.1j, np.ones(5)).matrix(
-            spec, IndexWindow(0, 4, 0, 4))
+        ordered_product(spec, IndexWindow(0, 4, 0, 4), (0, 0.1j, 0), "normal")
 
 
 def test_factor_entries_stay_finite_on_wide_windows():
@@ -319,7 +331,8 @@ def test_factor_entries_stay_finite_on_wide_windows():
     # window, the entries |c|^k/k! * prod lambda stay below 1.2^699
     spec = AlgebraSpec.parametric(1, 1, 4)
     window = IndexWindow(0, 699, 0, 699)
-    got = OrderedForm("normal", 0.1j, 0.0, np.ones(700)).matrix(spec, window)
+    # q^2 = 0, so f = g = 1 and the product is exp(0.1i R) alone
+    got = ordered_product(spec, window, (0, 0.1j, 0), "normal")
     assert np.isfinite(got).all()
     # <k|exp(cR)|0> = c^k/k! * 2^k k!
     want = np.array([(0.2j) ** k for k in range(300)])
@@ -375,23 +388,10 @@ def test_u2_factors_are_finite_at_a_sec_pole():
 def test_exact_antinormal_residual_at_a_sec_pole():
     window = padded_window(_SU2_BLOCK, -5, 7, 10)
     assert (window.j_min, window.j_max) == (-5, 7)
-    res = factorization_residual(_SU2_BLOCK, window, _AT_SEC_POLE, "anti-normal",
-                                 method="exact")
-    assert res <= 1e-10
-
-
-def test_residual_rejects_methods_it_cannot_run():
-    window = IndexWindow(0, 20, 0, 6)
-    coeffs = (0.3j, 0.3j, 0.0)
-    with pytest.raises(ValueError, match="anti-normal"):
-        factorization_residual(AlgebraSpec.parametric(1, 2, 1), window, coeffs,
-                               "normal", method="exact")
-    with pytest.raises(ValueError, match="parametric"):
-        factorization_residual(AlgebraSpec.from_profile("sho"), window, coeffs,
-                               "anti-normal", method="exact")
-    with pytest.raises(ValueError, match="unknown method"):
-        factorization_residual(SPEC111, window, coeffs, "anti-normal",
-                               method="exactt")
+    core = antinormal_core(_SU2_BLOCK, window, _AT_SEC_POLE)
+    oracle = expm(operator_matrix(_SU2_BLOCK, window, _AT_SEC_POLE)).matrix
+    sl = window.core_slice()
+    assert np.abs(core - oracle[sl, sl]).max() <= 1e-10
 
 
 def _reference_core(spec, window, coeffs):

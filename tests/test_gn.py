@@ -9,8 +9,7 @@ from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow, a_n,
                        bar_gn, bessel_jn, gn_auto, gn_bessel_limit,
                        gn_closed, gn_oracle, gn_series, gn_sho_limit, gnm,
                        hyp2f1_series, oracle_element, padded_window,
-                       recursion_residual, tilde_bar_variants, tilde_gn,
-                       variant_recursion_residual)
+                       recursion_residual, tilde_gn, variant_recursion_residual)
 
 SPEC11 = AlgebraSpec.parametric(1, 1, 1)
 SPEC12 = AlgebraSpec.parametric(1, 2, 1)
@@ -186,7 +185,7 @@ def test_tilde_bar_values():
     assert abs(tilde_gn(1, 1, y) - math.tanh(y) / math.cosh(y)) < 1e-15
     assert abs(bar_gn(2, 1, y) - 2 * math.tanh(y) / math.cosh(y) ** 2) < 1e-15
     assert tilde_gn(2.0, 0, 0.0) == 1.0
-    assert tilde_bar_variants(1.5, 0, 0.0, "tilde") == 1.0
+    assert tilde_gn(1.5, 0, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
