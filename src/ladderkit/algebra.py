@@ -74,8 +74,8 @@ class AlgebraSpec:
 
 
 def lambda_sq(spec: AlgebraSpec, j: int) -> float:
-    """Squared coupling lambda_j^2.  Negative values are legal here; they are
-    rejected only when a matrix window is actually built."""
+    """Squared coupling lambda_j^2, elementwise over an index array on a
+    parametric spec.  Negative values are rejected only by window builds."""
     if spec.is_parametric:
         # group the symmetric product so the alpha <-> beta exchange is
         # exact in floating point
@@ -154,16 +154,17 @@ def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
     (L, R, S) are built from: the couplings lambda_{j_min} .. lambda_{j_max-1}
     and, through lambda_{j_min - 1}, the first diagonal entry of S.
 
-    Raises NonUnitaryRegime if any of them is negative.
+    Raises NonUnitaryRegime, naming the first j, if any of them is negative.
     """
-    js = range(window.j_min - 1, window.j_max + 1)
-    l2 = np.array([lambda_sq(spec, j) for j in js])
-    for j, v in zip(js, l2):
-        if v < 0.0:
-            raise NonUnitaryRegime(
-                f"lambda_{j}^2 = {v:g} < 0 for {spec.label()};"
-                " window not representable with real couplings"
-            )
+    js = np.arange(window.j_min - 1, window.j_max + 1)
+    l2 = (lambda_sq(spec, js) if spec.is_parametric
+          else np.array([lambda_sq(spec, int(j)) for j in js]))
+    if l2.min() < 0.0:
+        i = np.argmax(l2 < 0.0)
+        raise NonUnitaryRegime(
+            f"lambda_{js[i]}^2 = {l2[i]:g} < 0 for {spec.label()};"
+            " window not representable with real couplings"
+        )
     return l2
 
 

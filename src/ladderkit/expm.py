@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, IndexWindow, build_matrices, padded_window
+from .algebra import AlgebraSpec, IndexWindow, padded_window, squared_couplings
 
 # the Taylor series stops once its tail bound is below _TAIL_TOL, or after
 # _MAX_TERMS terms
@@ -118,10 +118,16 @@ def expm(a: np.ndarray) -> ExpmResult:
 
 def operator_matrix(spec: AlgebraSpec, window: IndexWindow,
                     coeffs: tuple[complex, complex, complex]) -> np.ndarray:
-    """a*L + b*R + c*S on the window, for coeffs = (a, b, c)."""
+    """a*L + b*R + c*S on the window, for coeffs = (a, b, c): one
+    tridiagonal array built from ``squared_couplings``."""
     a, b, c = coeffs
-    m = build_matrices(spec, window)
-    return a * m.L + b * m.R + c * m.S
+    l2 = squared_couplings(spec, window)
+    lam = np.sqrt(l2[1:-1])
+    n = window.size
+    out = np.diag(c * np.diff(l2).astype(complex))
+    out.flat[1::n + 1] = a * lam
+    out.flat[n::n + 1] = b * lam
+    return out
 
 
 def oracle_element(spec: AlgebraSpec, window: IndexWindow,

@@ -19,8 +19,8 @@ a scalar diagonal.  Spin rotations are the case of the spin-j block
 
 The factor exponentials have closed-form entries,
 <j+k|exp(cR)|j> = c^k/k! * lambda_j ... lambda_{j+k-1}, and exp(c'L) is the
-transpose of the same construction with c' (the couplings are real), so
-each factor is built one subdiagonal at a time in O(n^2).
+transpose of the same construction with c' (the couplings are real): one
+running product along k per column, over the K bands that can be nonzero.
 
 Conditioning caveat: the anti-normally ordered product places the growing
 direction of the diagonal against the raising tail, so its core matrix
@@ -35,6 +35,7 @@ exp(|c| lambda_max) on wide blocks, and the float product's error is about
 that peak squared times the float epsilon.
 """
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -93,24 +94,29 @@ def _raising_exp(coef: complex, lam: np.ndarray) -> np.ndarray:
     """exp(coef * R) for the real couplings lam_j = <j+1|R|j> of a window,
     from <j+k|exp(cR)|j> = c^k/k! * lam_j ... lam_{j+k-1}.
 
-    Band k holds the magnitudes |c|^k/k! * prod lam, each the previous band
-    times the next couplings and |c|/k in real arithmetic, so it stays in
-    floating range wherever the entries do; the phase (c/|c|)^k goes on
-    last.  A zero band ends the terminating series.
+    Row j of the steps holds |c| lam_{j+k-1}/k for k = 1..K (0 past the
+    window edge); their running product is column j's magnitudes, real and
+    finite wherever the entries are, and then takes the phase (c/|c|)^k.
+    Row j of w holds them; read as n rows of n, it starts at diagonal (j, j).
     """
     n = lam.size + 1
-    out = np.zeros((n, n), dtype=complex)
-    out.flat[::n + 1] = 1.0
     c = complex(coef)
     r = abs(c)
-    u = c / r if r else 0j
-    band = np.ones(n)
-    for k in range(1, n):
-        band = band[:-1] * lam[k - 1:] * (r / k)
-        if not band.any():
-            break
-        out.flat[k * n::n + 1] = band * u ** k
-    return out
+    # bands past K underflow: x^k/k! bounds band k, is log-concave, < e^-746
+    x = r * lam.max(initial=0.0)
+    ln_x = math.log(x) if x else -math.inf
+    kk = bisect.bisect(range(1, n), False,
+                       key=lambda k: k * ln_x - math.lgamma(k + 1) < -746.0)
+    ks = np.arange(1, kk + 1)
+    pad = np.zeros(n + kk)
+    np.multiply(lam, r, out=pad[:n - 1])
+    # pad[j + k - 1] as a view; ndarray checks it against pad's size
+    steps = np.ndarray((n, kk), buffer=pad, strides=2 * pad.strides) / ks
+    np.multiply.accumulate(steps, axis=1, out=steps)
+    w = np.zeros((n, n + 1), dtype=complex)
+    w[:, 0] = 1.0
+    np.multiply(steps, (c / r if r else 1.0) ** ks, out=w[:, 1:kk + 1])
+    return w.ravel()[:n * n].reshape(n, n).T
 
 
 def _power(base: complex, expo: float) -> complex:

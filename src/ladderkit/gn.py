@@ -205,8 +205,10 @@ def bessel_jn(n: int, x: float) -> float:
     Plain summation: converges for all x but loses accuracy to
     cancellation as |x| grows.  Domain |x| <= 17, where the error against
     scipy is at most 5.3e-11 for n <= 40 (below the sum rules' 1e-10);
-    on 17 < |x| <= 30 it reaches 2.6e-5, and nothing raises there.
+    outside it raises ConvergenceError (off by 3e7 at J_3(60)).
     """
+    if abs(x) > 17.0:
+        raise ConvergenceError(f"|x| = {abs(x):g} > 17: outside bessel_jn's domain")
     if n < 0:
         return (-1.0) ** (-n) * bessel_jn(-n, x)
     half = 0.5 * x

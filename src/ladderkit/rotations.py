@@ -18,10 +18,10 @@ factors work out to
 with s = cos(omega) - i cos(theta) sin(omega) = D+ and
 h = sqrt(2) sin(theta) sin(omega) / s, or anti-normally with (h*, s*) and
 the factors reversed.  The parametrization degenerates where s = 0
-(omega = theta = pi/2): that set is an error, not a limit, and the
-factorized routes raise SingularS wherever |s| < 1e-9 (the pole guard of
-``factorization.u2_factors``).  ``rotation_direct`` stays the independent
-reference.
+(omega = theta = pi/2): that set is an error, not a limit.  The factorized
+routes and ``RotationSpec.h`` raise SingularS wherever |s| < 1e-9, the pole
+guard of ``factorization.u2_factors``.  ``rotation_direct`` stays the
+independent reference.
 """
 
 import cmath
@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import AlgebraSpec, IndexWindow
 from .errors import PoleError, SingularS
 from .expm import expm
-from .factorization import ordered_product
+from .factorization import _POLE_TOL, ordered_product
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -91,7 +91,7 @@ class RotationSpec:
     @property
     def h(self) -> complex:
         s = self.s
-        if abs(s) < 1e-12:
+        if abs(s) < _POLE_TOL:
             raise SingularS(
                 f"s = {s:.3g}: factorization degenerates at this (omega, theta)"
             )

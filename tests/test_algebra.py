@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
                        build_matrices, commutator_residual, detect_blocks,
                        lambda_coupling, lambda_sq, padded_window)
+from ladderkit.algebra import squared_couplings
 
 
 def test_lambda_sq_parametric_values():
@@ -33,6 +34,32 @@ def test_lambda_sq_alpha_beta_symmetry(alpha, beta, sigma, j):
     a = lambda_sq(AlgebraSpec.parametric(alpha, beta, sigma), j)
     b = lambda_sq(AlgebraSpec.parametric(beta, alpha, sigma), j)
     assert a == b
+
+
+def _assert_squared_couplings_are_lambda_sq(spec, window):
+    js = range(window.j_min - 1, window.j_max + 1)
+    want = [lambda_sq(spec, j) for j in js]
+    negative = [j for j, v in zip(js, want) if v < 0.0]
+    if negative:
+        with pytest.raises(NonUnitaryRegime, match=rf"^lambda_{negative[0]}\^2 = "):
+            squared_couplings(spec, window)
+    else:
+        assert squared_couplings(spec, window).tolist() == want
+
+
+@given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-4, 4),
+       st.integers(-30, 30), st.integers(2, 40))
+def test_squared_couplings_are_lambda_sq(alpha, beta, sigma, j_min, size):
+    # the same floats as the scalar rule, and the first negative j named
+    _assert_squared_couplings_are_lambda_sq(
+        AlgebraSpec.parametric(alpha, beta, sigma),
+        IndexWindow(j_min, j_min + size - 1, j_min, j_min + size - 1))
+
+
+@pytest.mark.parametrize("name", ["sho", "constant-one", "phase"])
+def test_squared_couplings_of_profiles_are_lambda_sq(name):
+    _assert_squared_couplings_are_lambda_sq(AlgebraSpec.from_profile(name),
+                                            IndexWindow(-4, 6, -4, 6))
 
 
 def test_build_superdiagonal_and_s():

@@ -200,6 +200,14 @@ def test_sumrule(capsys):
     assert doc["deviation"] <= 1e-12
 
 
+def test_sumrule_outside_the_bessel_domain_exit_2(capsys):
+    # y = 10 puts J_n at x = 20, past bessel_jn's |x| <= 17
+    code, out, _ = run(capsys, "sumrule", "--name", "bessel-unity",
+                       "--y", "10", "--k-max", "12")
+    assert code == 2
+    assert out == ""
+
+
 def test_sumrule_tolerance_violation_exit_1(capsys):
     code, doc, _ = run_json(capsys, "sumrule", "--name", "bessel-unity",
                             "--y", "0.8", "--k-max", "1", "--tol", "1e-14")

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, expm,
-                       operator_matrix, oracle_element, pad_sufficiency,
+from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
+                       expm, operator_matrix, oracle_element, pad_sufficiency,
                        padded_window)
 
 _EPS = np.finfo(float).eps
@@ -101,6 +101,22 @@ def test_group_law_commuting():
     lhs = expm(d1).matrix @ expm(d2).matrix
     rhs = expm(d1 + d2).matrix
     assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("spec, window", [
+    (AlgebraSpec.parametric(1.5, 2.5, 0.7), IndexWindow(0, 20, 2, 18)),
+    (AlgebraSpec.parametric(6, -7, -0.5), IndexWindow(-5, 7, -5, 7)),
+    (AlgebraSpec.from_profile("sho"), IndexWindow(-2, 9, 0, 7)),
+    (AlgebraSpec.from_profile("constant-one"), IndexWindow(-3, 5, -1, 3)),
+    (AlgebraSpec.from_profile("phase"), IndexWindow(-3, 4, -1, 2)),
+])
+def test_operator_matrix_combines_the_generators(spec, window):
+    m = build_matrices(spec, window)
+    for a, b, c in ((0.3 - 1.1j, -0.7 + 0.2j, 0.45j), (1, 0, -2.5),
+                    (0.5j, 0.5j, 0.0)):
+        # array_equal takes -0.0 == 0.0: equal up to the sign of zeros
+        assert np.array_equal(operator_matrix(spec, window, (a, b, c)),
+                              a * m.L + b * m.R + c * m.S)
 
 
 def test_oracle_element_identity_coeffs():

@@ -339,6 +339,45 @@ def test_factor_entries_stay_finite_on_wide_windows():
     assert (np.abs(got[:300, 0] - want) <= 1e-12 * np.abs(want)).all()
 
 
+def _band_by_band(coef, lam):
+    """exp(coef * R) one band per pass: band k is band k-1 times the next
+    couplings and |c|/k in real arithmetic, then the phase (c/|c|)^k; a
+    zero band ends the series.  The build ``_raising_exp`` replaced."""
+    n = lam.size + 1
+    out = np.zeros((n, n), dtype=complex)
+    out.flat[::n + 1] = 1.0
+    c = complex(coef)
+    r = abs(c)
+    u = c / r if r else 0j
+    band = np.ones(n)
+    for k in range(1, n):
+        band = band[:-1] * lam[k - 1:] * (r / k)
+        if not band.any():
+            break
+        out.flat[k * n::n + 1] = band * u ** k
+    return out
+
+
+@pytest.mark.parametrize("spec, window, coef", [
+    (SPEC111, IndexWindow(0, 1, 0, 1), 0.3 + 0.4j),  # n = 2
+    (SPEC111, IndexWindow(0, 30, 0, 30), 0.0),
+    # lambda_-1 = 0 inside the window
+    (AlgebraSpec.from_profile("phase"), IndexWindow(-4, 4, -4, 4), 0.8 - 0.6j),
+    (AlgebraSpec.parametric(52, -51, -0.5), IndexWindow(-51, 51, -51, 51), 0.7 - 0.3j),
+    # the window of test_factor_entries_stay_finite_on_wide_windows, where
+    # the first columns' bands underflow
+    (AlgebraSpec.parametric(1, 1, 4), IndexWindow(0, 699, 0, 699), 0.1j),
+])
+def test_raising_exp_matches_the_band_by_band_build(spec, window, coef):
+    # both round each entry's k-fold product, in a different order: within
+    # 4 (k + 1) eps of the entry itself, or below the normal floats
+    lam = np.sqrt(squared_couplings(spec, window)[1:-1])
+    got, want = _raising_exp(coef, lam), _band_by_band(coef, lam)
+    k = np.abs(np.subtract.outer(np.arange(window.size), np.arange(window.size)))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    assert (np.abs(got - want) <= 4 * (k + 1) * eps * np.abs(want) + tiny).all()
+
+
 # antinormal_core at (1, 2, 1), y = 0.5, core 0..5 on the gate's window
 # (0..59), as computed by the per-pair summation it replaced.  Entries with
 # n + m odd are imaginary, the others real.

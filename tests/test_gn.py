@@ -155,6 +155,14 @@ def test_bessel_against_scipy(case):
     assert abs(bessel_jn(n, x) - jv(n, x)) < tol
 
 
+def test_bessel_refuses_outside_its_domain():
+    # the plain series is off by 3e7 at J_3(60)
+    for n, x in ((3, 60.0), (0, -17.5)):
+        with pytest.raises(ConvergenceError):
+            bessel_jn(n, x)
+    assert abs(bessel_jn(3, -17.0) - jv(3, -17.0)) < 1e-10
+
+
 def test_bessel_leading_series():
     # J_0(2y) = 1 - 2 y^2/2! + 6 y^4/4! - 20 y^6/6! + ...
     y = 0.05

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import ladderkit
 
@@ -21,3 +23,18 @@ def test_import_loads_no_test_dependency():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == ""
+
+
+def test_oracle_imports_only_the_algebra():
+    # the oracle shares no code with the routes it checks
+    tree = ast.parse(Path(ladderkit.__file__).with_name("expm.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level or name.split(".")[0] == "ladderkit":
+                found.add(name)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.split(".")[0] == "ladderkit"}
+    assert found == {".algebra"}

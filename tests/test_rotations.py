@@ -115,6 +115,21 @@ def test_singular_parametrization_raises():
             rotation_factorized(spec)
 
 
+def test_h_shares_the_factorized_routes_pole_guard(capsys):
+    # |s| = 5e-10, inside the 1e-9 guard: h and the factorized routes
+    # refuse together, and the direct route reports h as null
+    omega, theta = math.pi / 2 - 5e-10, math.pi / 2
+    spec = RotationSpec(omega, theta, 0.0, 1.0)
+    with pytest.raises(SingularS):
+        spec.h
+    with pytest.raises(SingularS):
+        rotation_factorized(spec)
+    code = main(["rotate", "--omega", repr(omega), "--theta", repr(theta),
+                 "--phi", "0", "--j", "1", "--method", "direct"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["h"] is None
+
+
 def test_invalid_j_rejected():
     with pytest.raises(ValueError):
         RotationSpec(0.1, 0.2, 0.3, 0.7)
