@@ -22,8 +22,7 @@ from .phase import (phase_commutator, phase_element, phase_gn, phase_gnm,
                     phase_matrices, phase_oracle_element,
                     phase_recursion_residual)
 from .rotations import (RotationSpec, SpinMatrices, antinormal_rotation,
-                        build_spin, j1_reference_matrix, j1_xaxis_reference,
-                        m_rephasing, rotation_direct, rotation_factorized)
+                        build_spin, rotation_direct, rotation_factorized)
 from .triangles import (CoeffDiagram, WeightRule, bar_rule, column_series,
                         gauss_bar_rule, gauss_tilde_rule, generate,
                         lambda_rule, lambda_symmetric_rule,
@@ -53,8 +52,7 @@ __all__ = [
     "generate", "column_series", "series_match", "row_sums",
     "sumrule_check", "path_count_diagram", "render_ascii", "to_records",
     "RotationSpec", "SpinMatrices", "build_spin", "rotation_factorized",
-    "rotation_direct", "antinormal_rotation", "j1_reference_matrix",
-    "j1_xaxis_reference", "m_rephasing",
+    "rotation_direct", "antinormal_rotation",
     "phase_matrices", "phase_commutator", "phase_element", "phase_gn",
     "phase_gnm", "phase_recursion_residual", "phase_oracle_element",
 ]

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import NonUnitaryRegime
 
 PROFILE_NAMES = ("sho", "constant-one", "phase")
+PAD_FLOOR = 16  # the least pad suggested_pad gives
 
 
 @dataclass(frozen=True)
@@ -259,4 +260,4 @@ def suggested_pad(spec: AlgebraSpec, core_lo: int, core_hi: int,
     lam_max = 0.0
     for j in range(core_lo, core_hi + 2):
         lam_max = max(lam_max, math.sqrt(max(lambda_sq(spec, j), 0.0)))
-    return max(16, math.ceil(8.0 * abs(magnitude) * lam_max))
+    return max(PAD_FLOOR, math.ceil(8.0 * abs(magnitude) * lam_max))

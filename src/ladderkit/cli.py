@@ -282,9 +282,9 @@ def cmd_factorize(args) -> int:
     payload["residuals"] = residuals
     payload["residual_windows"] = {o: _span(w) for o, w in windows.items()}
     if args.certify_pad:
-        payload["pad_sufficiency"] = pad_sufficiency(
-            spec, window, coeffs, core_hi, core_lo)
-        payload["pad_sufficiency_window"] = _span(window)
+        box = factorization.oracle_window(spec, windows[orderings[0]], coeffs)
+        payload["pad_sufficiency"] = pad_sufficiency(spec, box, coeffs, core_hi, core_lo)
+        payload["pad_sufficiency_window"] = _span(box)
     worst = max(residuals.values())
     payload["pass"] = worst <= args.tol
     _emit(payload, args)
@@ -303,7 +303,10 @@ def _gn_row(spec, n, m, y, route, with_recursion):
     elif spec.profile == "sho":
         ev = gn.gn_sho_limit(n, y)
     elif spec.profile == "constant-one":
-        ev = gn.gn_bessel_limit(n, y)
+        try:
+            ev = gn.gn_bessel_limit(n, y)
+        except ConvergenceError:
+            ev = gn.gn_oracle(spec, n, y)
     elif route == "closed":
         ev = gn.gn_closed(spec, n, y)
     elif route == "series":

@@ -33,39 +33,36 @@ class ExpmResult:
 
 
 def _norm_inf(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
 def _taylor_ps(a: np.ndarray, scale: float, coef: list[float]) -> np.ndarray:
-    """sum_k coef[k] b^k at b = scale * a by Paterson-Stockmeyer: with the
-    powers b, ..., b^p held once, the sum is Horner's rule in b^p over blocks
-    Q_i = sum_j coef[ip + j] b^j, each one row of coefficients times the
-    stacked powers.  The last block may reach b^p itself.  Costs
-    p - 1 + (m - 1) // p products for degree m >= 1, least at p = isqrt(m)."""
+    """sum_k coef[k] b^k at b = scale * a by Paterson-Stockmeyer: Horner's
+    rule in b^p over blocks Q_i = sum_j coef[ip + j] b^j (the last may reach
+    b^p), all from one product of a zero-padded coefficient matrix with the
+    stacked powers b, ..., b^p (built by doubling in ceil(log2 p) batched
+    calls) plus coef[ip] on each block's diagonal.  Costs p - 1 + (m - 1) // p
+    products for degree m >= 1, least at p = isqrt(m)."""
     n = a.shape[0]
     m = len(coef) - 1
     p = math.isqrt(m)
+    r = (m - 1) // p
     powers = np.empty((p, n, n), dtype=complex)
     np.multiply(a, scale, out=powers[0])
-    for k in range(1, p):
-        np.matmul(powers[k - 1], powers[0], out=powers[k])
-    flat = powers.reshape(p, n * n)
-    c = np.array(coef)
-
-    def block(lo, hi):
-        # c[lo] I + c[lo+1] b + ... + c[hi] b^(hi-lo)
-        q = c[lo + 1:hi + 1] @ flat[:hi - lo]
-        q[::n + 1] += c[lo]
-        return q.reshape(n, n)
-
-    r = (m - 1) // p
-    total = block(r * p, m)
+    k = 1
+    while k < p:  # b^(k+1..2k) = b^(1..k) @ b^k, cut at b^p
+        np.matmul(powers[:min(k, p - k)], powers[k - 1],
+                  out=powers[k:min(2 * k, p)])
+        k *= 2
+    # row i holds coef[ip .. ip + p - 1], the last row also coef[m]
+    rows = np.zeros((r + 1, p + 1))
+    rows.flat[[i + i // p for i in range(m)]] = coef[:m]
+    rows[r, m - r * p] = coef[m]
+    blocks = (rows[:, 1:] @ powers.reshape(p, n * n)).reshape(r + 1, n, n)
+    blocks.reshape(r + 1, n * n)[:, ::n + 1] += rows[:, :1]
     for i in range(r - 1, -1, -1):
-        total = total @ powers[p - 1]
-        total += block(i * p, i * p + p - 1)
-    return total
+        blocks[i] += blocks[i + 1] @ powers[p - 1]
+    return blocks[0]
 
 
 def expm(a: np.ndarray) -> ExpmResult:
@@ -77,12 +74,11 @@ def expm(a: np.ndarray) -> ExpmResult:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise OverflowError("non-finite entries in exponent")
-    n = a.shape[0]
     norm = _norm_inf(a)
+    if not math.isfinite(norm):
+        raise OverflowError("non-finite entries in exponent")
     if norm == 0.0:
-        return ExpmResult(np.eye(n, dtype=complex), 0.0)
+        return ExpmResult(np.eye(len(a), dtype=complex), 0.0)
 
     # scale so the Taylor argument has norm <= 1; the tail's geometric
     # ratio nb/(k+2) then stays <= 1/3

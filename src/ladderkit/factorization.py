@@ -30,9 +30,10 @@ cancel; a float product loses about peak/ln 10 digits.
 ``factorization_residual`` scans that peak and, above e^4, takes
 ``antinormal_core``, which sums every element exactly in fixed-point
 Python ints with at least peak/ln 2 + 136 bits and rounds it to float
-once.  The normal ordering has no exact route: its factor entries peak near
-exp(|c| lambda_max) on wide blocks, and the float product's error is about
-that peak squared times the float epsilon.
+once.  The sum may need the window grown to ``antinormal_reach``; the oracle
+does not (``oracle_window``).  The normal ordering has no exact route: its
+factor entries peak near exp(|c| lambda_max) on wide blocks, and the float
+product's error is about that peak squared times the float epsilon.
 """
 
 import bisect
@@ -44,7 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraSpec, IndexWindow, lambda_sq, squared_couplings
+from .algebra import (PAD_FLOOR, AlgebraSpec, IndexWindow, lambda_sq,
+                      squared_couplings, suggested_pad)
 from .errors import PoleError
 from .expm import expm, operator_matrix
 
@@ -427,22 +429,35 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     return out
 
 
+def oracle_window(spec: AlgebraSpec, window: IndexWindow,
+                  coeffs: tuple[complex, complex, complex]) -> IndexWindow:
+    """``window`` cut to core +- ``suggested_pad`` at max |coeffs|, never
+    grown (kept whole when no side passes the rule's floor): the oracle's."""
+    lo, hi = window.core_lo, window.core_hi
+    if max(lo - window.j_min, window.j_max - hi) <= PAD_FLOOR:
+        return window
+    pad = suggested_pad(spec, lo, hi, max(map(abs, coeffs)))
+    return IndexWindow(max(window.j_min, lo - pad),
+                       min(window.j_max, hi + pad), lo, hi)
+
+
 def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
                            coeffs: tuple[complex, complex, complex],
                            ordering: str) -> float:
-    """Max abs deviation between the ordered product and the exponential
-    oracle on the window core.
+    """Max abs deviation on the window core between the ordered product on
+    the whole window and the exponential oracle on ``oracle_window``.
 
     The anti-normal ordering on a parametric spec takes the exact
     ``antinormal_core`` where its scanned peak term exceeds e^4 (a float
     product would lose about peak/ln 10 digits); every other case takes
     the core of ``ordered_product``.
     """
-    oracle = expm(operator_matrix(spec, window, coeffs)).matrix
-    sl = window.core_slice()
+    box = oracle_window(spec, window, coeffs)
+    sl, core = window.core_slice(), box.core_slice()
+    oracle = expm(operator_matrix(spec, box, coeffs)).matrix[core, core]
     if (ordering == "anti-normal" and spec.is_parametric
             and _anti_peak(spec, window, coeffs) > 4.0):
         block = antinormal_core(spec, window, coeffs)
     else:
         block = ordered_product(spec, window, coeffs, ordering)[sl, sl]
-    return float(np.abs(block - oracle[sl, sl]).max())
+    return float(np.abs(block - oracle).max())

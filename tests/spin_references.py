@@ -1,0 +1,50 @@
+"""Closed-form spin-1 references for the rotation tests.
+
+Independent of the factorized and direct rotation routes: the spin-1
+matrix is written out from the parametrization's scalars (h, s) and, for
+rotations about x, from cos and sin of the angle alone.
+"""
+
+import math
+
+import numpy as np
+
+from ladderkit import RotationSpec, build_spin
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def j1_reference_matrix(omega: float, theta: float, phi: float) -> np.ndarray:
+    """Closed-form spin-1 rotation, laid out with rows indexing the input
+    state (the transpose of the standard <m'|U|m> representation)."""
+    spec = RotationSpec(omega, theta, phi, 1.0)
+    h, s = spec.h, spec.s
+    hs, ss = np.conj(h), np.conj(s)
+    ep = np.exp(1j * phi)
+    em = np.exp(-1j * phi)
+    return np.array([
+        [s ** 2, 1j * h * s ** 2 * em, -0.5 * h ** 2 * s ** 2 * em ** 2],
+        [1j * h * s ** 2 * ep, 1.0 - h ** 2 * s ** 2, 1j * hs * ss ** 2 * em],
+        [-0.5 * hs ** 2 * ss ** 2 * ep ** 2, 1j * hs * ss ** 2 * ep, ss ** 2],
+    ])
+
+
+def j1_xaxis_reference(omega: float) -> np.ndarray:
+    """The real spin-1 matrix for rotation about x by 2*omega, in the
+    convention that rephases |m> by i^m (the literal exponential is complex
+    symmetric; conjugating by diag(i^m) makes it real)."""
+    c, s = math.cos(omega), math.sin(omega)
+    sc = _SQRT2 * s * c
+    return np.array([
+        [c * c, sc, s * s],
+        [-sc, 1.0 - 2.0 * s * s, sc],
+        [s * s, -sc, c * c],
+    ])
+
+
+def m_rephasing(j: float) -> np.ndarray:
+    """diag(i^m) over the |j, m> basis (integer j only)."""
+    if round(j) != j:
+        raise ValueError("rephasing by i^m needs integer j")
+    spin = build_spin(j)
+    return np.diag([1j ** int(round(m)) for m in spin.m_values])

@@ -9,10 +9,10 @@ import math
 import numpy as np
 
 from exact_series import sech_tanh_series
+from spin_references import j1_reference_matrix, j1_xaxis_reference, m_rephasing
 from ladderkit import (AlgebraSpec, IndexWindow, antinormal_reach,
                        build_matrices, commutator_residual, expm,
                        factorization_residual, gn_closed, gn_series, gnm,
-                       j1_reference_matrix, j1_xaxis_reference, m_rephasing,
                        operator_matrix, pad_sufficiency, padded_window,
                        path_count_diagram, phase_commutator, phase_element,
                        phase_recursion_residual, recursion_residual,

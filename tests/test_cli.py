@@ -1,6 +1,8 @@
 import json
 import math
 
+import scipy.special
+
 from ladderkit import bessel_jn
 from ladderkit.cli import main
 
@@ -111,6 +113,16 @@ def test_gn_profile_off_diagonal_takes_the_oracle(capsys):
     code, _, _ = run(capsys, "gn", "--profile", "phase", "--n", "3", "--m", "1",
                      "--y", str(y))
     assert code == 2
+
+
+def test_gn_constant_one_past_the_bessel_domain_takes_the_oracle(capsys):
+    # J_3(18): bessel_jn refuses |x| > 17, the oracle answers
+    code, doc, _ = run_json(capsys, "gn", "--profile", "constant-one",
+                            "--n", "3", "--y", "9")
+    assert code == 0
+    row = doc["rows"][0]
+    assert row["route"] == "oracle"
+    assert abs(row["value"] - scipy.special.jv(3, 18.0)) < 1e-9
 
 
 def test_factorize_pad_zero_keeps_the_core_window(capsys):
@@ -312,6 +324,23 @@ def test_factorize_reports_the_window_of_each_residual_and_certificate(capsys):
     assert doc["residual_windows"]["normal"] == {"j_min": 0, "j_max": 43}
     assert doc["residual_windows"]["anti-normal"] == {"j_min": 0, "j_max": 47}
     assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 43}
+
+
+def test_factorize_certifies_the_oracle_window(capsys):
+    # --pad 40 widens the products' windows to 0..51; the oracle and its
+    # certificate keep the rule's 0..43.  Alone, the anti-normal ordering
+    # grows its window to the reach, 0..47, past a --pad 5; its oracle and
+    # certificate again keep 0..43
+    flags = ["factorize", "--alpha", "1", "--beta", "1", "--sigma", "1",
+             "--y", "0.3", "--core", "0:11", "--certify-pad"]
+    for extra, ordering, j_max in ((["--pad", "40"], "normal", 51),
+                                   (["--pad", "5", "--ordering", "anti-normal"],
+                                    "anti-normal", 47)):
+        code, doc, _ = run_json(capsys, *flags, *extra)
+        assert code == 0
+        assert doc["residual_windows"][ordering] == {"j_min": 0, "j_max": j_max}
+        assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 43}
+        assert doc["pad_sufficiency"] <= 1e-12
 
 
 def test_factorize_scans_the_antinormal_peak_from_both_core_edges(capsys):

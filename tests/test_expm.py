@@ -237,9 +237,10 @@ def _exponents(draw):
     edge = draw(st.sampled_from([None, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
                                  64.0]))
     if edge is not None and _norm(a) > 0:
-        # just below or just above the edge
+        # just below or just above the edge; divide first, so that a
+        # subnormal norm cannot overflow the scale
         side = draw(st.sampled_from([-1.0, 1.0]))
-        a = a * (edge / _norm(a) * (1.0 + side * 2.0 ** -40))
+        a = a / _norm(a) * (edge * (1.0 + side * 2.0 ** -40))
     return a
 
 
@@ -259,7 +260,8 @@ def test_paterson_stockmeyer_matches_the_taylor_loop(seed):
     rng = np.random.default_rng(seed)
     n = (1, 2, 6, 20, 40, 60)[seed]
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    for norm in (0.3, 0.99, 1.01, 3.0, 11.0):
+    # 1e-12, 1e-6 and 0.05 take p = 1, 2 and 3 powers
+    for norm in (1e-12, 1e-6, 0.05, 0.3, 0.99, 1.01, 3.0, 11.0):
         b = a * (norm / _norm(a))
         got, want = expm(b).matrix, _taylor_loop(b)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -13,6 +13,7 @@ from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
                        gn_closed, gn_series, lambda_sq, operator_matrix,
                        ordered_product, padded_window, reduces_to_u1,
                        suggested_pad, u2_factors)
+from ladderkit import factorization
 from ladderkit.algebra import squared_couplings
 from ladderkit.factorization import _raising_exp
 
@@ -216,6 +217,33 @@ def test_antinormal_residual_small_y_matrix_route():
     oracle = expm(operator_matrix(SPEC111, window, coeffs)).matrix
     sl = window.core_slice()
     assert np.abs(prod[sl, sl] - oracle[sl, sl]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("spec, core, y, window_states, oracle_states", [
+    # criterion 02's point: the anti-normal reach window has 615 states,
+    # the padding rule 96
+    (SPEC111, (0, 11), 0.8, 615, 96),
+    # the whole 41-state spin block -20..20 extends 18 states past the core
+    # but less than the rule: nothing to cut
+    (AlgebraSpec.parametric(21, -20, -0.5), (-2, 2), 0.3, 41, 41),
+])
+def test_residual_runs_the_oracle_on_the_padding_rule_window(
+        monkeypatch, spec, core, y, window_states, oracle_states):
+    sizes = []
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return expm(a)
+
+    monkeypatch.setattr(factorization, "expm", spy)
+    lo, hi = core
+    coeffs = (1j * y, 1j * y, 0.0)
+    pad = suggested_pad(spec, lo, hi, y)
+    reach = antinormal_reach(spec, hi, coeffs)
+    window = padded_window(spec, lo, hi, pad, max(pad, reach - hi))
+    assert factorization_residual(spec, window, coeffs, "anti-normal") <= 1e-10
+    assert window.size == window_states
+    assert sizes == [oracle_states]
 
 
 def test_antinormal_exact_route_handles_growth():

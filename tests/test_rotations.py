@@ -6,9 +6,9 @@ import pytest
 
 from ladderkit import (AlgebraSpec, IndexWindow, RotationSpec, SingularS,
                        antinormal_rotation, build_matrices, build_spin,
-                       j1_reference_matrix, j1_xaxis_reference, m_rephasing,
                        rotation_direct, rotation_factorized, u2_factors)
 from ladderkit.cli import main
+from spin_references import j1_reference_matrix, j1_xaxis_reference, m_rephasing
 
 
 def _spin_block(j):
