@@ -14,21 +14,17 @@ from .expm import (ExpmResult, expm, operator_matrix, oracle_element,
 from .factorization import (U2Factors, antinormal_core, antinormal_reach,
                             factorization_residual, ordered_product,
                             reduces_to_u1, u2_factors)
-from .gn import (GnEvaluation, Hyp2F1Sum, a_n, bar_gn, bessel_jn, gn_auto,
+from .gn import (GnEvaluation, Hyp2F1Sum, a_n, bessel_jn, gn_auto,
                  gn_bessel_limit, gn_closed, gn_oracle, gn_series,
-                 gn_sho_limit, gnm, hyp2f1_series, recursion_residual,
-                 tilde_gn, variant_recursion_residual)
-from .phase import (phase_commutator, phase_element, phase_gn, phase_gnm,
-                    phase_matrices, phase_oracle_element,
-                    phase_recursion_residual)
+                 gn_sho_limit, gnm, hyp2f1_series, recursion_residual)
+from .phase import phase_element, phase_gnm, phase_oracle_element
 from .rotations import (RotationSpec, SpinMatrices, antinormal_rotation,
                         build_spin, rotation_direct, rotation_factorized)
 from .triangles import (CoeffDiagram, WeightRule, bar_rule, column_series,
                         gauss_bar_rule, gauss_tilde_rule, generate,
-                        lambda_rule, lambda_symmetric_rule,
-                        path_count_diagram,
-                        render_ascii, row_sums, series_match, sumrule_check,
-                        tilde_rule, to_records, unit_rule)
+                        lambda_rule, lambda_symmetric_rule, render_ascii,
+                        row_sums, sumrule_check, tilde_rule, to_records,
+                        unit_rule)
 
 __version__ = "0.1.0"
 
@@ -44,15 +40,13 @@ __all__ = [
     "antinormal_core", "antinormal_reach", "reduces_to_u1",
     "GnEvaluation", "Hyp2F1Sum", "hyp2f1_series", "a_n", "gn_closed",
     "gn_series", "gn_oracle", "gn_auto", "gn_sho_limit", "gn_bessel_limit",
-    "bessel_jn", "recursion_residual", "tilde_gn", "bar_gn",
-    "variant_recursion_residual", "gnm",
+    "bessel_jn", "recursion_residual", "gnm",
     "WeightRule", "CoeffDiagram", "unit_rule", "tilde_rule", "bar_rule",
     "gauss_tilde_rule", "gauss_bar_rule", "lambda_rule",
     "lambda_symmetric_rule",
-    "generate", "column_series", "series_match", "row_sums",
-    "sumrule_check", "path_count_diagram", "render_ascii", "to_records",
+    "generate", "column_series", "row_sums", "sumrule_check",
+    "render_ascii", "to_records",
     "RotationSpec", "SpinMatrices", "build_spin", "rotation_factorized",
     "rotation_direct", "antinormal_rotation",
-    "phase_matrices", "phase_commutator", "phase_element", "phase_gn",
-    "phase_gnm", "phase_recursion_residual", "phase_oracle_element",
+    "phase_element", "phase_gnm", "phase_oracle_element",
 ]

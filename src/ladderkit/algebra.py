@@ -117,8 +117,6 @@ class IndexWindow:
             raise ValueError(
                 f"need j_min <= core_lo <= core_hi <= j_max, got {self}"
             )
-        if self.size < 2:
-            raise ValueError("window size must be at least 2")
 
     @property
     def size(self) -> int:
@@ -242,8 +240,6 @@ def padded_window(spec: AlgebraSpec, core_lo: int, core_hi: int,
         if lambda_sq(spec, hi) <= 0.0 or lambda_sq(spec, hi + 1) < 0.0:
             break
         hi += 1
-    if hi == lo:
-        hi = lo + 1
     return IndexWindow(lo, hi, core_lo, core_hi)
 
 

@@ -252,43 +252,6 @@ def recursion_residual(spec: AlgebraSpec, n: int, y: float) -> float:
                           lambda_coupling(spec, n), lambda_coupling(spec, n + 1))
 
 
-def tilde_gn(p: float, n: int, y: float) -> float:
-    """sech^p(y) * tanh^n(y): the square-root-free rescaling of
-    G_n(1, p; 1; y)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return math.cosh(y) ** -p * math.tanh(y) ** n
-
-
-def bar_gn(p: float, n: int, y: float) -> float:
-    """Gamma(n+p)/(Gamma(p) n!) * sech^p(y) * tanh^n(y): the opposite
-    rescaling."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    ratio = math.exp(math.lgamma(n + p) - math.lgamma(p) - math.lgamma(n + 1))
-    return ratio * tilde_gn(p, n, y)
-
-
-# the rescaled families and the (lo, hi) of their recursions
-# d/dy v_{n+1} = lo v_n - hi v_{n+2}
-_VARIANTS = {
-    "tilde": (tilde_gn, lambda p, n: (n + 1.0, n + 1.0 + p)),
-    "bar": (bar_gn, lambda p, n: (n + p, n + 2.0)),
-}
-
-
-def variant_recursion_residual(p: float, n: int, y: float, which: str) -> float:
-    """Central-difference residual of the rescaled recursions:
-
-        d/dy tilde_{n+1} = (n+1) tilde_n - (n+1+p) tilde_{n+2}
-        d/dy bar_{n+1}   = (n+p) bar_n   - (n+2)   bar_{n+2}
-    """
-    if which not in _VARIANTS:
-        raise ValueError(f"unknown variant {which!r}")
-    fn, coeffs = _VARIANTS[which]
-    return _recursion_gap(lambda k, t: fn(p, k, t), n, y, *coeffs(p, n))
-
-
 def gnm(spec: AlgebraSpec, n: int, m: int, y: float) -> GnEvaluation:
     """General matrix element G_nm = (-i)^(n-m) <n| exp(iy(R+L)) |m> via the
     parameter shift G_nm(alpha, beta) = G_{n-m}(alpha + m, beta + m).

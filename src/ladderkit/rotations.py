@@ -121,7 +121,7 @@ def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
     """The ordered product of exp(2i W.J) on the spin-j block."""
     two_j = _check_spin(spec.j)
     if two_j == 0:
-        # a window needs two states; the singlet is fixed, even where s = 0
+        # the singlet is fixed, even at s = 0, where the factors have a pole
         return np.ones((1, 1), dtype=complex)
     try:
         return ordered_product(AlgebraSpec.parametric(1, -two_j, -0.5),

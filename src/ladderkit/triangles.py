@@ -200,16 +200,6 @@ def column_series(d: CoeffDiagram, n: int) -> list[tuple[int, Fraction]]:
     return out
 
 
-def evaluate_column(d: CoeffDiagram, n: int, y: float) -> float:
-    return sum(float(c) * y ** r for r, c in column_series(d, n))
-
-
-def series_match(d: CoeffDiagram, n: int, target_fn, y_grid) -> float:
-    """Max deviation of the truncated column series from a target function
-    over a grid (keep |y| well inside the truncation radius)."""
-    return max(abs(evaluate_column(d, n, y) - target_fn(y)) for y in y_grid)
-
-
 def row_sums(d: CoeffDiagram, signs: str = "plain") -> list[Fraction]:
     """Per-row node sums, each one exact sum over the lcm of the row's
     denominators.  The alternating variant gives the node at column n the
@@ -233,12 +223,6 @@ def row_sums(d: CoeffDiagram, signs: str = "plain") -> list[Fraction]:
             total += term
         out.append(Fraction(total, scale))
     return out
-
-
-def path_count_diagram(m: int, num_rows: int) -> CoeffDiagram:
-    """Unit-weight triangular diagram seeded at column m: node values count
-    the border-respecting lattice paths from m down to each column."""
-    return generate(unit_rule(), "triangular", m, num_rows)
 
 
 def _integral_j1_over_z(y: float) -> float:

@@ -8,20 +8,20 @@ import math
 
 import numpy as np
 
+from diagram_references import (phase_recursion_residual,
+                                variant_recursion_residual)
 from exact_series import sech_tanh_series
 from spin_references import j1_reference_matrix, j1_xaxis_reference, m_rephasing
 from ladderkit import (AlgebraSpec, IndexWindow, antinormal_reach,
                        build_matrices, commutator_residual, expm,
                        factorization_residual, gn_closed, gn_series, gnm,
                        operator_matrix, pad_sufficiency, padded_window,
-                       path_count_diagram, phase_commutator, phase_element,
-                       phase_recursion_residual, recursion_residual,
+                       phase_element, recursion_residual,
                        rotation_direct, rotation_factorized,
                        antinormal_rotation, RotationSpec, sumrule_check,
                        suggested_pad, u2_factors, generate,
                        tilde_rule, bar_rule, gauss_tilde_rule,
-                       gauss_bar_rule, unit_rule,
-                       variant_recursion_residual)
+                       gauss_bar_rule, unit_rule)
 
 
 def report(num, name, ok, detail):
@@ -203,13 +203,13 @@ def test_criterion_06_integer_sequences():
     checks.append(d.value(5, -1) == 10 and d.value(5, 1) == 10)
     checks.append([d.value(3, n) for n in (-3, -1, 1, 3)] == [1, 3, 3, 1])
 
-    d0 = path_count_diagram(0, 10)
+    d0 = generate(unit_rule(), "triangular", 0, 10)
     checks.append(_col(d0, 0) == [1, 1, 2, 5, 14])
-    d1 = path_count_diagram(1, 9)
+    d1 = generate(unit_rule(), "triangular", 1, 9)
     checks.append(_col(d1, 0) == [1, 2, 5, 14])
     checks.append(d1.value(3, 2) == 3 and d1.value(4, 3) == 4
                   and d1.value(5, 2) == 9 and d1.value(6, 1) == 14)
-    d2 = path_count_diagram(2, 10)
+    d2 = generate(unit_rule(), "triangular", 2, 10)
     checks.append(_col(d2, 0) == [1, 3, 9, 28])
     checks.append(d2.value(4, 2) == 6 and d2.value(5, 3) == 10
                   and d2.value(6, 2) == 19 and d2.value(7, 1) == 28)
@@ -274,7 +274,8 @@ def test_criterion_09_phase_operators():
         for n in range(11):
             for m in range(11):
                 worst = max(worst, abs(phase_element(n, m, y) - u[n, m]))
-    comm = phase_commutator(60)
+    ops = build_matrices(spec, IndexWindow(0, 59, 0, 59))
+    comm = ops.L @ ops.R - ops.R @ ops.L
     impulse_exact = (comm[0, 0] == 1
                      and not comm[:59, :59][1:, :].any()
                      and not comm[0, 1:59].any()

@@ -1,9 +1,10 @@
+import csv
 import json
 import math
 
 import scipy.special
 
-from ladderkit import bessel_jn
+from ladderkit import bessel_jn, cli
 from ladderkit.cli import main
 
 
@@ -341,6 +342,68 @@ def test_factorize_certifies_the_oracle_window(capsys):
         assert doc["residual_windows"][ordering] == {"j_min": 0, "j_max": j_max}
         assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 43}
         assert doc["pad_sufficiency"] <= 1e-12
+
+
+def test_factorize_both_certifies_each_oracle_window(capsys, monkeypatch):
+    # --pad 5 leaves the normal oracle on 0..16, while the anti-normal reach
+    # gives its oracle the rule's 0..43: both windows are certified and the
+    # larger certificate, 0..16's, is reported.  On the README line both
+    # orderings share 0..43, which is certified once
+    certify = cli.pad_sufficiency
+    calls = []
+
+    def spy(spec, window, *rest):
+        calls.append(((window.j_min, window.j_max),
+                      certify(spec, window, *rest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "pad_sufficiency", spy)
+    flags = ["factorize", "--alpha", "1", "--beta", "1", "--sigma", "1",
+             "--y", "0.3", "--core", "0:11", "--certify-pad"]
+    code, doc, _ = run_json(capsys, *flags, "--pad", "5")
+    assert code == 1    # 5 states are too few for the normal product
+    assert [w for w, _ in calls] == [(0, 16), (0, 43)]
+    assert doc["pad_sufficiency"] == max(c for _, c in calls) == calls[0][1]
+    assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 16}
+    calls.clear()
+    code, doc, _ = run_json(capsys, *flags)
+    assert code == 0
+    assert [w for w, _ in calls] == [(0, 43)]
+
+
+def test_ascii_format_flattens_the_payload(capsys):
+    code, out, _ = run(capsys, "--format", "ascii", "check-algebra",
+                       "--alpha", "1", "--beta", "1", "--sigma", "1",
+                       "--window", "0:4")
+    assert code == 0
+    lines = out.splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
+    assert keys == sorted(["blocks", "commutator_residual", "pass",
+                           "spec.alpha", "spec.beta", "spec.sigma", "tol",
+                           "window.core_hi", "window.core_lo",
+                           "window.j_max", "window.j_min"])
+    assert "blocks = [[0, 4]]" in lines
+    assert "pass = True" in lines
+    assert "window.j_max = 4" in lines
+
+
+def test_csv_format_flattens_the_payload(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "factorize", "--alpha", "1",
+                       "--beta", "1", "--sigma", "1", "--y", "0.3",
+                       "--core", "0:3", "--certify-pad")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["key", "value"]
+    table = dict(rows[1:])
+    keys = [key for key, _ in rows[1:]]
+    assert keys == sorted(keys)
+    assert {"coeffs.a", "factors.f_plus", "pad_sufficiency_window.j_max",
+            "residuals.normal", "residuals.anti-normal",
+            "window.core_hi"} <= set(table)
+    assert json.loads(table["coeffs.a"]) == {"im": 0.3, "re": 0.0}
+    assert table["window.core_hi"] == "3"
+    assert table["pass"] == "True"
+    assert float(table["residuals.normal"]) <= 1e-10
 
 
 def test_factorize_scans_the_antinormal_peak_from_both_core_edges(capsys):

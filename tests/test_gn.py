@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from diagram_references import bar_gn, tilde_gn, variant_recursion_residual
 from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow, a_n,
-                       bar_gn, bessel_jn, gn_auto, gn_bessel_limit,
-                       gn_closed, gn_oracle, gn_series, gn_sho_limit, gnm,
+                       bessel_jn, gn_auto, gn_bessel_limit, gn_closed,
+                       gn_oracle, gn_series, gn_sho_limit, gnm,
                        hyp2f1_series, oracle_element, padded_window,
-                       recursion_residual, tilde_gn, variant_recursion_residual)
+                       recursion_residual)
 
 SPEC11 = AlgebraSpec.parametric(1, 1, 1)
 SPEC12 = AlgebraSpec.parametric(1, 2, 1)
@@ -112,6 +113,14 @@ def test_gn_oracle_block_alignment():
     sh2 = math.sinh(y) ** 2
     want = math.cosh(y) ** -4 * (1 - 2 * sh2)
     assert abs(got.value - want) < 1e-11
+
+
+def test_gn_oracle_on_the_spin_singlet():
+    # (1, 0, -1/2): lambda_0 = 0 and lambda_1^2 = -1, so the window holds
+    # the one state j = 0, where exp(iy(R+L)) is 1
+    spec = AlgebraSpec.parametric(1, 0, -0.5)
+    assert padded_window(spec, 0, 0, 16) == IndexWindow(0, 0, 0, 0)
+    assert gn_oracle(spec, 0, 0.3).value == 1.0
 
 
 def test_gn_auto_falls_back_to_oracle():

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,22 @@ def test_oracle_imports_only_the_algebra():
             found |= {a.name for a in node.names
                       if a.name.split(".")[0] == "ladderkit"}
     assert found == {".algebra"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name is the library's only if the package itself (past its
+    # own def or class line and the export list) or the benchmark uses it;
+    # references that only the tests need belong in a tests/ helper
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in (root / "src" / "ladderkit").glob("*.py")
+               if p.name != "__init__.py"]
+    lines = [line for p in sources + sorted((root / "bench").glob("*.py"))
+             for line in p.read_text().splitlines()]
+    unused = []
+    for name in ladderkit.__all__:
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"\s*(def|class)\s+{name}\b")
+        if not any(word.search(line) and not own.match(line)
+                   for line in lines):
+            unused.append(name)
+    assert unused == []

@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from diagram_references import phase_recursion_residual
 from exact_series import phase_gn_series, phase_gnm_series
-from ladderkit import (bessel_jn, column_series, path_count_diagram,
-                       phase_commutator, phase_element, phase_gn, phase_gnm,
-                       phase_matrices, phase_oracle_element,
-                       phase_recursion_residual, sumrule_check)
+from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
+                       column_series, generate, phase_element, phase_gnm,
+                       phase_oracle_element, sumrule_check, unit_rule)
+
+PHASE = AlgebraSpec.from_profile("phase")
 
 
 def test_shift_action():
-    p, pd = phase_matrices(5)
+    # (P, P_dagger) are the (L, R) of the phase profile
+    m = build_matrices(PHASE, IndexWindow(0, 4, 0, 4))
+    p, pd = m.L, m.R
     e2 = np.zeros(5)
     e2[2] = 1
     assert np.array_equal(p @ e2, np.eye(5)[1])
@@ -20,7 +24,8 @@ def test_shift_action():
 
 def test_commutator_unit_impulse():
     for dim in (4, 16, 60):
-        c = phase_commutator(dim)
+        m = build_matrices(PHASE, IndexWindow(0, dim - 1, 0, dim - 1))
+        c = m.L @ m.R - m.R @ m.L
         assert c[0, 0] == 1
         # exact away from the truncation corner
         interior = c.copy()
@@ -40,25 +45,20 @@ def test_gn_closed_form_vs_bessel_quotient():
     for n in range(5):
         for y in (0.3, 0.8, 1.0):
             want = (n + 1) * bessel_jn(n + 1, 2 * y) / y
-            assert abs(phase_gn(n, y) - want) < 1e-13
+            assert abs(phase_gnm(n, 0, y) - want) < 1e-13
 
 
 def test_gn_regular_at_zero():
-    assert phase_gn(0, 0.0) == 1.0
+    assert phase_gnm(0, 0, 0.0) == 1.0
     for n in range(1, 5):
-        assert phase_gn(n, 0.0) == 0.0
-
-
-def test_gn_equals_gnm_column_zero():
-    for n in range(5):
-        assert abs(phase_gn(n, 0.7) - phase_gnm(n, 0, 0.7)) < 1e-14
+        assert phase_gnm(n, 0, 0.0) == 0.0
 
 
 def test_gn_leading_series():
     # G_1(y) = y - 2 y^3/3! + 5 y^5/5! + ...
     y = 0.05
     poly = y - 2 * y ** 3 / 6 + 5 * y ** 5 / 120
-    assert abs(phase_gn(1, y) - poly) < y ** 7
+    assert abs(phase_gnm(1, 0, y) - poly) < y ** 7
     coeffs = phase_gn_series(1, 8)
     assert coeffs[1] == 1
     assert coeffs[3] == Fraction(-2, 6)
@@ -77,7 +77,7 @@ def test_element_matches_oracle():
 def test_gnm_columns_match_path_counts():
     # the lattice-path diagrams code exactly the Taylor series of G_nm
     for m in (0, 1, 2):
-        d = path_count_diagram(m, 12)
+        d = generate(unit_rule(), "triangular", m, 12)
         for n in range(0, 5):
             got = {r: c for r, c in column_series(d, n)}
             want = phase_gnm_series(n, m, 12)

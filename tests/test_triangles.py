@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagram_references import bar_gn, series_match, tilde_gn
 from exact_series import bessel2y_series, gaussian_series, sech_tanh_series
 from ladderkit import (AlgebraSpec, bar_rule, bessel_jn, column_series,
                        gauss_bar_rule, gauss_tilde_rule, generate,
-                       lambda_rule, lambda_symmetric_rule, path_count_diagram,
-                       render_ascii, row_sums, series_match, sumrule_check,
-                       tilde_rule, to_records, unit_rule)
+                       lambda_rule, lambda_symmetric_rule, render_ascii,
+                       row_sums, sumrule_check, tilde_rule, to_records,
+                       unit_rule)
 from ladderkit.triangles import WeightRule
 
 
@@ -317,18 +318,20 @@ def test_diamond_triangle_decoupling():
 
 
 def test_path_count_columns():
-    assert column_values(path_count_diagram(0, 10), 0) == [1, 1, 2, 5, 14]
-    assert column_values(path_count_diagram(1, 9), 0) == [1, 2, 5, 14]
-    assert column_values(path_count_diagram(2, 10), 0) == [1, 3, 9, 28]
+    # unit weights on a triangle count border-respecting lattice paths
+    for m, rows, want in [(0, 10, [1, 1, 2, 5, 14]), (1, 9, [1, 2, 5, 14]),
+                          (2, 10, [1, 3, 9, 28])]:
+        d = generate(unit_rule(), "triangular", m, rows)
+        assert column_values(d, 0) == want
 
 
 def test_path_count_interior_values():
-    d1 = path_count_diagram(1, 8)
+    d1 = generate(unit_rule(), "triangular", 1, 8)
     assert d1.value(3, 2) == 3
     assert d1.value(4, 3) == 4
     assert d1.value(5, 2) == 9
     assert d1.value(6, 1) == 14
-    d2 = path_count_diagram(2, 9)
+    d2 = generate(unit_rule(), "triangular", 2, 9)
     assert d2.value(4, 2) == 6
     assert d2.value(5, 3) == 10
     assert d2.value(6, 2) == 19
@@ -353,19 +356,15 @@ def test_render_and_records():
 
 
 def test_series_match_every_preset():
-    import ladderkit as lk
-
-    ratio = lambda p, n: math.exp(math.lgamma(n + p) - math.lgamma(p)
-                                  - math.lgamma(n + 1))
     ys = [i / 20 for i in range(-6, 7) if i]
     rows = 18   # the tangent-family coefficients grow fastest; 18 rows
     cases = [   # put every listed preset inside 1e-9 on |y| <= 0.3
         (generate(tilde_rule(1), "triangular", 0, rows), 1,
-         lambda y: lk.tilde_gn(1, 1, y)),
+         lambda y: tilde_gn(1, 1, y)),
         (generate(tilde_rule(2), "triangular", 0, rows), 2,
-         lambda y: lk.tilde_gn(2, 2, y)),
+         lambda y: tilde_gn(2, 2, y)),
         (generate(bar_rule(2), "triangular", 0, rows), 1,
-         lambda y: lk.bar_gn(2, 1, y)),
+         lambda y: bar_gn(2, 1, y)),
         (generate(gauss_tilde_rule(), "triangular", 0, rows), 2,
          lambda y: y ** 2 / 2 * math.exp(-y * y / 2)),
         (generate(gauss_bar_rule(), "triangular", 0, rows), 2,
