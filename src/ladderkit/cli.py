@@ -205,6 +205,14 @@ def cmd_check_algebra(args) -> int:
     inset = min(2, max(0, (hi - lo) // 2))
     core = args.core or (lo + inset, hi - inset)
     window = algebra.IndexWindow(lo, hi, max(core[0], lo), min(core[1], hi))
+    m = algebra.build_matrices(spec, window)
+    # a default core on a window of 1-2 states is the whole window, where
+    # truncation breaks the commutators unless the window is a whole block
+    if (args.core is None and inset == 0 and spec.is_parametric
+            and (algebra.lambda_sq(spec, lo - 1) or algebra.lambda_sq(spec, hi))):
+        sys.stderr.write("ladderkit: the window is too narrow for a core inside"
+                         " its edges; give --core\n")
+        return EXIT_CONFIG
     payload = {
         "spec": _spec_payload(spec),
         "window": {"j_min": lo, "j_max": hi,
@@ -213,7 +221,6 @@ def cmd_check_algebra(args) -> int:
         "tol": args.tol,
     }
     code = EXIT_OK
-    m = algebra.build_matrices(spec, window)
     if spec.is_parametric:
         resid = algebra.commutator_residual(m, spec)
         payload["commutator_residual"] = resid

@@ -52,8 +52,8 @@ from .expm import expm, operator_matrix
 
 # u2_factors raises PoleError where |D+-| falls below this
 _POLE_TOL = 1e-9
-# an ordered sum (the anti-normal scan here, gn.gn_series) has converged
-# once its terms fall exp(_TAIL_LN) below both their peak and unity
+# the anti-normal scan has converged once its terms fall exp(_TAIL_LN)
+# below both their peak and unity
 _TAIL_LN = -37.0
 
 

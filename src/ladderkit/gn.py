@@ -10,7 +10,8 @@ derivative recursion dG_{n+1}/dy = lambda_n G_n - lambda_{n+1} G_{n+2}.
 This module evaluates the family by several independent routes (closed
 form, ordered series, exponential oracle, degenerate limits), reports an
 error estimate per value, and checks the recursions by central
-differences.
+differences.  The closed form and the ordered series sum two Euler partners
+of one 2F1 in ``hyp2f1_series`` and refuse towers with a negative lambda^2.
 
 sigma < 0 is reached by the even continuation sinh^2 -> -sin^2,
 tanh -> tan, sech -> sec; the closed form and the ordered series read
@@ -21,19 +22,18 @@ only through sigma*y^2.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, lambda_coupling, padded_window, suggested_pad
 from .errors import ConvergenceError
 from .expm import oracle_element
-from .factorization import _TAIL_LN, u2_factors
+from .factorization import u2_factors
 
-# non-terminating 2F1 sums that have not settled after this many terms fail
-_HYP_MAX_TERMS = 500
+# a 2F1 sum not settled after this many terms (about 0.1 s) fails
+_HYP_MAX_TERMS = 100000
 
 
-@dataclass
-class Hyp2F1Sum:
+class Hyp2F1Sum(NamedTuple):
     """Direct power-series evaluation of 2F1(a, b; c; z): value, a bound on
     the dropped tail, and whether the series terminated exactly."""
 
@@ -42,41 +42,38 @@ class Hyp2F1Sum:
     terminated: bool
 
 
+def _terminates(a: float, b: float) -> bool:
+    """Whether 2F1(a, b; c; z) is a polynomial: a or b a non-positive integer."""
+    return any(x <= 0 and x == round(x) for x in (a, b))
+
+
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     """Gauss hypergeometric series, direct summation only.
 
     Exact (terminating) when a or b is a non-positive integer; otherwise
-    requires |z| < 0.95 and raises ConvergenceError outside.  No
-    transformation formulas: callers fall back to the exponential oracle
-    out of domain.
+    requires |z| < 1.  Raises ConvergenceError outside that domain, on
+    overflow and past _HYP_MAX_TERMS terms; callers fall back to the
+    exponential oracle there.
     """
-    def _is_nonpos_int(x):
-        return x <= 0 and x == round(x)
-
-    terminating = _is_nonpos_int(a) or _is_nonpos_int(b)
-    if not terminating and abs(z) >= 0.95:
-        raise ConvergenceError(
-            f"2F1 series argument |z| = {abs(z):.3g} >= 0.95 and not terminating"
-        )
+    if abs(z) >= 1.0 and not _terminates(a, b):
+        raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= 1"
+                               " and not terminating")
     total, term = 1.0, 1.0
     for k in range(_HYP_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         if term == 0.0:
             return Hyp2F1Sum(total, 0.0, True)
         total += term
+        if not math.isfinite(total):
+            raise ConvergenceError("2F1 series terms overflow")
         if abs(term) < 1e-17 * max(1.0, abs(total)):
             return Hyp2F1Sum(total, abs(term), False)
     raise ConvergenceError(f"2F1 series did not settle within {_HYP_MAX_TERMS} terms")
 
 
-@dataclass(frozen=True)
-class GnEvaluation:
+class GnEvaluation(NamedTuple):
     """One evaluated amplitude with the route that produced it."""
 
-    n: int
-    m: int
-    spec: AlgebraSpec
-    y: float
     value: float
     route: str
     err_estimate: float
@@ -94,30 +91,38 @@ def a_n(spec: AlgebraSpec, n: int) -> float:
     return acc / math.factorial(n)
 
 
-def _require_parametric(spec):
+def _require_tower(spec: AlgebraSpec, n: int) -> None:
+    """NonUnitaryRegime at the first negative lambda_j^2, j >= n, before a zero
+    coupling ends the tower.  Its sign changes only at the roots -alpha, -beta,
+    so n and the first j at or past each root above n decide it.  ValueError
+    for profiles."""
     if not spec.is_parametric:
         raise ValueError("this route needs a parametric spec; use the"
                          " limit routes for profiles")
+    for j in sorted({n, *(math.ceil(r) for r in (-spec.alpha, -spec.beta) if r > n)}):
+        if lambda_coupling(spec, j) == 0.0:
+            break
 
 
 def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
-    """Closed-form route."""
-    _require_parametric(spec)
+    """Closed-form route; ConvergenceError unless |z| < 0.95 or its 2F1 terminates."""
+    _require_tower(spec, n)
     fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
     t_over_rootsigma = y * fac.f_plus.real    # tanh(y*sqrt(sigma))/sqrt(sigma)
     sech = fac.g_plus.real                    # sech(y*sqrt(sigma))
     z = -spec.sigma * (t_over_rootsigma / sech) ** 2   # -sinh(y*sqrt(sigma))^2
-    hyp = hyp2f1_series(1.0 - spec.alpha, 1.0 - spec.beta, 1.0 + n, z)
+    a, b = 1.0 - spec.alpha, 1.0 - spec.beta
+    if abs(z) >= 0.95 and not _terminates(a, b):
+        raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= 0.95"
+                               " and not terminating")
+    hyp = hyp2f1_series(a, b, 1.0 + n, z)
     expo = spec.alpha + spec.beta - 1.0
     if sech <= 0.0 and expo != round(expo):
-        raise ConvergenceError(
-            "sech-power base is non-positive with a non-integer exponent"
-        )
+        raise ConvergenceError("sech-power base is non-positive with a"
+                               " non-integer exponent")
     sech_pow = sech ** int(round(expo)) if expo == round(expo) else sech ** expo
-    amp = a_n(spec, n)
-    value = amp * t_over_rootsigma ** n * sech_pow * hyp.value
-    err = abs(amp * t_over_rootsigma ** n * sech_pow) * hyp.err_estimate
-    return GnEvaluation(n, 0, spec, y, value, "closed-form", err)
+    pre = a_n(spec, n) * t_over_rootsigma ** n * sech_pow
+    return GnEvaluation(pre * hyp.value, "closed-form", abs(pre) * hyp.err_estimate)
 
 
 def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
@@ -127,41 +132,17 @@ def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
         t_n = A_n (yf)^n g^(1 - 2n - alpha - beta),
         t_{j+1} / t_j = -(yf/g)^2 lambda_j^2 / ((j+1-n) (j+1)),
 
-    summed by that ratio, which tends to z = -sinh(y*sqrt(sigma))^2.  A
-    vanishing coupling ends the sum exactly (err_estimate 0); otherwise it
-    stops once a term falls exp(_TAIL_LN) below both the peak term and
-    unity, reporting that term as err_estimate.  Raises ConvergenceError
-    where the terms do not fall: |z| >= 1 on a block that does not end, or
-    a term that overflows on the way to its peak.  f and g are the real
-    factors of ``u2_factors`` at (iy, iy, 0) (module docstring).
+    that is t_n 2F1(alpha+n, beta+n; n+1; z), z = -sinh(y*sqrt(sigma))^2,
+    the Euler partner of the closed form's 2F1 (DLMF 15.8.1), with the
+    domain of ``hyp2f1_series``.  f and g: see the module docstring.
     """
-    _require_parametric(spec)
+    _require_tower(spec, n)
     fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
     f, g = fac.f_plus.real, fac.g_plus.real
-    scale = -(y * f / g) ** 2
-    z = spec.sigma * scale
-    # the block ends at a zero coupling lambda_j, j = -alpha or -beta >= n
-    ends = any(v == round(v) and -v >= n for v in (spec.alpha, spec.beta))
-    if abs(z) >= 1.0 and not ends:
-        raise ConvergenceError(f"ordered series terms do not fall: their ratio"
-                               f" tends to {z:.6g}")
-    term = (a_n(spec, n) * (y * f) ** n
-            * g ** (1.0 - 2 * n - spec.alpha - spec.beta))
-    total, peak = term, abs(term)
-    tail = math.exp(_TAIL_LN)
-    j = n
-    while True:
-        lam = lambda_coupling(spec, j)
-        if lam == 0.0:
-            return GnEvaluation(n, 0, spec, y, total, "series", 0.0)
-        term *= scale * lam * lam / ((j + 1 - n) * (j + 1))
-        total += term
-        j += 1
-        if not math.isfinite(total):
-            raise ConvergenceError("ordered series terms overflow")
-        if abs(term) <= tail * min(peak, 1.0):
-            return GnEvaluation(n, 0, spec, y, total, "series", abs(term))
-        peak = max(peak, abs(term))
+    t_n = a_n(spec, n) * (y * f) ** n * g ** (1.0 - 2 * n - spec.alpha - spec.beta)
+    hyp = hyp2f1_series(spec.alpha + n, spec.beta + n, 1.0 + n,
+                        -spec.sigma * (y * f / g) ** 2)
+    return GnEvaluation(t_n * hyp.value, "series", abs(t_n) * hyp.err_estimate)
 
 
 def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
@@ -173,7 +154,7 @@ def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
     window = padded_window(spec, lo, hi, suggested_pad(spec, lo, hi, y))
     val = (-1j) ** ((n - m) % 4) * oracle_element(
         spec, window, (1j * y, 1j * y, 0.0), n, m)
-    return GnEvaluation(n, m, spec, y, val.real, "oracle", abs(val.imag) + 1e-15)
+    return GnEvaluation(val.real, "oracle", abs(val.imag) + 1e-15)
 
 
 def gn_auto(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
@@ -187,15 +168,13 @@ def gn_auto(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
 
 def gn_sho_limit(n: int, y: float) -> GnEvaluation:
     """Boson-ladder limit: G_n -> y^n / sqrt(n!) * exp(-y^2/2)."""
-    spec = AlgebraSpec.from_profile("sho")
     value = y ** n / math.sqrt(math.factorial(n)) * math.exp(-0.5 * y * y)
-    return GnEvaluation(n, 0, spec, y, value, "limit-sho", 0.0)
+    return GnEvaluation(value, "limit-sho", 0.0)
 
 
 def gn_bessel_limit(n: int, y: float) -> GnEvaluation:
     """Constant-coupling limit: G_n -> J_n(2y)."""
-    spec = AlgebraSpec.from_profile("constant-one")
-    return GnEvaluation(n, 0, spec, y, bessel_jn(n, 2.0 * y), "limit-bessel", 0.0)
+    return GnEvaluation(bessel_jn(n, 2.0 * y), "limit-bessel", 0.0)
 
 
 def bessel_jn(n: int, x: float) -> float:
@@ -259,10 +238,7 @@ def gnm(spec: AlgebraSpec, n: int, m: int, y: float) -> GnEvaluation:
     Exposed for n >= m >= 0 only; the transpose symmetry of exp(iy(R+L))
     gives <m|U|n> = <n|U|m>, so n < m carries no new information.
     """
-    _require_parametric(spec)
-    if not n >= m >= 0:
-        raise ValueError("gnm is defined for n >= m >= 0")
+    if not (spec.is_parametric and n >= m >= 0):
+        raise ValueError("gnm needs a parametric spec and n >= m >= 0")
     shifted = AlgebraSpec.parametric(spec.alpha + m, spec.beta + m, spec.sigma)
-    inner = gn_closed(shifted, n - m, y)
-    return GnEvaluation(n, m, spec, y, inner.value, "closed-form",
-                        inner.err_estimate)
+    return gn_closed(shifted, n - m, y)

@@ -251,6 +251,8 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
     bessel-sin:     2 sum_k (-1)^(k+1) J_{2k-1}(2y)     = sin(2y)
     phase-unity:    (1/y) sum_k (2k+1) J_{2k+1}(2y)     = 1
     phase-integral: (1/y) sum_k 2k J_2k(2y)             = int_0^y J_1(2z)/z dz
+
+    At y = 0 the two phase rules take their limits, left sides 1 and 0.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -269,11 +271,11 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
         return abs(lhs - math.sin(x))
     if name == "phase-unity":
         lhs = sum((2 * k + 1) * bessel_jn(2 * k + 1, x)
-                  for k in range(0, k_max + 1)) / y
+                  for k in range(0, k_max + 1)) / y if y else 1.0
         return abs(lhs - 1.0)
     if name == "phase-integral":
         lhs = sum(2 * k * bessel_jn(2 * k, x)
-                  for k in range(1, k_max + 1)) / y
+                  for k in range(1, k_max + 1)) / y if y else 0.0
         return abs(lhs - _integral_j1_over_z(y))
     raise ValueError(f"unknown sum rule {name!r}; choose from {SUMRULE_NAMES}")
 

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import time
 
+import pytest
 import scipy.special
 
 from ladderkit import bessel_jn, cli
@@ -285,6 +287,37 @@ def test_small_window_default_core(capsys):
     code, doc, _ = run_json(capsys, "check-algebra", "--alpha", "1",
                             "--beta", "1", "--sigma", "1", "--window", "0:3")
     assert code == 0
+
+
+@pytest.mark.parametrize("spec,window,want", [
+    (("1", "1", "1"), ["0:1"], 3),
+    (("1", "1", "1"), ["0:0"], 3),
+    (("1", "0", "-0.5"), ["0:0"], 0),   # the spin singlet is a whole block
+    (("1", "1", "1"), ["0:2"], 0),
+    (("1", "1", "1"), ["0:1", "--core", "0:0"], 0),
+])
+def test_check_algebra_refuses_a_default_core_on_the_window_edges(
+        capsys, spec, window, want):
+    alpha, beta, sigma = spec
+    code, out, err = run(capsys, "check-algebra", "--alpha", alpha, "--beta",
+                         beta, "--sigma", sigma, "--window", *window)
+    assert code == want
+    if want == 3:
+        assert out == "" and err.count("\n") == 1 and "--core" in err
+    else:
+        assert json.loads(out)["commutator_residual"] == 0.0
+
+
+def test_gn_series_term_bound_exit_2(capsys):
+    # |z| = sinh(y)^2 = 0.99999: the 2F1 terms fall too slowly to settle
+    # within _HYP_MAX_TERMS
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gn", "--alpha", "1", "--beta", "2",
+                         "--sigma", "1", "--n", "2", "--y",
+                         "0.8813700514723788", "--route", "series")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "100000 terms" in err
 
 
 def test_unknown_rule_exit_3(capsys):

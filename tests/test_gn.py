@@ -1,16 +1,17 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
 from diagram_references import bar_gn, tilde_gn, variant_recursion_residual
-from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow, a_n,
-                       bessel_jn, gn_auto, gn_bessel_limit, gn_closed,
-                       gn_oracle, gn_series, gn_sho_limit, gnm,
-                       hyp2f1_series, oracle_element, padded_window,
-                       recursion_residual)
+from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow,
+                       NonUnitaryRegime, a_n, bessel_jn, gn_auto,
+                       gn_bessel_limit, gn_closed, gn_oracle, gn_series,
+                       gn_sho_limit, gnm, hyp2f1_series, oracle_element,
+                       padded_window, recursion_residual)
 
 SPEC11 = AlgebraSpec.parametric(1, 1, 1)
 SPEC12 = AlgebraSpec.parametric(1, 2, 1)
@@ -26,7 +27,8 @@ def test_hyp2f1_terminating_exact():
 
 def test_hyp2f1_series_against_scipy_region():
     from scipy.special import hyp2f1
-    for z in (-0.5, 0.3, 0.9):
+    # about 1200 terms at |z| = 0.97
+    for z in (-0.97, -0.5, 0.3, 0.9, 0.97):
         got = hyp2f1_series(0.3, 1.7, 2.2, z).value
         assert abs(got - hyp2f1(0.3, 1.7, 2.2, z)) < 1e-12
 
@@ -90,6 +92,52 @@ def test_gn_series_refuses_where_terms_do_not_fall():
     # |z| < 1, but the terms overflow before they peak
     with pytest.raises(ConvergenceError):
         gn_series(AlgebraSpec.parametric(1000, 1000, 1), 0, 0.3)
+
+
+def _mp_gn(alpha, beta, n, y):
+    """(G_n, the sum of the ordered series' |terms|) for sigma = 1 in
+    30-digit mpmath: the closed form, and t_n 2F1(alpha+n, beta+n; n+1;
+    sinh(y)^2) with |t_n| = A_n tanh(y)^n cosh(y)^(2n+alpha+beta-1)."""
+    with mpmath.workdps(30):
+        amp = mpmath.mpf(a_n(AlgebraSpec.parametric(alpha, beta, 1), n))
+        y = mpmath.mpf(y)
+        sh2 = mpmath.sinh(y) ** 2
+        value = (amp * mpmath.tanh(y) ** n * mpmath.sech(y) ** (alpha + beta - 1)
+                 * mpmath.hyp2f1(1 - alpha, 1 - beta, 1 + n, -sh2))
+        t_n = amp * mpmath.tanh(y) ** n * mpmath.cosh(y) ** (2 * n + alpha + beta - 1)
+        return float(value), float(t_n * mpmath.hyp2f1(alpha + n, beta + n, n + 1, sh2))
+
+
+def test_gn_series_near_the_edge_of_its_domain():
+    # |z| = sinh(y)^2 = 0.952 .. 0.982: past the closed form's 0.95 cut the
+    # series still returns, after up to a few thousand terms.  The sum
+    # alternates, so it loses about eps * sum |terms| to cancellation, and
+    # this checks only that: at (2, 3), n = 6, y = 0.875 it returns 142
+    # for 0.312 (sum |terms| 1.5e20; ROADMAP item 4)
+    for alpha, beta in [(1, 1), (1, 2), (1, 0.5), (2, 3), (1.5, 2.5)]:
+        spec = AlgebraSpec.parametric(alpha, beta, 1)
+        for y in (0.867, 0.871, 0.875):
+            for n in range(7):
+                want, abs_sum = _mp_gn(alpha, beta, n, y)
+                got = gn_series(spec, n, y).value
+                assert abs(got - want) <= 1e-9 + 8 * 2.2e-16 * abs_sum
+                if (alpha, beta) == (1.5, 2.5):
+                    # the closed form's 2F1 does not terminate here
+                    assert gn_auto(spec, n, y).route == "oracle"
+
+
+@pytest.mark.parametrize("alpha,beta,sigma,ns", [
+    (1, 1, -1, [0]),            # lambda_0^2 = -1
+    (1.5, -6.25, -0.5, [0, 1]),  # lambda_j^2 > 0 for j <= 6, lambda_7^2 < 0
+])
+def test_series_routes_refuse_a_negative_coupling_in_the_tower(alpha, beta,
+                                                                sigma, ns):
+    spec = AlgebraSpec.parametric(alpha, beta, sigma)
+    for n in ns:
+        for y in (0.05, 1.0):
+            for route in (gn_closed, gn_series, gn_auto):
+                with pytest.raises(NonUnitaryRegime):
+                    route(spec, n, y)
 
 
 def test_gn_routes_match_oracle_phase():

@@ -12,7 +12,7 @@ from ladderkit import (AlgebraSpec, bar_rule, bessel_jn, column_series,
                        lambda_rule, lambda_symmetric_rule, render_ascii,
                        row_sums, sumrule_check, tilde_rule, to_records,
                        unit_rule)
-from ladderkit.triangles import WeightRule
+from ladderkit.triangles import SUMRULE_NAMES, WeightRule
 
 
 def col_ints(d, n):
@@ -341,7 +341,7 @@ def test_path_count_interior_values():
 @pytest.mark.parametrize("name,y", [
     ("bessel-unity", 0.8), ("bessel-cos", 0.8), ("bessel-sin", 0.8),
     ("phase-unity", 0.6), ("phase-integral", 0.6),
-])
+] + [(name, 0.0) for name in SUMRULE_NAMES])
 def test_sumrules(name, y):
     assert sumrule_check(name, y, 12) <= 1e-12
 
