@@ -31,15 +31,16 @@ from .factorization import u2_factors
 
 # a 2F1 sum not settled after this many terms (about 0.1 s) fails
 _HYP_MAX_TERMS = 100000
+_CLOSED_MAX_TERMS = 500  # longer gn_closed sums (cancellation unchecked) go to the oracle
 
 
 class Hyp2F1Sum(NamedTuple):
     """Direct power-series evaluation of 2F1(a, b; c; z): value, a bound on
-    the dropped tail, and whether the series terminated exactly."""
+    the dropped tail (0 if it terminated) and the count of terms after the 1."""
 
     value: float
     err_estimate: float
-    terminated: bool
+    terms: int
 
 
 def _terminates(a: float, b: float) -> bool:
@@ -62,12 +63,12 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     for k in range(_HYP_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         if term == 0.0:
-            return Hyp2F1Sum(total, 0.0, True)
+            return Hyp2F1Sum(total, 0.0, k + 1)
         total += term
         if not math.isfinite(total):
             raise ConvergenceError("2F1 series terms overflow")
         if abs(term) < 1e-17 * max(1.0, abs(total)):
-            return Hyp2F1Sum(total, abs(term), False)
+            return Hyp2F1Sum(total, abs(term), k + 1)
     raise ConvergenceError(f"2F1 series did not settle within {_HYP_MAX_TERMS} terms")
 
 
@@ -93,9 +94,8 @@ def a_n(spec: AlgebraSpec, n: int) -> float:
 
 def _require_tower(spec: AlgebraSpec, n: int) -> None:
     """NonUnitaryRegime at the first negative lambda_j^2, j >= n, before a zero
-    coupling ends the tower.  Its sign changes only at the roots -alpha, -beta,
-    so n and the first j at or past each root above n decide it.  ValueError
-    for profiles."""
+    coupling ends the tower; the sign changes only at -alpha and -beta, so n and
+    the first j at or past each root above n decide it.  ValueError for profiles."""
     if not spec.is_parametric:
         raise ValueError("this route needs a parametric spec; use the"
                          " limit routes for profiles")
@@ -105,7 +105,7 @@ def _require_tower(spec: AlgebraSpec, n: int) -> None:
 
 
 def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
-    """Closed-form route; ConvergenceError unless |z| < 0.95 or its 2F1 terminates."""
+    """Closed form; ConvergenceError at |z| >= 0.95 unless it ends, or past 500 terms."""
     _require_tower(spec, n)
     fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
     t_over_rootsigma = y * fac.f_plus.real    # tanh(y*sqrt(sigma))/sqrt(sigma)
@@ -116,6 +116,8 @@ def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
         raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= 0.95"
                                " and not terminating")
     hyp = hyp2f1_series(a, b, 1.0 + n, z)
+    if hyp.terms > _CLOSED_MAX_TERMS:
+        raise ConvergenceError(f"2F1 series did not settle within {_CLOSED_MAX_TERMS} terms")
     expo = spec.alpha + spec.beta - 1.0
     if sech <= 0.0 and expo != round(expo):
         raise ConvergenceError("sech-power base is non-positive with a"
@@ -134,8 +136,7 @@ def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
 
     that is t_n 2F1(alpha+n, beta+n; n+1; z), z = -sinh(y*sqrt(sigma))^2,
     the Euler partner of the closed form's 2F1 (DLMF 15.8.1), with the
-    domain of ``hyp2f1_series``.  f and g: see the module docstring.
-    """
+    domain of ``hyp2f1_series``.  f and g: see the module docstring."""
     _require_tower(spec, n)
     fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
     f, g = fac.f_plus.real, fac.g_plus.real

@@ -310,12 +310,12 @@ def test_check_algebra_refuses_a_default_core_on_the_window_edges(
 
 def test_gn_series_term_bound_exit_2(capsys):
     # |z| = sinh(y)^2 = 0.99999: the 2F1 terms fall too slowly to settle
-    # within _HYP_MAX_TERMS
+    # within _HYP_MAX_TERMS (about 0.1 s; unbounded, it ran for 18 s)
     start = time.perf_counter()
     code, out, err = run(capsys, "gn", "--alpha", "1", "--beta", "2",
                          "--sigma", "1", "--n", "2", "--y",
                          "0.8813700514723788", "--route", "series")
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 10.0     # a hang guard only
     assert code == 2 and out == ""
     assert "100000 terms" in err
 

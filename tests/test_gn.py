@@ -22,7 +22,7 @@ def test_hyp2f1_terminating_exact():
     res = hyp2f1_series(-1, -2, 1, 0.7)
     assert res.value == 1 + 2 * 0.7
     assert res.err_estimate == 0.0
-    assert res.terminated
+    assert res.terms == 2     # 2z, then the 0 that ends the series
 
 
 def test_hyp2f1_series_against_scipy_region():
@@ -124,6 +124,24 @@ def test_gn_series_near_the_edge_of_its_domain():
                 if (alpha, beta) == (1.5, 2.5):
                     # the closed form's 2F1 does not terminate here
                     assert gn_auto(spec, n, y).route == "oracle"
+
+
+@pytest.mark.parametrize("alpha,beta,n,sh2", [
+    (-5, -5, 0, 0.9),      # terms of 2F1(6, 6; 1; z) peak at 2.6e11
+    (-5, -5, 0, 0.94),
+    (-4.5, -4.5, 1, 0.9),
+    (0.5, 0.5, 0, 0.94),   # terms fall slowly
+])
+def test_gn_auto_leaves_long_closed_form_sums_to_the_oracle(alpha, beta, n, sh2):
+    # the closed form's 2F1 does not settle within 500 terms here; summed on,
+    # it loses up to 0.3 to cancellation and reports an err_estimate of 4e-16
+    spec = AlgebraSpec.parametric(alpha, beta, 1)
+    y = math.asinh(math.sqrt(sh2))
+    with pytest.raises(ConvergenceError, match="500 terms"):
+        gn_closed(spec, n, y)
+    got = gn_auto(spec, n, y)
+    assert got.route == "oracle"
+    assert abs(got.value - _mp_gn(alpha, beta, n, y)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("alpha,beta,sigma,ns", [
