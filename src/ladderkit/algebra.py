@@ -155,13 +155,14 @@ def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
 
     Raises NonUnitaryRegime, naming the first j, if any of them is negative.
     """
-    js = np.arange(window.j_min - 1, window.j_max + 1)
+    # float labels: the parametric lambda_sq then runs without int casts
+    js = np.arange(window.j_min - 1.0, window.j_max + 1.0)
     l2 = (lambda_sq(spec, js) if spec.is_parametric
           else np.array([lambda_sq(spec, int(j)) for j in js]))
     if l2.min() < 0.0:
         i = np.argmax(l2 < 0.0)
         raise NonUnitaryRegime(
-            f"lambda_{js[i]}^2 = {l2[i]:g} < 0 for {spec.label()};"
+            f"lambda_{window.j_min - 1 + i}^2 = {l2[i]:g} < 0 for {spec.label()};"
             " window not representable with real couplings"
         )
     return l2

@@ -44,13 +44,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
 
 
-def _join_negative_ranges(argv: list[str]) -> list[str]:
-    """``--core -3:3`` -> ``--core=-3:3``: argparse takes a token that
-    starts with '-' and is not a plain number for an option."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--alpha -1e9`` -> ``--alpha=-1e9``, and likewise for every value
+    after a long option that starts with '-' and a digit or '.': argparse
+    takes such a token for an option unless it is a plain integer or
+    decimal, so it would refuse exponents, ranges (``--core -3:3``), grids
+    and complex pairs (``--a -0.5,0.1``)."""
     out = []
     for tok in argv:
-        if (out and out[-1] in ("--core", "--window")
-                and re.fullmatch(r"-\d+:-?\d+", tok)):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-\.?\d", tok)):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -547,7 +550,7 @@ def _build_parser() -> tuple[_Parser, list]:
 
 
 def main(argv=None) -> int:
-    argv = _join_negative_ranges(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser, subcommands = _build_parser()
     # apply config-file defaults before the real parse
     probe = _Parser(add_help=False, allow_abbrev=False)

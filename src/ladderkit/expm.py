@@ -15,6 +15,8 @@ normal.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import truediv
 
 import numpy as np
 
@@ -24,6 +26,10 @@ from .algebra import AlgebraSpec, IndexWindow, padded_window, squared_couplings
 # _MAX_TERMS terms
 _TAIL_TOL = 1e-26
 _MAX_TERMS = 80
+
+# the Taylor coefficients 1/k!, k = 0.._MAX_TERMS, each the previous one
+# divided by k
+_INV_FACT = list(accumulate(range(1, _MAX_TERMS + 1), truediv, initial=1.0))
 
 
 @dataclass(frozen=True)
@@ -36,17 +42,36 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
-def _taylor_ps(a: np.ndarray, scale: float, coef: list[float]) -> np.ndarray:
-    """sum_k coef[k] b^k at b = scale * a by Paterson-Stockmeyer: Horner's
-    rule in b^p over blocks Q_i = sum_j coef[ip + j] b^j (the last may reach
-    b^p), all from one product of a zero-padded coefficient matrix with the
-    stacked powers b, ..., b^p (built by doubling in ceil(log2 p) batched
-    calls) plus coef[ip] on each block's diagonal.  Costs p - 1 + (m - 1) // p
-    products for degree m >= 1, least at p = isqrt(m)."""
-    n = a.shape[0]
-    m = len(coef) - 1
+def _ps_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-m Taylor coefficients laid out for ``_taylor_ps``, with
+    p = isqrt(m) and r = (m - 1) // p: row i of the first array holds the
+    coefficients of b, ..., b^p in block i, 1/(ip + j)! for j < p (the last
+    block up to 1/m!, which may be its b^p one), zeros elsewhere; row i of
+    the second holds its diagonal, 1/(ip)!."""
     p = math.isqrt(m)
     r = (m - 1) // p
+    coefs = np.zeros((r + 1, p), dtype=complex)
+    for i in range(r + 1):
+        block = _INV_FACT[i * p + 1:(i + 1) * p if i < r else m + 1]
+        coefs[i, :len(block)] = block
+    return coefs, np.array(_INV_FACT[:r * p + 1:p], dtype=complex)[:, None]
+
+
+# one coefficient layout per Taylor degree the tail rule can pick
+_PS_ROWS = [None] + [_ps_rows(m) for m in range(1, _MAX_TERMS + 1)]
+
+
+def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
+    """sum_k b^k/k! for k <= m at b = scale * a by Paterson-Stockmeyer:
+    Horner's rule in b^p, run in place on the blocks
+    Q_i = sum_j b^j/(ip + j)! (the last may reach b^p), all from one product
+    of the degree's coefficient layout (``_PS_ROWS``) with the stacked
+    powers b, ..., b^p (built by doubling in ceil(log2 p) batched calls)
+    plus 1/(ip)! on each block's diagonal.  Costs p - 1 + (m - 1) // p
+    products for degree m >= 1, least at p = isqrt(m)."""
+    n = a.shape[0]
+    coefs, diag = _PS_ROWS[m]
+    r, p = coefs.shape[0] - 1, coefs.shape[1]
     powers = np.empty((p, n, n), dtype=complex)
     np.multiply(a, scale, out=powers[0])
     k = 1
@@ -54,20 +79,26 @@ def _taylor_ps(a: np.ndarray, scale: float, coef: list[float]) -> np.ndarray:
         np.matmul(powers[:min(k, p - k)], powers[k - 1],
                   out=powers[k:min(2 * k, p)])
         k *= 2
-    # row i holds coef[ip .. ip + p - 1], the last row also coef[m]
-    rows = np.zeros((r + 1, p + 1))
-    rows.flat[[i + i // p for i in range(m)]] = coef[:m]
-    rows[r, m - r * p] = coef[m]
-    blocks = (rows[:, 1:] @ powers.reshape(p, n * n)).reshape(r + 1, n, n)
-    blocks.reshape(r + 1, n * n)[:, ::n + 1] += rows[:, :1]
-    for i in range(r - 1, -1, -1):
-        blocks[i] += blocks[i + 1] @ powers[p - 1]
-    return blocks[0]
+    blocks = (coefs @ powers.reshape(p, n * n)).reshape(r + 1, n, n)
+    diagonals = blocks.reshape(r + 1, n * n)[:, ::n + 1]
+    np.add(diagonals, diag, out=diagonals)
+    top, step = powers[p - 1], np.empty((n, n), dtype=complex)
+    total = blocks[r]
+    for block in blocks[:r][::-1]:
+        # np.dot forms the same product as @, at less cost per call
+        np.dot(total, top, out=step)
+        block += step
+        total = block
+    return total
 
 
 def expm(a: np.ndarray) -> ExpmResult:
     """exp(a) for a square complex matrix, with a bound on the truncation
     error of the underlying Taylor series (rounding is not included).
+
+    The per-call work is the norm, the scalar tail rule and the matrix
+    products: the coefficients 1/k! and their Paterson-Stockmeyer layout
+    for each degree the tail rule can pick are tables built at import.
 
     Raises OverflowError if an intermediate norm leaves the floating range.
     """
@@ -86,17 +117,15 @@ def expm(a: np.ndarray) -> ExpmResult:
     nb = norm / (2.0 ** squarings)
 
     # the degree from the tail rule, on scalars only
-    coef = [1.0]
     term_bound = 1.0
     tail = math.inf
     for k in range(1, _MAX_TERMS + 1):
-        coef.append(coef[-1] / k)
         term_bound *= nb / k
         dropped = term_bound * nb / (k + 1)
         tail = dropped / (1.0 - nb / (k + 2))
         if tail <= _TAIL_TOL:
             break
-    total = _taylor_ps(a, 2.0 ** -squarings, coef)
+    total = _taylor_ps(a, 2.0 ** -squarings, k)
     bound = tail
 
     # overflow is detected and raised explicitly; keep numpy quiet about it
@@ -105,9 +134,9 @@ def expm(a: np.ndarray) -> ExpmResult:
             tn = _norm_inf(total)
             if not math.isfinite(tn):
                 raise OverflowError("matrix exponential overflowed during squaring")
-            total = total @ total
+            total = np.dot(total, total)
             bound = 2.0 * tn * bound + 3.0 * bound * bound
-    if not np.all(np.isfinite(total)) or not math.isfinite(bound):
+    if not np.isfinite(total).all() or not math.isfinite(bound):
         raise OverflowError("matrix exponential overflowed")
     return ExpmResult(total, bound)
 

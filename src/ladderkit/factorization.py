@@ -92,41 +92,64 @@ def _profile_diagonal(spec: AlgebraSpec, y: float) -> float:
     raise ValueError("the phase profile admits no ordered factorization")
 
 
-def _raising_exp(coef: complex, lam: np.ndarray) -> np.ndarray:
-    """exp(coef * R) for the real couplings lam_j = <j+1|R|j> of a window,
-    from <j+k|exp(cR)|j> = c^k/k! * lam_j ... lam_{j+k-1}.
+def _band_count(x: float, n: int) -> int:
+    """How many bands of exp(cR) on n states can be nonzero, for x = |c|
+    times the largest coupling: x^k/k! bounds band k and is log-concave, so
+    every band from the first k where it falls below e^-746 underflows."""
+    ln_x = math.log(x) if x else -math.inf
+    return bisect.bisect(range(1, n), False,
+                         key=lambda k: k * ln_x - math.lgamma(k + 1) < -746.0)
 
-    Row j of the steps holds |c| lam_{j+k-1}/k for k = 1..K (0 past the
-    window edge); their running product is column j's magnitudes, real and
-    finite wherever the entries are, and then takes the phase (c/|c|)^k.
-    Row j of w holds them; read as n rows of n, it starts at diagonal (j, j).
+
+def _raising_exp(coefs: tuple[complex, ...], lam: np.ndarray) -> np.ndarray:
+    """exp(c R) for each c in ``coefs``, stacked on a leading axis, for the
+    real couplings lam_j = <j+1|R|j> of a window, from
+    <j+k|exp(cR)|j> = c^k/k! * lam_j ... lam_{j+k-1}.
+
+    Row j of w holds 1 and then, for k = 1..K (K the most bands any factor
+    has), the running product of |c| lam_{j+k-1}/k (0 past the window
+    edge): column j's magnitudes, real and finite wherever the entries are.
+    They then take the phase (c/|c|)^k, zero past the factor's own band
+    count; built in the real parts of w, they round as a real times a
+    complex does.  Read as n rows of n, row j of w starts at diagonal (j, j).
     """
     n = lam.size + 1
-    c = complex(coef)
-    r = abs(c)
-    # bands past K underflow: x^k/k! bounds band k, is log-concave, < e^-746
-    x = r * lam.max(initial=0.0)
-    ln_x = math.log(x) if x else -math.inf
-    kk = bisect.bisect(range(1, n), False,
-                       key=lambda k: k * ln_x - math.lgamma(k + 1) < -746.0)
+    cs = [complex(c) for c in coefs]
+    rs = [abs(c) for c in cs]
+    lam_max = lam.max(initial=0.0)
+    counts = [_band_count(r * lam_max, n) for r in rs]
+    kk = max(counts)
     ks = np.arange(1, kk + 1)
-    pad = np.zeros(n + kk)
-    np.multiply(lam, r, out=pad[:n - 1])
-    # pad[j + k - 1] as a view; ndarray checks it against pad's size
-    steps = np.ndarray((n, kk), buffer=pad, strides=2 * pad.strides) / ks
-    np.multiply.accumulate(steps, axis=1, out=steps)
-    w = np.zeros((n, n + 1), dtype=complex)
-    w[:, 0] = 1.0
-    np.multiply(steps, (c / r if r else 1.0) ** ks, out=w[:, 1:kk + 1])
-    return w.ravel()[:n * n].reshape(n, n).T
+    pad = np.zeros((len(cs), n + kk))
+    np.multiply.outer(rs, lam, out=pad[:, :n - 1])
+    w = np.zeros((len(cs), n, n + 1), dtype=complex)
+    w[:, :, 0] = 1.0
+    bands = w[:, :, 1:kk + 1]
+    mags = bands.real
+    # pad[i, j + k - 1] as a view; ndarray checks it against pad's size
+    np.divide(np.ndarray((len(cs), n, kk), buffer=pad,
+                         strides=pad.strides + pad.strides[1:]), ks, out=mags)
+    np.multiply.accumulate(mags, axis=2, out=mags)
+    units = np.array([c / r if r else 1.0 for c, r in zip(cs, rs)])
+    phases = np.power(units[:, None], ks)
+    for row, count in zip(phases, counts):
+        if count < kk:
+            row[count:] = 0.0
+    bands *= phases[:, None, :]
+    return w.reshape(len(cs), -1)[:, :n * n].reshape(len(cs), n, n).transpose(0, 2, 1)
 
 
-def _power(base: complex, expo: float) -> complex:
-    # integer exponents exactly, to keep half-window diagonals branch-safe
-    r = round(expo)
-    if abs(expo - r) < 1e-12:
-        return complex(base) ** int(r)
-    return complex(base) ** expo
+def _diagonal(g: complex, sign: int, ab: float, window: IndexWindow) -> np.ndarray:
+    """g^(sign p_j), p_j = 2j - 1 + ab, over the window.  The exponents
+    differ by even integers, so one test decides: integer exponents go
+    exactly, to keep half-window diagonals branch-safe."""
+    g = complex(g)
+    first = sign * (2 * window.j_min - 1 + ab)
+    r = round(first)
+    if abs(first - r) < 1e-12:
+        step = 2 * sign
+        return np.array([g ** e for e in range(r, r + step * window.size, step)])
+    return np.array([g ** (sign * (2 * j - 1 + ab)) for j in window.indices()])
 
 
 def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Factors:
@@ -176,9 +199,7 @@ def ordered_product(spec: AlgebraSpec, window: IndexWindow,
     if spec.is_parametric:
         fac = u2_factors(spec, a, b, c)
         f, g = (fac.f_plus, fac.g_plus) if sign > 0 else (fac.f_minus, fac.g_minus)
-        ab = spec.alpha + spec.beta
-        diagonal = np.array([_power(g, sign * (2 * j - 1 + ab))
-                             for j in window.indices()], dtype=complex)
+        diagonal = _diagonal(g, sign, spec.alpha + spec.beta, window)
     else:
         if not reduces_to_u1(a, b, c):
             raise ValueError("profile specs only factor exp(iy(R+L))")
@@ -186,9 +207,9 @@ def ordered_product(spec: AlgebraSpec, window: IndexWindow,
         diagonal = np.full(window.size,
                            _profile_diagonal(spec, complex(a).imag) ** sign,
                            dtype=complex)
-    lam = np.sqrt(squared_couplings(spec, window)[1:-1])
-    raising = _raising_exp(b * f, lam)
-    lowering = _raising_exp(a * f, lam).T
+    raising, lowering = _raising_exp((b * f, a * f),
+                                     np.sqrt(squared_couplings(spec, window)[1:-1]))
+    lowering = lowering.T
     if sign > 0:
         return raising @ (diagonal[:, None] * lowering)
     return lowering @ (diagonal[:, None] * raising)
@@ -304,9 +325,13 @@ def _fixed_couplings(spec, j_lo: int, j_hi: int, p: int) -> list[int]:
 
 
 def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
-                    coeffs: tuple[complex, complex, complex]) -> np.ndarray:
+                    coeffs: tuple[complex, complex, complex], *,
+                    peak: float | None = None) -> np.ndarray:
     """Core block of the anti-normal ordered product, each element an exact
-    fixed-point sum in Python ints, rounded to float once.
+    fixed-point sum in Python ints, rounded to float once.  ``peak`` is the
+    ``_anti_peak`` scan of these arguments when the caller already has it
+    (``factorization_residual`` scans it to pick the route); by default it
+    is scanned here.
 
     Element (n, m) is the sum over j >= max(n, m) of
     <n|exp(a f- L)|j> g-^(-p_j) <j|exp(b f- R)|m>.  With f- = S g- and
@@ -347,7 +372,8 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     lo, hi = window.core_lo, window.core_hi
     e_lo = 2 * lo - 1 + ab
     af, bf, g_abs = _anti_scales(spec, coeffs)
-    peak = _anti_peak(spec, window, coeffs)
+    if peak is None:
+        peak = _anti_peak(spec, window, coeffs)
     # a chain entry is at most e^(|xS| lambda_max) for x = a, b, and at most
     # e^(peak/2) times the (|a|/|b|)^(+-k/2) tilt between the two chains
     lam_max = max((math.sqrt(max(lambda_sq(spec, j), 0.0))
@@ -448,16 +474,17 @@ def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
     the whole window and the exponential oracle on ``oracle_window``.
 
     The anti-normal ordering on a parametric spec takes the exact
-    ``antinormal_core`` where its scanned peak term exceeds e^4 (a float
-    product would lose about peak/ln 10 digits); every other case takes
-    the core of ``ordered_product``.
+    ``antinormal_core``, given the peak scanned here, where that peak term
+    exceeds e^4 (a float product would lose about peak/ln 10 digits);
+    every other case takes the core of ``ordered_product``.
     """
     box = oracle_window(spec, window, coeffs)
     sl, core = window.core_slice(), box.core_slice()
     oracle = expm(operator_matrix(spec, box, coeffs)).matrix[core, core]
-    if (ordering == "anti-normal" and spec.is_parametric
-            and _anti_peak(spec, window, coeffs) > 4.0):
-        block = antinormal_core(spec, window, coeffs)
+    peak = (_anti_peak(spec, window, coeffs)
+            if ordering == "anti-normal" and spec.is_parametric else 0.0)
+    if peak > 4.0:
+        block = antinormal_core(spec, window, coeffs, peak=peak)
     else:
         block = ordered_product(spec, window, coeffs, ordering)[sl, sl]
     return float(np.abs(block - oracle).max())

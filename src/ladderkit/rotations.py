@@ -146,10 +146,11 @@ def antinormal_rotation(spec: RotationSpec) -> np.ndarray:
 
 
 def rotation_direct(spec: RotationSpec) -> np.ndarray:
-    """exp(2i W.J) by direct exponentiation, with J_x, J_y reassembled from
-    the ladder pair."""
+    """exp(2i W.J) by direct exponentiation of the ladder pair and J_z:
+    2i W.J = 2i (w_x - i w_y) J_plus/sqrt(2) + 2i (w_x + i w_y) J_minus/sqrt(2)
+    + 2i w_z J_z, each entry rounded as J_x and J_y reassembled would give."""
     spin = build_spin(spec.j)
-    jx = (spin.j_plus + spin.j_minus) / _SQRT2
-    jy = (spin.j_plus - spin.j_minus) / (1j * _SQRT2)
     wx, wy, wz = spec.w_vector
-    return expm(2j * (wx * jx + wy * jy + wz * spin.j_z)).matrix
+    return expm(spin.j_plus / _SQRT2 * (2j * complex(wx, -wy))
+                + spin.j_minus / _SQRT2 * (2j * complex(wx, wy))
+                + 2j * wz * spin.j_z).matrix

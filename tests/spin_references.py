@@ -1,15 +1,16 @@
-"""Closed-form spin-1 references for the rotation tests.
+"""References for the rotation tests.
 
 Independent of the factorized and direct rotation routes: the spin-1
 matrix is written out from the parametrization's scalars (h, s) and, for
-rotations about x, from cos and sin of the angle alone.
+rotations about x, from cos and sin of the angle alone; any spin's
+exp(2i W.J) is exponentiated with J_x and J_y reassembled first.
 """
 
 import math
 
 import numpy as np
 
-from ladderkit import RotationSpec, build_spin
+from ladderkit import RotationSpec, build_spin, expm
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -48,3 +49,13 @@ def m_rephasing(j: float) -> np.ndarray:
         raise ValueError("rephasing by i^m needs integer j")
     spin = build_spin(j)
     return np.diag([1j ** int(round(m)) for m in spin.m_values])
+
+
+def rotation_from_jx_jy(spec: RotationSpec) -> np.ndarray:
+    """exp(2i (w_x J_x + w_y J_y + w_z J_z)) with J_x, J_y reassembled from
+    the ladder pair, sqrt(2) J_pm = J_x -+/+ i J_y."""
+    spin = build_spin(spec.j)
+    jx = (spin.j_plus + spin.j_minus) / _SQRT2
+    jy = (spin.j_plus - spin.j_minus) / (1j * _SQRT2)
+    wx, wy, wz = spec.w_vector
+    return expm(2j * (wx * jx + wy * jy + wz * spin.j_z)).matrix

@@ -187,6 +187,21 @@ def test_negative_range_as_separate_token(capsys):
     assert doc["window"]["j_min"] == -6 and doc["window"]["j_max"] == -1
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (("gn", "--beta", "1", "--sigma", "-1", "--n", "2", "--y", "0.3"),
+     "--alpha", "-1e9"),
+    (("rotate", "--omega", "0.7", "--phi", "2.3", "--j", "1"),
+     "--theta", "-2.5e-1"),
+    (("factorize", "--alpha", "1", "--beta", "2", "--sigma", "1", "--b", "0.1",
+      "--c", "0", "--core", "0:3"), "--a", "-0.5,0.1"),
+])
+def test_negative_exponent_as_separate_token(capsys, argv, option, value):
+    # argparse alone takes "-1e9" for an option: "expected one argument"
+    code, out, err = run(capsys, *argv, option, value)
+    assert code == 0, err
+    assert (code, out) == run(capsys, *argv, f"{option}={value}")[:2]
+
+
 def test_rotate_all_methods(capsys):
     code, doc, _ = run_json(capsys, "rotate", "--omega", "0.7", "--theta",
                             "1.1", "--phi", "2.3", "--j", "1")

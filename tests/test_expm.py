@@ -238,9 +238,12 @@ def _exponents(draw):
                                  64.0]))
     if edge is not None and _norm(a) > 0:
         # just below or just above the edge; divide first, so that a
-        # subnormal norm cannot overflow the scale
+        # subnormal norm cannot overflow the scale, and each part by itself:
+        # a complex quotient takes the reciprocal of a subnormal norm, inf
         side = draw(st.sampled_from([-1.0, 1.0]))
-        a = a / _norm(a) * (edge * (1.0 + side * 2.0 ** -40))
+        norm = _norm(a)
+        a = ((a.real / norm + 1j * (a.imag / norm))
+             * (edge * (1.0 + side * 2.0 ** -40)))
     return a
 
 

@@ -261,6 +261,27 @@ def test_antinormal_exact_route_handles_growth():
     assert np.abs(prod[sl, sl] - oracle[sl, sl]).max() > 1e-10
 
 
+def test_exact_route_scans_the_peak_once(monkeypatch):
+    # the residual picks the route with one _anti_peak (a scan from each
+    # core edge) and hands the peak to antinormal_core, which sums what it
+    # sums when it scans the peak itself
+    spec, window = AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 59, 0, 5)
+    coeffs = (0.5j, 0.5j, 0.0)
+    scans, cores = [], []
+    scan, core = factorization._anti_scan, factorization.antinormal_core
+
+    def counted_core(*args, **kwargs):
+        cores.append(core(*args, **kwargs))
+        return cores[-1]
+
+    monkeypatch.setattr(factorization, "_anti_scan",
+                        lambda *args: scans.append(args) or scan(*args))
+    monkeypatch.setattr(factorization, "antinormal_core", counted_core)
+    factorization_residual(spec, window, coeffs, "anti-normal")
+    assert len(scans) == 2 and len(cores) == 1
+    assert cores[0].tobytes() == core(spec, window, coeffs).tobytes()
+
+
 def test_antinormal_core_agrees_with_normal_product():
     y = 0.3
     window = padded_window(SPEC111, 0, 6, 60)
@@ -308,7 +329,7 @@ def test_ordered_product_ingredients():
 
 @st.composite
 def _factor_cases(draw):
-    """(spec, window, coefficient) on 2-40-state windows."""
+    """(spec, window, two coefficients) on 2-40-state windows."""
     kind = draw(st.sampled_from(["sigma>0", "sigma<0", "block", "sho",
                                  "constant-one"]))
     size = draw(st.integers(2, 40))
@@ -330,21 +351,23 @@ def _factor_cases(draw):
         j_min = draw(st.integers(-30, 30))
     j_max = j_min + size - 1
     assume(all(lambda_sq(spec, j) >= 0.0 for j in range(j_min - 1, j_max + 1)))
-    coef = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-    return spec, IndexWindow(j_min, j_max, j_min, j_max), coef
+    coefs = tuple(complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+                  for _ in range(2))
+    return spec, IndexWindow(j_min, j_max, j_min, j_max), coefs
 
 
 @settings(max_examples=150, deadline=None)
 @given(_factor_cases())
 def test_factor_exponentials_match_the_oracle(case):
-    # each factor alone: exp(cL) is the transpose of exp(cR), the couplings
-    # being real
-    spec, window, coef = case
+    # each factor of a stacked build alone: exp(cL) is the transpose of
+    # exp(cR), the couplings being real
+    spec, window, coefs = case
     m = build_matrices(spec, window)
-    raising = _raising_exp(coef, np.sqrt(squared_couplings(spec, window)[1:-1]))
-    for band, got in ((m.R, raising), (m.L, raising.T)):
-        want = expm(coef * band).matrix
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    stacked = _raising_exp(coefs, np.sqrt(squared_couplings(spec, window)[1:-1]))
+    for coef, raising in zip(coefs, stacked, strict=True):
+        for band, got in ((m.R, raising), (m.L, raising.T)):
+            want = expm(coef * band).matrix
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_factor_build_rejects_negative_couplings():
@@ -400,10 +423,27 @@ def test_raising_exp_matches_the_band_by_band_build(spec, window, coef):
     # both round each entry's k-fold product, in a different order: within
     # 4 (k + 1) eps of the entry itself, or below the normal floats
     lam = np.sqrt(squared_couplings(spec, window)[1:-1])
-    got, want = _raising_exp(coef, lam), _band_by_band(coef, lam)
+    (got,), want = _raising_exp((coef,), lam), _band_by_band(coef, lam)
     k = np.abs(np.subtract.outer(np.arange(window.size), np.arange(window.size)))
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     assert (np.abs(got - want) <= 4 * (k + 1) * eps * np.abs(want) + tiny).all()
+
+
+def test_stacked_factors_are_the_single_builds():
+    # the stacked build runs to the most bands any factor has; each factor
+    # still ends at its own band count, so it equals its single build bit
+    # for bit.  At |c| = 1e-6 the bands past about 60 underflow on this
+    # 100-state window, at 0.5 none do; c = 0 has none.
+    window = IndexWindow(0, 99, 0, 99)
+    lam = np.sqrt(squared_couplings(SPEC111, window)[1:-1])
+    coefs = (1e-6 - 1e-6j, 0.3 + 0.4j, 0.0)
+    counts = [factorization._band_count(abs(c) * lam.max(), window.size)
+              for c in coefs]
+    assert counts[0] < counts[1] and counts[2] == 0
+    stacked = _raising_exp(coefs, lam)
+    for coef, got in zip(coefs, stacked, strict=True):
+        (want,) = _raising_exp((coef,), lam)
+        assert got.tobytes() == want.tobytes()
 
 
 # antinormal_core at (1, 2, 1), y = 0.5, core 0..5 on the gate's window

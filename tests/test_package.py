@@ -39,6 +39,29 @@ def test_oracle_imports_only_the_algebra():
             found |= {a.name for a in node.names
                       if a.name.split(".")[0] == "ladderkit"}
     assert found == {".algebra"}
+    # nor does the rotation oracle's input: rotation_direct, and the
+    # functions of rotations.py it calls, name nothing from factorization
+    tree = ast.parse(Path(ladderkit.__file__).with_name("rotations.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    banned = {"factorization"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "factorization", "ladderkit.factorization"):
+            banned |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, (ast.ImportFrom, ast.Import)):
+            banned |= {a.asname or a.name for a in node.names
+                       if a.name.endswith("factorization")}
+    todo, seen, named = ["rotation_direct"], set(), set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+                if node.id in functions and node.id not in seen:
+                    todo.append(node.id)
+    assert named & banned == set()
 
 
 def test_every_export_has_a_caller_outside_the_tests():

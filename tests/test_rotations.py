@@ -8,7 +8,8 @@ from ladderkit import (AlgebraSpec, IndexWindow, RotationSpec, SingularS,
                        antinormal_rotation, build_matrices, build_spin,
                        rotation_direct, rotation_factorized, u2_factors)
 from ladderkit.cli import main
-from spin_references import j1_reference_matrix, j1_xaxis_reference, m_rephasing
+from spin_references import (j1_reference_matrix, j1_xaxis_reference,
+                             m_rephasing, rotation_from_jx_jy)
 
 
 def _spin_block(j):
@@ -142,6 +143,18 @@ def test_spin_block_matrices_are_the_spin_matrices():
         assert np.array_equal(m.L, spin.j_minus)
         assert np.array_equal(m.R, spin.j_plus)
         assert np.array_equal(m.S, -spin.j_z)
+
+
+def test_direct_rotation_is_the_jx_jy_exponential():
+    # the ladder-pair exponent against J_x, J_y reassembled first: each
+    # entry is rounded the same way, so the matrices agree exactly
+    for j in (0.5, 1.0, 1.5, 2.0, 2.5):
+        for omega in np.linspace(0.05, 3.0, 6):
+            for theta in np.linspace(0.0, math.pi, 5):
+                for phi in np.linspace(0.0, 2 * math.pi, 5):
+                    spec = RotationSpec(omega, theta, phi, j)
+                    got, want = rotation_direct(spec), rotation_from_jx_jy(spec)
+                    assert np.array_equal(got, want)
 
 
 def test_rotation_scalars_are_the_u2_factors_on_the_spin_block():
