@@ -310,21 +310,14 @@ def _gn_row(spec, n, m, y, route, with_recursion):
     if spec.profile == "phase":
         raise ConvergenceError("no amplitude route for the phase profile;"
                                " use the phase command")
-    # the profile limits give G_n only
+    # the profile limits give G_n only, and stand in for every other route
     if route == "oracle" or (m > 0 and not spec.is_parametric):
         ev = gn.gn_oracle(spec, n, y, m=m)
     elif m > 0:
         ev = gn.gnm(spec, n, m, y)
-    elif spec.profile == "sho":
-        ev = gn.gn_sho_limit(n, y)
-    elif spec.profile == "constant-one":
-        try:
-            ev = gn.gn_bessel_limit(n, y)
-        except ConvergenceError:
-            ev = gn.gn_oracle(spec, n, y)
-    elif route == "closed":
+    elif route == "closed" and spec.is_parametric:
         ev = gn.gn_closed(spec, n, y)
-    elif route == "series":
+    elif route == "series" and spec.is_parametric:
         ev = gn.gn_series(spec, n, y)
     else:
         ev = gn.gn_auto(spec, n, y)
@@ -431,8 +424,7 @@ def _phase_row(n, m, y, oracle_dim):
            "element": phase.phase_element(n, m, y)}
     if oracle_dim:
         row["oracle_deviation"] = abs(
-            phase.phase_element(n, m, y)
-            - phase.phase_oracle_element(n, m, y, dim=oracle_dim))
+            row["element"] - phase.phase_oracle_element(n, m, y, dim=oracle_dim))
     return row
 
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow, padded_window, squared_couplings
 
-# the Taylor series stops once its tail bound is below _TAIL_TOL, or after
-# _MAX_TERMS terms
+# the Taylor series stops once its tail bound is below _TAIL_TOL; at the
+# largest scaled norm, 1, that takes _MAX_TERMS terms, and fewer below it
 _TAIL_TOL = 1e-26
-_MAX_TERMS = 80
+_MAX_TERMS = 25
 
 # the Taylor coefficients 1/k!, k = 0.._MAX_TERMS, each the previous one
 # divided by k

@@ -20,7 +20,7 @@ a scalar diagonal.  Spin rotations are the case of the spin-j block
 The factor exponentials have closed-form entries,
 <j+k|exp(cR)|j> = c^k/k! * lambda_j ... lambda_{j+k-1}, and exp(c'L) is the
 transpose of the same construction with c' (the couplings are real): one
-running product along k per column, over the K bands that can be nonzero.
+running product along k per column, over all n - 1 bands of n states.
 
 Conditioning caveat: the anti-normally ordered product places the growing
 direction of the diagonal against the raising tail, so its core matrix
@@ -36,7 +36,6 @@ factor entries peak near exp(|c| lambda_max) on wide blocks, and the float
 product's error is about that peak squared times the float epsilon.
 """
 
-import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -92,50 +91,34 @@ def _profile_diagonal(spec: AlgebraSpec, y: float) -> float:
     raise ValueError("the phase profile admits no ordered factorization")
 
 
-def _band_count(x: float, n: int) -> int:
-    """How many bands of exp(cR) on n states can be nonzero, for x = |c|
-    times the largest coupling: x^k/k! bounds band k and is log-concave, so
-    every band from the first k where it falls below e^-746 underflows."""
-    ln_x = math.log(x) if x else -math.inf
-    return bisect.bisect(range(1, n), False,
-                         key=lambda k: k * ln_x - math.lgamma(k + 1) < -746.0)
-
-
 def _raising_exp(coefs: tuple[complex, ...], lam: np.ndarray) -> np.ndarray:
     """exp(c R) for each c in ``coefs``, stacked on a leading axis, for the
     real couplings lam_j = <j+1|R|j> of a window, from
     <j+k|exp(cR)|j> = c^k/k! * lam_j ... lam_{j+k-1}.
 
-    Row j of w holds 1 and then, for k = 1..K (K the most bands any factor
-    has), the running product of |c| lam_{j+k-1}/k (0 past the window
-    edge): column j's magnitudes, real and finite wherever the entries are.
-    They then take the phase (c/|c|)^k, zero past the factor's own band
-    count; built in the real parts of w, they round as a real times a
-    complex does.  Read as n rows of n, row j of w starts at diagonal (j, j).
+    Row j of w holds 1 and then, for k = 1..n-1, the running product of
+    |c| lam_{j+k-1}/k (0 past the window edge): column j's magnitudes, real
+    and finite wherever the entries are; bands past the float range
+    underflow to zero.  They then take the phase (c/|c|)^k; built in the
+    real parts of w, they round as a real times a complex does.  Read as n
+    rows of n, row j of w starts at diagonal (j, j).
     """
     n = lam.size + 1
     cs = [complex(c) for c in coefs]
     rs = [abs(c) for c in cs]
-    lam_max = lam.max(initial=0.0)
-    counts = [_band_count(r * lam_max, n) for r in rs]
-    kk = max(counts)
-    ks = np.arange(1, kk + 1)
-    pad = np.zeros((len(cs), n + kk))
+    ks = np.arange(1, n)
+    pad = np.zeros((len(cs), 2 * n - 1))
     np.multiply.outer(rs, lam, out=pad[:, :n - 1])
     w = np.zeros((len(cs), n, n + 1), dtype=complex)
     w[:, :, 0] = 1.0
-    bands = w[:, :, 1:kk + 1]
+    bands = w[:, :, 1:n]
     mags = bands.real
     # pad[i, j + k - 1] as a view; ndarray checks it against pad's size
-    np.divide(np.ndarray((len(cs), n, kk), buffer=pad,
+    np.divide(np.ndarray((len(cs), n, n - 1), buffer=pad,
                          strides=pad.strides + pad.strides[1:]), ks, out=mags)
     np.multiply.accumulate(mags, axis=2, out=mags)
     units = np.array([c / r if r else 1.0 for c, r in zip(cs, rs)])
-    phases = np.power(units[:, None], ks)
-    for row, count in zip(phases, counts):
-        if count < kk:
-            row[count:] = 0.0
-    bands *= phases[:, None, :]
+    bands *= np.power(units[:, None], ks)[:, None, :]
     return w.reshape(len(cs), -1)[:, :n * n].reshape(len(cs), n, n).transpose(0, 2, 1)
 
 

@@ -10,8 +10,8 @@ derivative recursion dG_{n+1}/dy = lambda_n G_n - lambda_{n+1} G_{n+2}.
 This module evaluates the family by several independent routes (closed
 form, ordered series, exponential oracle, degenerate limits), reports an
 error estimate per value, and checks the recursions by central
-differences.  The closed form and the ordered series sum two Euler partners
-of one 2F1 in ``hyp2f1_series`` and refuse towers with a negative lambda^2.
+differences.  The closed form and the ordered series share one product over
+two Euler partners of one 2F1 and refuse towers with a negative lambda^2.
 
 sigma < 0 is reached by the even continuation sinh^2 -> -sin^2,
 tanh -> tan, sech -> sec; the closed form and the ordered series read
@@ -104,27 +104,34 @@ def _require_tower(spec: AlgebraSpec, n: int) -> None:
             break
 
 
-def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
-    """Closed form; ConvergenceError at |z| >= 0.95 unless it ends, or past 500 terms."""
+def _amplitude(spec: AlgebraSpec, n: int, y: float, a: float, b: float,
+               expo: float, route: str, cut: float = 1.0,
+               max_terms: int = _HYP_MAX_TERMS) -> GnEvaluation:
+    """A_n (yf)^n g^expo 2F1(a, b; n+1; z), z = -sinh(y*sqrt(sigma))^2, with f
+    and g as in the module docstring.  ConvergenceError at |z| >= ``cut``
+    unless the 2F1 ends, past ``max_terms`` terms, and at g <= 0 under a
+    non-integer ``expo``, where the power would be complex."""
     _require_tower(spec, n)
     fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
-    t_over_rootsigma = y * fac.f_plus.real    # tanh(y*sqrt(sigma))/sqrt(sigma)
-    sech = fac.g_plus.real                    # sech(y*sqrt(sigma))
-    z = -spec.sigma * (t_over_rootsigma / sech) ** 2   # -sinh(y*sqrt(sigma))^2
-    a, b = 1.0 - spec.alpha, 1.0 - spec.beta
-    if abs(z) >= 0.95 and not _terminates(a, b):
-        raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= 0.95"
+    yf, g = y * fac.f_plus.real, fac.g_plus.real
+    z = -spec.sigma * (yf / g) ** 2
+    if abs(z) >= cut and not _terminates(a, b):
+        raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= {cut:g}"
                                " and not terminating")
-    hyp = hyp2f1_series(a, b, 1.0 + n, z)
-    if hyp.terms > _CLOSED_MAX_TERMS:
-        raise ConvergenceError(f"2F1 series did not settle within {_CLOSED_MAX_TERMS} terms")
-    expo = spec.alpha + spec.beta - 1.0
-    if sech <= 0.0 and expo != round(expo):
+    if g <= 0.0 and expo != round(expo):
         raise ConvergenceError("sech-power base is non-positive with a"
                                " non-integer exponent")
-    sech_pow = sech ** int(round(expo)) if expo == round(expo) else sech ** expo
-    pre = a_n(spec, n) * t_over_rootsigma ** n * sech_pow
-    return GnEvaluation(pre * hyp.value, "closed-form", abs(pre) * hyp.err_estimate)
+    hyp = hyp2f1_series(a, b, 1.0 + n, z)
+    if hyp.terms > max_terms:
+        raise ConvergenceError(f"2F1 series did not settle within {max_terms} terms")
+    pre = a_n(spec, n) * yf ** n * g ** expo
+    return GnEvaluation(pre * hyp.value, route, abs(pre) * hyp.err_estimate)
+
+
+def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
+    """Closed form; ConvergenceError at |z| >= 0.95 unless it ends, or past 500 terms."""
+    return _amplitude(spec, n, y, 1.0 - spec.alpha, 1.0 - spec.beta,
+                      spec.alpha + spec.beta - 1.0, "closed-form", 0.95, _CLOSED_MAX_TERMS)
 
 
 def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
@@ -137,13 +144,8 @@ def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     that is t_n 2F1(alpha+n, beta+n; n+1; z), z = -sinh(y*sqrt(sigma))^2,
     the Euler partner of the closed form's 2F1 (DLMF 15.8.1), with the
     domain of ``hyp2f1_series``.  f and g: see the module docstring."""
-    _require_tower(spec, n)
-    fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
-    f, g = fac.f_plus.real, fac.g_plus.real
-    t_n = a_n(spec, n) * (y * f) ** n * g ** (1.0 - 2 * n - spec.alpha - spec.beta)
-    hyp = hyp2f1_series(spec.alpha + n, spec.beta + n, 1.0 + n,
-                        -spec.sigma * (y * f / g) ** 2)
-    return GnEvaluation(t_n * hyp.value, "series", abs(t_n) * hyp.err_estimate)
+    return _amplitude(spec, n, y, spec.alpha + n, spec.beta + n,
+                      1.0 - 2 * n - spec.alpha - spec.beta, "series")
 
 
 def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
@@ -158,11 +160,23 @@ def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
     return GnEvaluation(val.real, "oracle", abs(val.imag) + 1e-15)
 
 
-def gn_auto(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
-    """Closed form where its series applies, else fall back to the oracle
-    (route tag says which)."""
-    try:
+def _closed_or_limit(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
+    """The closed form on a parametric spec, the profile's limit otherwise
+    (ValueError for the phase profile)."""
+    if spec.is_parametric:
         return gn_closed(spec, n, y)
+    if spec.profile == "sho":
+        return gn_sho_limit(n, y)
+    if spec.profile == "constant-one":
+        return gn_bessel_limit(n, y)
+    raise ValueError("the phase profile's amplitudes live in the phase module")
+
+
+def gn_auto(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
+    """The closed form or the profile's limit where it applies, else the
+    oracle (route tag says which)."""
+    try:
+        return _closed_or_limit(spec, n, y)
     except ConvergenceError:
         return gn_oracle(spec, n, y)
 
@@ -215,20 +229,11 @@ def _recursion_gap(fn, n: int, y: float, lo: float, hi: float) -> float:
     return abs(deriv - (lo * fn(n, y) - hi * fn(n + 2, y)))
 
 
-def _recursion_value(spec: AlgebraSpec, k: int, y: float) -> float:
-    if spec.is_parametric:
-        return gn_closed(spec, k, y).value
-    if spec.profile == "sho":
-        return gn_sho_limit(k, y).value
-    if spec.profile == "constant-one":
-        return gn_bessel_limit(k, y).value
-    raise ValueError("phase-profile recursions live in the phase module")
-
-
 def recursion_residual(spec: AlgebraSpec, n: int, y: float) -> float:
     """|d/dy G_{n+1} - (lambda_n G_n - lambda_{n+1} G_{n+2})| by central
-    differences."""
-    return _recursion_gap(lambda k, t: _recursion_value(spec, k, t), n, y,
+    differences of the closed form or the profile's limit.  No oracle fallback:
+    its window stops where lambda^2 turns negative, so wrong values could pass."""
+    return _recursion_gap(lambda k, t: _closed_or_limit(spec, k, t).value, n, y,
                           lambda_coupling(spec, n), lambda_coupling(spec, n + 1))
 
 

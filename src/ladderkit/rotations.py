@@ -54,10 +54,6 @@ class SpinMatrices:
     j_minus: np.ndarray
     j_z: np.ndarray
 
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.real(np.diag(self.j_z))
-
 
 def build_spin(j: float) -> SpinMatrices:
     two_j = _check_spin(j)

@@ -47,8 +47,8 @@ def m_rephasing(j: float) -> np.ndarray:
     """diag(i^m) over the |j, m> basis (integer j only)."""
     if round(j) != j:
         raise ValueError("rephasing by i^m needs integer j")
-    spin = build_spin(j)
-    return np.diag([1j ** int(round(m)) for m in spin.m_values])
+    m_values = np.diag(build_spin(j).j_z).real
+    return np.diag([1j ** int(round(m)) for m in m_values])
 
 
 def rotation_from_jx_jy(spec: RotationSpec) -> np.ndarray:

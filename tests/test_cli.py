@@ -335,6 +335,15 @@ def test_gn_series_term_bound_exit_2(capsys):
     assert "100000 terms" in err
 
 
+def test_gn_series_with_a_negative_sech_exit_2(capsys):
+    # sec(2.5 sqrt(1/2)) < 0 under the non-integer power 3.5
+    code, out, err = run(capsys, "gn", "--alpha", "0.5", "--beta", "-5",
+                         "--sigma", "-0.5", "--n", "1", "--y", "2.5",
+                         "--route", "series")
+    assert code == 2 and out == ""
+    assert "non-positive" in err
+
+
 def test_unknown_rule_exit_3(capsys):
     code, out, err = run(capsys, "triangle", "--rule", "zigzag")
     assert code == 3

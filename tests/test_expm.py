@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import mpmath
@@ -268,3 +269,24 @@ def test_paterson_stockmeyer_matches_the_taylor_loop(seed):
         b = a * (norm / _norm(a))
         got, want = expm(b).matrix, _taylor_loop(b)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
+    # the scaled norm is at most 1, where the tail rule takes the most
+    # terms: at norm 1 it stops at the last degree the tables hold, with
+    # its tail bound met, and below it it stops sooner
+    xm = importlib.import_module("ladderkit.expm")
+    degrees = []
+    taylor = xm._taylor_ps
+
+    def spy(a, scale, m):
+        degrees.append(m)
+        return taylor(a, scale, m)
+
+    monkeypatch.setattr(xm, "_taylor_ps", spy)
+    bounds = [expm(np.array([[nb]])).remainder_bound for nb in (1.0, 0.5, 1e-3)]
+    assert degrees == [xm._MAX_TERMS, 20, 7]
+    assert max(bounds) <= xm._TAIL_TOL
+    # one term fewer would leave the tail above the tolerance at norm 1
+    m = xm._MAX_TERMS - 1
+    assert xm._INV_FACT[m + 1] / (1.0 - 1.0 / (m + 2)) > xm._TAIL_TOL

@@ -158,6 +158,18 @@ def test_series_routes_refuse_a_negative_coupling_in_the_tower(alpha, beta,
                     route(spec, n, y)
 
 
+@pytest.mark.parametrize("y", [2.5, 3.0])
+def test_series_routes_refuse_a_negative_sech_under_a_fractional_power(y):
+    # sec(y sqrt(1/2)) < 0 for y past 2.22, where g^(1 - 2n - alpha - beta)
+    # = g^3.5 at n = 1 would be complex; the closed form refuses these
+    # points too
+    spec = AlgebraSpec.parametric(0.5, -5, -0.5)
+    with pytest.raises(ConvergenceError, match="non-positive"):
+        gn_series(spec, 1, y)
+    with pytest.raises(ConvergenceError):
+        gn_closed(spec, 1, y)
+
+
 def test_gn_routes_match_oracle_phase():
     spec = SPEC12
     for y in (0.4, 0.8):
@@ -196,6 +208,26 @@ def test_gn_auto_falls_back_to_oracle():
     ev = gn_auto(spec, 1, 1.2)
     assert ev.route == "oracle"
     assert gn_auto(spec, 1, 0.3).route == "closed-form"
+
+
+def test_gn_auto_takes_the_profile_limits():
+    sho = AlgebraSpec.from_profile("sho")
+    one = AlgebraSpec.from_profile("constant-one")
+    assert gn_auto(sho, 3, 0.7) == gn_sho_limit(3, 0.7)
+    assert gn_auto(one, 2, 0.5) == gn_bessel_limit(2, 0.5)
+    # J_3(18) is past bessel_jn's domain
+    assert gn_auto(one, 3, 9.0).route == "oracle"
+    with pytest.raises(ValueError):
+        gn_auto(AlgebraSpec.from_profile("phase"), 0, 0.5)
+
+
+def test_recursion_residual_has_no_oracle_fallback():
+    # |z| = sinh(1.2)^2 > 0.95: the closed form refuses, and so does the
+    # check, where gn_auto would take the oracle
+    spec = AlgebraSpec.parametric(2.5, 3.5, 1)
+    assert gn_auto(spec, 1, 1.2).route == "oracle"
+    with pytest.raises(ConvergenceError):
+        recursion_residual(spec, 0, 1.2)
 
 
 def test_gn_sho_values():
