@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Every run is a pure function of its flags (or of a JSON config file with
-the same keys), so identical invocations produce byte-identical output.
+the same keys; a key that names no flag is a configuration error), so
+identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 tolerance violation, 2 domain error (poles,
 non-representable couplings, degenerate parametrizations), 3 bad
 configuration.
@@ -9,6 +10,7 @@ configuration.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -541,12 +543,20 @@ def _build_parser() -> tuple[_Parser, list]:
     return parser, subcommands
 
 
-def main(argv=None) -> int:
-    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    parser, subcommands = _build_parser()
-    # apply config-file defaults before the real parse
+@functools.cache
+def _shared_parsers() -> tuple[_Parser, _Parser]:
+    """The config probe and the full parser, built once per process.
+    Neither is mutated: a ``--config`` run sets its defaults on a parser of
+    its own."""
     probe = _Parser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", default=None)
+    return probe, _build_parser()[0]
+
+
+def main(argv=None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    probe, parser = _shared_parsers()
+    # apply config-file defaults before the real parse
     pre, _ = probe.parse_known_args(argv)
     if pre.config:
         try:
@@ -559,6 +569,15 @@ def main(argv=None) -> int:
             sys.stderr.write("ladderkit: config file must hold an object\n")
             return EXIT_CONFIG
         cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
+        parser, subcommands = _build_parser()
+        # a key may serve any subcommand, but it must name some flag
+        dests = {a.dest for p in (parser, *subcommands) for a in p._actions
+                 if a.option_strings and a.dest != argparse.SUPPRESS}
+        unknown = [k for k in defaults if k.replace("-", "_") not in dests]
+        if unknown:
+            sys.stderr.write("ladderkit: config key(s) match no flag: "
+                             + ", ".join(map(repr, unknown)) + "\n")
+            return EXIT_CONFIG
         # subparsers parse into a fresh namespace, so they need the
         # defaults as well
         parser.set_defaults(**cleaned)

@@ -22,6 +22,7 @@ numbers).
 Everything here is exact rational arithmetic; no floats enter a diagram.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -108,41 +109,48 @@ _BOUNDARIES = ("triangular", "diamond")
 
 @dataclass(frozen=True)
 class CoeffDiagram:
-    """Exact node table T(r, n), rows 0..num_rows-1, sparse over columns."""
+    """Exact node table T(r, n), rows 0..num_rows-1, sparse over columns.
+
+    Row r holds integer numerators over one positive scale,
+    T(r, n) = numerators[r][n] / scales[r], with every stored numerator
+    nonzero.  ``rows`` gives the nodes as normalised Fractions, built on
+    its first read.
+    """
 
     rule_name: str
     boundary: str
     start_column: int
-    rows: tuple[dict, ...]
+    numerators: tuple[dict, ...]
+    scales: tuple[int, ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[dict, ...]:
+        return tuple({n: Fraction(v) for n, v in nums.items()} if s == 1
+                     else {n: Fraction(v, s) for n, v in nums.items()}
+                     for nums, s in zip(self.numerators, self.scales))
 
     def value(self, r: int, n: int) -> Fraction:
-        if not 0 <= r < len(self.rows):
+        if not 0 <= r < len(self.numerators):
             raise IndexError(f"row {r} not generated")
-        return self.rows[r].get(n, Fraction(0))
+        return Fraction(self.numerators[r].get(n, 0), self.scales[r])
 
     def occupied(self, r: int) -> list[int]:
-        return sorted(self.rows[r])
+        return sorted(self.numerators[r])
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
 
-def _weights(rule: WeightRule, side: str, cache: dict, columns) -> dict:
-    """The rule's `side` weights on `columns` as (numerator, denominator)
-    pairs; `cache` holds each column asked so far, so the rule sees every
-    column at most once per diagram."""
-    out = {}
-    for n in columns:
-        pair = cache.get(n)
-        if pair is None:
-            w = getattr(rule, side)(n)
-            if not isinstance(w, numbers.Rational):
-                raise TypeError(f"rule {rule.name!r}: {side}({n}) = {w!r} is "
-                                "not an exact rational")
-            pair = cache[n] = (w.numerator, w.denominator)
-        out[n] = pair
-    return out
+def _ask(rule: WeightRule, side: str, cache: dict, n: int) -> int:
+    """Put the rule's `side` weight at column n into `cache` as a
+    (numerator, denominator) pair; return the denominator."""
+    w = getattr(rule, side)(n)
+    if not isinstance(w, numbers.Rational):
+        raise TypeError(f"rule {rule.name!r}: {side}({n}) = {w!r} is "
+                        "not an exact rational")
+    cache[n] = (w.numerator, w.denominator)
+    return w.denominator
 
 
 def generate(rule: WeightRule, boundary: str, start_column: int,
@@ -151,9 +159,10 @@ def generate(rule: WeightRule, boundary: str, start_column: int,
 
     Rows are computed on integer numerators over one scale per row: each
     row's scale is the previous one times the lcm of the denominators of
-    the weights the step uses, so every node is normalised once, as
-    Fraction(numerator, scale).  The rule is asked for each weight once
-    per column, and only on columns next to a nonzero node.
+    the weights the step uses (1 while every weight asked is an integer).
+    No Fraction is built here; ``CoeffDiagram.rows`` builds them when read.
+    The rule is asked for each weight once per column, and only on columns
+    next to a nonzero node.
     """
     if boundary not in _BOUNDARIES:
         raise ValueError(f"boundary must be one of {_BOUNDARIES}")
@@ -165,62 +174,63 @@ def generate(rule: WeightRule, boundary: str, start_column: int,
     right: dict[int, tuple[int, int]] = {}
     left: dict[int, tuple[int, int]] = {}
     nums, scale = {start_column: 1}, 1
-    rows = [{start_column: Fraction(1)}]
+    numerators, scales = [nums], [scale]
+    integral = True    # every weight asked so far is an integer
     for _ in range(1, num_rows):
-        w_right = _weights(rule, "w_right", right, nums)
-        w_left = _weights(rule, "w_left", left,
-                          [m - 1 for m in nums if m > 0 or not triangular])
-        step = math.lcm(*(d for _, d in w_right.values()),
-                        *(d for _, d in w_left.values()))
+        for m in nums:
+            if m not in right:
+                integral &= _ask(rule, "w_right", right, m) == 1
+            if m - 1 not in left and (m > 0 or not triangular):
+                integral &= _ask(rule, "w_left", left, m - 1) == 1
+        step = 1 if integral else math.lcm(
+            *(right[m][1] for m in nums),
+            *(left[m - 1][1] for m in nums if m > 0 or not triangular))
         scale *= step
-        mul_right = {m: a * (step // d) for m, (a, d) in w_right.items()}
-        mul_left = {m: a * (step // d) for m, (a, d) in w_left.items()}
         # ascending columns: m + 1 is new to `cur`, m - 1 may already hold
         # the right step of the node two columns left
         cur: dict[int, int] = {}
         for m, a in nums.items():
             if m > 0 or not triangular:
-                cur[m - 1] = cur.get(m - 1, 0) + mul_left[m - 1] * a
-            cur[m + 1] = mul_right[m] * a
+                b, d = left[m - 1]
+                cur[m - 1] = cur.get(m - 1, 0) + b * (step // d) * a
+            b, d = right[m]
+            cur[m + 1] = b * (step // d) * a
         nums = {n: v for n, v in cur.items() if v}
-        rows.append({n: Fraction(v, scale) for n, v in nums.items()})
-    return CoeffDiagram(rule.name, boundary, start_column, tuple(rows))
+        numerators.append(nums)
+        scales.append(scale)
+    return CoeffDiagram(rule.name, boundary, start_column, tuple(numerators),
+                        tuple(scales))
 
 
 def column_series(d: CoeffDiagram, n: int) -> list[tuple[int, Fraction]]:
     """Truncated power series coded by column n: pairs (power r,
     signed exact coefficient (-1)^((r - (n - start))/2) T(r, n) / r!)."""
     out = []
-    for r in range(d.num_rows):
-        t = d.rows[r].get(n)
+    for r, (nums, scale) in enumerate(zip(d.numerators, d.scales)):
+        t = nums.get(n)
         if t is None:
             continue
         sign = -1 if ((r - (n - d.start_column)) // 2) % 2 else 1
-        out.append((r, sign * t / math.factorial(r)))
+        out.append((r, Fraction(sign * t, scale * math.factorial(r))))
     return out
 
 
 def row_sums(d: CoeffDiagram, signs: str = "plain") -> list[Fraction]:
-    """Per-row node sums, each one exact sum over the lcm of the row's
-    denominators.  The alternating variant gives the node at column n the
-    sign (-1)^((n - n_min)/2), n_min the row's leftmost occupied column:
-    the sign follows the column, so a vanished node between two occupied
-    ones still takes its turn."""
+    """Per-row node sums, each one integer sum over the row's scale.  The
+    alternating variant gives the node at column n the sign
+    (-1)^((n - n_min)/2), n_min the row's leftmost occupied column: the
+    sign follows the column, so a vanished node between two occupied ones
+    still takes its turn."""
     if signs not in ("plain", "alternating"):
         raise ValueError("signs must be 'plain' or 'alternating'")
     out = []
-    for row in d.rows:
-        if not row:
-            out.append(Fraction(0))
-            continue
-        scale = math.lcm(*(v.denominator for v in row.values()))
-        n_min = min(row)
-        total = 0
-        for n, v in row.items():
-            term = v.numerator * (scale // v.denominator)
-            if signs == "alternating" and (n - n_min) // 2 % 2:
-                term = -term
-            total += term
+    for nums, scale in zip(d.numerators, d.scales):
+        if signs == "plain" or not nums:
+            total = sum(nums.values())
+        else:
+            n_min = min(nums)
+            total = sum(-v if (n - n_min) // 2 % 2 else v
+                        for n, v in nums.items())
         out.append(Fraction(total, scale))
     return out
 
@@ -280,10 +290,24 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
     raise ValueError(f"unknown sum rule {name!r}; choose from {SUMRULE_NAMES}")
 
 
+def _lowest_terms(nums: dict, scale: int) -> dict:
+    """Each node of a row as the strings of its numerator and denominator
+    in lowest terms."""
+    if scale == 1:
+        return {n: (str(v), "1") for n, v in nums.items()}
+    out = {}
+    for n, v in nums.items():
+        g = math.gcd(v, scale)
+        out[n] = (str(v // g), str(scale // g))
+    return out
+
+
 def render_ascii(d: CoeffDiagram) -> str:
     """Node values laid out on their staggered columns, one text row per
     diagram row."""
-    texts = [{n: str(v) for n, v in row.items()} for row in d.rows]
+    texts = [{n: a if b == "1" else f"{a}/{b}"
+              for n, (a, b) in _lowest_terms(nums, scale).items()}
+             for nums, scale in zip(d.numerators, d.scales)]
     cols = sorted({n for row in texts for n in row})
     if not cols:
         return ""
@@ -302,10 +326,10 @@ def to_records(d: CoeffDiagram) -> list[dict]:
     """One machine-readable record per node; numerator/denominator as
     strings so arbitrary-size integers survive serialization."""
     recs = []
-    for r in range(d.num_rows):
-        for n in d.occupied(r):
-            v = d.rows[r][n]
+    for r, (nums, scale) in enumerate(zip(d.numerators, d.scales)):
+        row = _lowest_terms(nums, scale)
+        for n in sorted(row):
+            a, b = row[n]
             recs.append({"row": r, "column": n,
-                         "numerator": str(v.numerator),
-                         "denominator": str(v.denominator)})
+                         "numerator": a, "denominator": b})
     return recs

@@ -5,9 +5,15 @@ two-term derivative recursions, the phase amplitudes' recursion, and the
 comparison of a diagram column's truncated series with a target function.
 The recursions are checked by the library's own central difference,
 ``ladderkit.gn._recursion_gap``.
+
+The diagram consumers ``reference_column_series``, ``reference_row_sums``,
+``reference_render_ascii`` and ``reference_to_records`` read a diagram's
+nodes as normalised Fractions (``CoeffDiagram.rows``); the library's own
+consumers read its integer numerators and row scales.
 """
 
 import math
+from fractions import Fraction
 
 from ladderkit import column_series, phase_gnm
 from ladderkit.gn import _recursion_gap
@@ -62,3 +68,64 @@ def series_match(d, n: int, target_fn, y_grid) -> float:
     series = column_series(d, n)
     return max(abs(sum(float(c) * y ** r for r, c in series) - target_fn(y))
                for y in y_grid)
+
+
+def reference_column_series(d, n: int) -> list:
+    """(power r, (-1)^((r - (n - start))/2) T(r, n) / r!) down column n."""
+    out = []
+    for r in range(d.num_rows):
+        t = d.rows[r].get(n)
+        if t is None:
+            continue
+        sign = -1 if ((r - (n - d.start_column)) // 2) % 2 else 1
+        out.append((r, sign * t / math.factorial(r)))
+    return out
+
+
+def reference_row_sums(d, signs: str = "plain") -> list:
+    """Per-row node sums over the lcm of the row's denominators; the
+    alternating sign (-1)^((n - n_min)/2) follows the column."""
+    out = []
+    for row in d.rows:
+        if not row:
+            out.append(Fraction(0))
+            continue
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        n_min = min(row)
+        total = 0
+        for n, v in row.items():
+            term = v.numerator * (scale // v.denominator)
+            if signs == "alternating" and (n - n_min) // 2 % 2:
+                term = -term
+            total += term
+        out.append(Fraction(total, scale))
+    return out
+
+
+def reference_render_ascii(d) -> str:
+    """Node values on their staggered columns, one text row per row."""
+    texts = [{n: str(v) for n, v in row.items()} for row in d.rows]
+    cols = sorted({n for row in texts for n in row})
+    if not cols:
+        return ""
+    width = max(len(t) for row in texts for t in row.values()) + 2
+    header = "".join(f"n={n}".center(width) for n in range(cols[0], cols[-1] + 1))
+    lines = [header]
+    for row in texts:
+        cells = [" " * width] * (cols[-1] - cols[0] + 1)
+        for n, t in row.items():
+            cells[n - cols[0]] = t.center(width)
+        lines.append("".join(cells).rstrip())
+    return "\n".join(lines)
+
+
+def reference_to_records(d) -> list:
+    """One record per node, numerator and denominator as strings."""
+    recs = []
+    for r in range(d.num_rows):
+        for n in d.occupied(r):
+            v = d.rows[r][n]
+            recs.append({"row": r, "column": n,
+                         "numerator": str(v.numerator),
+                         "denominator": str(v.denominator)})
+    return recs

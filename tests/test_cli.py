@@ -484,3 +484,47 @@ def test_triangle_lambda_rule_is_exact(capsys):
              for r in doc["nodes"]}
     assert nodes[(1, 1)] == ("1", "3")
     assert nodes[(2, 2)] == ("4", "9")
+
+
+def test_config_defaults_do_not_outlive_their_call(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rows": 3, "column": 0}))
+    args = ("triangle", "--rule", "unit")
+    code, doc, _ = run_json(capsys, "--config", str(cfg), *args)
+    assert code == 0
+    assert doc["num_rows"] == 3 and "column_series" in doc
+    # the parser is shared between calls; the next one has plain defaults
+    code, doc, _ = run_json(capsys, *args)
+    assert code == 0
+    assert doc["num_rows"] == 8 and "column_series" not in doc
+
+
+def test_config_key_matching_no_flag_exit_3(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"colum": 0, "rows": 3}))
+    code, out, err = run(capsys, "--config", str(cfg), "triangle",
+                         "--rule", "unit")
+    assert code == 3
+    assert out == ""
+    assert "'colum'" in err
+    # a key of another subcommand's flag is no error
+    cfg.write_text(json.dumps({"rows": 3, "alpha": 1}))
+    code, doc, _ = run_json(capsys, "--config", str(cfg), "triangle",
+                            "--rule", "unit")
+    assert code == 0
+    assert doc["num_rows"] == 3
+
+
+def test_triangle_after_a_zero_weight(capsys):
+    # bar(0) empties every row after the seed; the rows still print
+    code, doc, _ = run_json(capsys, "triangle", "--rule", "bar:0",
+                            "--rows", "5")
+    assert code == 0
+    assert doc == {"ascii": "n=0\n 1\n\n\n\n", "boundary": "triangular",
+                   "nodes": [{"column": 0, "denominator": "1",
+                              "numerator": "1", "row": 0}],
+                   "num_rows": 5, "rule": "bar(0)", "start_column": 0}
+    code, out, _ = run(capsys, "--format", "ascii", "triangle", "--rule",
+                       "bar:0", "--rows", "5")
+    assert code == 0
+    assert out == "n=0\n 1\n\n\n\n\n"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_references import bar_gn, series_match, tilde_gn
+from diagram_references import (bar_gn, reference_column_series,
+                                 reference_render_ascii, reference_row_sums,
+                                 reference_to_records, series_match, tilde_gn)
 from exact_series import bessel2y_series, gaussian_series, sech_tanh_series
 from ladderkit import (AlgebraSpec, bar_rule, bessel_jn, column_series,
                        gauss_bar_rule, gauss_tilde_rule, generate,
@@ -379,3 +381,45 @@ def test_series_match_every_preset():
     ]
     for d, col, target in cases:
         assert series_match(d, col, target, ys) <= 1e-9
+
+
+_CONSUMER_RULES = ([make(p) for make in (tilde_rule, bar_rule)
+                    for p in (-6, Fraction(-1, 2), Fraction(1, 3),
+                              Fraction(3, 2), 2)]
+                   + [gauss_tilde_rule(), gauss_bar_rule(), unit_rule(),
+                      lambda_rule(Fraction(1, 2), Fraction(1, 2), 4)])
+
+
+@given(st.sampled_from(_CONSUMER_RULES),
+       st.sampled_from(["triangular", "diamond"]), st.integers(0, 3),
+       st.integers(1, 40))
+@settings(max_examples=120, deadline=None)
+def test_integer_consumers_match_the_fraction_references(rule, boundary,
+                                                         start, num_rows):
+    d = generate(rule, boundary, start, num_rows)
+    for n in range(-2, 6):
+        assert column_series(d, n) == reference_column_series(d, n)
+    for signs in ("plain", "alternating"):
+        assert row_sums(d, signs) == reference_row_sums(d, signs)
+    assert render_ascii(d) == reference_render_ascii(d)
+    assert to_records(d) == reference_to_records(d)
+
+
+def test_rows_are_built_on_first_read():
+    d = generate(bar_rule(Fraction(3, 2)), "diamond", 1, 20)
+    assert "rows" not in vars(d)
+    assert d.rows is d.rows
+    assert all(type(v) is Fraction for row in d.rows for v in row.values())
+    assert sum(map(len, d.rows)) == sum(map(len, d.numerators))
+    assert len(d.scales) == d.num_rows == 20
+
+
+def test_a_zero_weight_empties_every_later_row():
+    # bar(0): w_right(0) = 0, and the border stops the left link at column 0
+    d = generate(bar_rule(0), "triangular", 0, 5)
+    assert d.rows == ({0: 1}, {}, {}, {}, {})
+    for signs in ("plain", "alternating"):
+        assert row_sums(d, signs) == [1, 0, 0, 0, 0]
+    assert to_records(d) == [{"row": 0, "column": 0, "numerator": "1",
+                              "denominator": "1"}]
+    assert render_ascii(d) == reference_render_ascii(d) == "n=0\n 1\n\n\n\n"
