@@ -11,6 +11,13 @@ polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
 about 2 sqrt(m) matrix products instead of m.  Taylor-plus-scaling is used
 instead of an eigendecomposition because truncated band matrices need not be
 normal.
+
+An exponent i h with h real (exp(iy(R + L)), or any built from imaginary
+coefficients) takes a real evaluation of the same degree-m polynomial: its
+even terms are cos, a polynomial in X = b^2 of half the degree, and its odd
+ones i b sin, b times another (Higham, Functions of Matrices, 2008, ch. 12),
+both from one real Paterson-Stockmeyer pass in X.  s, m, the squarings and
+the truncation bound are shared.
 """
 
 import math
@@ -57,34 +64,58 @@ def _ps_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
     return coefs, np.array(_INV_FACT[:r * p + 1:p], dtype=complex)[:, None]
 
 
-# one coefficient layout per Taylor degree the tail rule can pick
+def _cos_sin_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-m Taylor coefficients of exp(ib) laid out for
+    ``_taylor_cos_sin`` as two series in X = b^2: term k, (-1)^(k//2)/k!,
+    goes on X^(k//2) in the cos series for even k and in the sin series for
+    odd k.  With d = m // 2 the largest power of X, p minimises
+    p - 1 + 2 ((d - 1) // p), the real products the evaluation costs, and
+    r = max(0, (d - 1) // p).  Rows 2i and 2i + 1 hold block i of the cos
+    and the sin series, placed as in ``_ps_rows``."""
+    d = m // 2
+    p = min(range(1, max(d, 1) + 1), key=lambda q: q - 1 + 2 * ((d - 1) // q))
+    r = max(0, (d - 1) // p)
+    coefs, diag = np.zeros((r + 1, 2, p)), np.zeros((r + 1, 2))
+    for k in range(m + 1):
+        i = min(k // 2 // p, r)
+        j = k // 2 - i * p
+        coef = -_INV_FACT[k] if k // 2 % 2 else _INV_FACT[k]
+        if j:
+            coefs[i, k % 2, j - 1] = coef
+        else:
+            diag[i, k % 2] = coef
+    return coefs.reshape(2 * r + 2, p), diag.reshape(2 * r + 2, 1)
+
+
+# one coefficient layout per Taylor degree the tail rule can pick, for
+# complex exponents and for imaginary ones
 _PS_ROWS = [None] + [_ps_rows(m) for m in range(1, _MAX_TERMS + 1)]
+_CS_ROWS = [None] + [_cos_sin_rows(m) for m in range(1, _MAX_TERMS + 1)]
 
 
-def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
-    """sum_k b^k/k! for k <= m at b = scale * a by Paterson-Stockmeyer:
-    Horner's rule in b^p, run in place on the blocks
-    Q_i = sum_j b^j/(ip + j)! (the last may reach b^p), all from one product
-    of the degree's coefficient layout (``_PS_ROWS``) with the stacked
-    powers b, ..., b^p (built by doubling in ceil(log2 p) batched calls)
-    plus 1/(ip)! on each block's diagonal.  Costs p - 1 + (m - 1) // p
-    products for degree m >= 1, least at p = isqrt(m)."""
-    n = a.shape[0]
-    coefs, diag = _PS_ROWS[m]
-    r, p = coefs.shape[0] - 1, coefs.shape[1]
-    powers = np.empty((p, n, n), dtype=complex)
-    np.multiply(a, scale, out=powers[0])
+def _paterson_stockmeyer(powers: np.ndarray, coefs: np.ndarray,
+                         diag: np.ndarray, t: int) -> np.ndarray:
+    """t polynomials in Y by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973),
+    stacked as one (t n x n) array.  Row t i + s of the layout gives block i
+    of series s, sum_j coefs[row, j] Y^(j + 1) + diag[row] I; all blocks come
+    from one product of the layout with the stacked powers Y, ..., Y^p, and
+    Horner's rule in Y^p runs in place on the stacked blocks.  powers[0]
+    holds Y; the rest is built here by doubling, in ceil(log2 p) batched
+    calls.  Costs p - 1 products of n x n and len(coefs) / t - 1 of
+    (t n x n) by n x n."""
+    p, n = powers.shape[0], powers.shape[1]
     k = 1
-    while k < p:  # b^(k+1..2k) = b^(1..k) @ b^k, cut at b^p
+    while k < p:  # Y^(k+1..2k) = Y^(1..k) @ Y^k, cut at Y^p
         np.matmul(powers[:min(k, p - k)], powers[k - 1],
                   out=powers[k:min(2 * k, p)])
         k *= 2
-    blocks = (coefs @ powers.reshape(p, n * n)).reshape(r + 1, n, n)
-    diagonals = blocks.reshape(r + 1, n * n)[:, ::n + 1]
+    blocks = coefs @ powers.reshape(p, n * n)
+    diagonals = blocks[:, ::n + 1]
     np.add(diagonals, diag, out=diagonals)
-    top, step = powers[p - 1], np.empty((n, n), dtype=complex)
-    total = blocks[r]
-    for block in blocks[:r][::-1]:
+    blocks = blocks.reshape(-1, t * n, n)
+    top, step = powers[p - 1], np.empty((t * n, n), dtype=powers.dtype)
+    total = blocks[-1]
+    for block in blocks[:-1][::-1]:
         # np.dot forms the same product as @, at less cost per call
         np.dot(total, top, out=step)
         block += step
@@ -92,20 +123,58 @@ def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
     return total
 
 
+def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
+    """sum_k b^k/k! for k <= m at b = scale * a, one series in b from the
+    degree's layout (``_PS_ROWS``).  Costs p - 1 + (m - 1) // p complex
+    products for degree m >= 1, least at p = isqrt(m)."""
+    coefs, diag = _PS_ROWS[m]
+    powers = np.empty((coefs.shape[1], *a.shape), dtype=complex)
+    np.multiply(a, scale, out=powers[0])
+    return _paterson_stockmeyer(powers, coefs, diag, 1)
+
+
+def _taylor_cos_sin(h: np.ndarray, scale: float, m: int) -> np.ndarray:
+    """sum_k (ib)^k/k! for k <= m at b = scale * h, h real, as cos + i sin:
+    the even terms are a polynomial C in X = b^2 and the odd ones b S, with S
+    another polynomial in X, of degrees m // 2 and (m - 1) // 2.  One real
+    pass evaluates both, stacked as [C; S], from the degree's layout
+    (``_CS_ROWS``); then C + i b S.  All products are real: p + 1 of
+    n x n and r of 2n x n, with p and r from the layout (9 n x n at
+    m = 25, where ``_taylor_ps`` takes 8 complex ones)."""
+    n = h.shape[0]
+    coefs, diag = _CS_ROWS[m]
+    b = h * scale
+    powers = np.empty((coefs.shape[1], n, n))
+    np.dot(b, b, out=powers[0])
+    cos_sin = _paterson_stockmeyer(powers, coefs, diag, 2)
+    out = np.empty((n, n), dtype=complex)
+    out.real = cos_sin[:n]
+    out.imag = np.dot(b, cos_sin[n:])
+    return out
+
+
 def expm(a: np.ndarray) -> ExpmResult:
     """exp(a) for a square complex matrix, with a bound on the truncation
     error of the underlying Taylor series (rounding is not included).
 
-    The per-call work is the norm, the scalar tail rule and the matrix
-    products: the coefficients 1/k! and their Paterson-Stockmeyer layout
-    for each degree the tail rule can pick are tables built at import.
+    The per-call work is the test for a zero real part, the norm, the
+    scalar tail rule and the matrix products: the coefficients 1/k! and
+    their Paterson-Stockmeyer layouts, complex and cos/sin, for each degree
+    the tail rule can pick are tables built at import.
 
     Raises OverflowError if an intermediate norm leaves the floating range.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
-    norm = _norm_inf(a)
+    # an imaginary exponent, i h with h real, takes the real cos + i sin
+    # evaluation; its norm is h's, as |0 + iy| = |y| exactly.  A real part
+    # on a[0, 0] or a[0, 1] (c and a in operator_matrix's exponents) settles
+    # the test for most complex exponents before the O(n^2) scan.
+    real = a.size and (a.item(0).real or a.size > 1 and a.item(1).real
+                       or a.real.any())
+    h = None if real else a.imag
+    norm = _norm_inf(a if h is None else h)
     if not math.isfinite(norm):
         raise OverflowError("non-finite entries in exponent")
     if norm == 0.0:
@@ -125,7 +194,10 @@ def expm(a: np.ndarray) -> ExpmResult:
         tail = dropped / (1.0 - nb / (k + 2))
         if tail <= _TAIL_TOL:
             break
-    total = _taylor_ps(a, 2.0 ** -squarings, k)
+    if h is None:
+        total = _taylor_ps(a, 2.0 ** -squarings, k)
+    else:
+        total = _taylor_cos_sin(h, 2.0 ** -squarings, k)
     bound = tail
 
     # overflow is detected and raised explicitly; keep numpy quiet about it

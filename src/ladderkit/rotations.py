@@ -27,6 +27,7 @@ independent reference.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,17 +94,24 @@ class RotationSpec:
             )
         return _SQRT2 * math.sin(self.theta) * math.sin(self.omega) / s
 
+    def _coefficients(self) -> tuple[complex, complex, complex]:
+        """(a, b, c) in one pass, the factor common to a and b formed once."""
+        ladder = 1j * _SQRT2 * self.omega * math.sin(self.theta)
+        return (ladder * cmath.exp(-1j * self.phi),
+                ladder * cmath.exp(1j * self.phi),
+                -2j * self.omega * math.cos(self.theta))
+
     @property
     def a(self) -> complex:
-        return 1j * _SQRT2 * self.omega * math.sin(self.theta) * cmath.exp(-1j * self.phi)
+        return self._coefficients()[0]
 
     @property
     def b(self) -> complex:
-        return 1j * _SQRT2 * self.omega * math.sin(self.theta) * cmath.exp(1j * self.phi)
+        return self._coefficients()[1]
 
     @property
     def c(self) -> complex:
-        return -2j * self.omega * math.cos(self.theta)
+        return self._coefficients()[2]
 
     @property
     def w_vector(self) -> np.ndarray:
@@ -113,16 +121,21 @@ class RotationSpec:
                                       math.cos(self.theta)])
 
 
+@lru_cache(maxsize=16)
+def _spin_block(two_j: int) -> tuple[AlgebraSpec, IndexWindow]:
+    """The spin-j block (1, -2j, -1/2) on its whole window [0, 2j]."""
+    return AlgebraSpec.parametric(1, -two_j, -0.5), IndexWindow(0, two_j, 0, two_j)
+
+
 def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
     """The ordered product of exp(2i W.J) on the spin-j block."""
-    two_j = _check_spin(spec.j)
+    two_j = round(2 * spec.j)  # a half-integer, checked on construction
     if two_j == 0:
         # the singlet is fixed, even at s = 0, where the factors have a pole
         return np.ones((1, 1), dtype=complex)
     try:
-        return ordered_product(AlgebraSpec.parametric(1, -two_j, -0.5),
-                               IndexWindow(0, two_j, 0, two_j),
-                               (spec.b, spec.a, spec.c), ordering)
+        a, b, c = spec._coefficients()
+        return ordered_product(*_spin_block(two_j), (b, a, c), ordering)
     except PoleError:
         # D+- = s, s*: the factors' only singular set
         raise SingularS(f"s = {spec.s:.3g}: factorization degenerates at"
