@@ -225,10 +225,12 @@ def padded_window(spec: AlgebraSpec, core_lo: int, core_hi: int,
 
     The returned window is always buildable and, when a side stops at a
     zero coupling, exactly reproduces the infinite-space operator on that
-    side.
+    side.  ValueError for a negative ``pad`` or ``pad_hi``.
     """
     if pad_hi is None:
         pad_hi = pad
+    if min(pad, pad_hi) < 0:
+        raise ValueError(f"padding must be >= 0, got {pad} and {pad_hi}")
     lo = core_lo
     for _ in range(pad):
         # extend only while the state below is coupled and the grown window

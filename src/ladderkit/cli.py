@@ -99,10 +99,6 @@ def _jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
     return obj
 
 
@@ -544,47 +540,41 @@ def _build_parser() -> tuple[_Parser, list]:
 
 
 @functools.cache
-def _shared_parsers() -> tuple[_Parser, _Parser]:
-    """The config probe and the full parser, built once per process.
-    Neither is mutated: a ``--config`` run sets its defaults on a parser of
-    its own."""
-    probe = _Parser(add_help=False, allow_abbrev=False)
-    probe.add_argument("--config", default=None)
-    return probe, _build_parser()[0]
+def _shared_parser() -> _Parser:
+    """The full parser, built once per process; a ``--config`` run sets its
+    defaults on a parser of its own, so this one is never mutated."""
+    return _build_parser()[0]
 
 
 def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    probe, parser = _shared_parsers()
-    # apply config-file defaults before the real parse
-    pre, _ = probe.parse_known_args(argv)
-    if pre.config:
-        try:
-            with open(pre.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"ladderkit: bad config file: {exc}\n")
-            return EXIT_CONFIG
-        if not isinstance(defaults, dict):
-            sys.stderr.write("ladderkit: config file must hold an object\n")
-            return EXIT_CONFIG
-        cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
-        parser, subcommands = _build_parser()
-        # a key may serve any subcommand, but it must name some flag
-        dests = {a.dest for p in (parser, *subcommands) for a in p._actions
-                 if a.option_strings and a.dest != argparse.SUPPRESS}
-        unknown = [k for k in defaults if k.replace("-", "_") not in dests]
-        if unknown:
-            sys.stderr.write("ladderkit: config key(s) match no flag: "
-                             + ", ".join(map(repr, unknown)) + "\n")
-            return EXIT_CONFIG
-        # subparsers parse into a fresh namespace, so they need the
-        # defaults as well
-        parser.set_defaults(**cleaned)
-        for sp in subcommands:
-            sp.set_defaults(**cleaned)
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # parse again, with the config file's values as flag defaults
+            try:
+                with open(args.config) as fh:
+                    defaults = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                parser.exit(EXIT_CONFIG, f"ladderkit: bad config file: {exc}\n")
+            if not isinstance(defaults, dict):
+                parser.exit(EXIT_CONFIG, "ladderkit: config file must hold an object\n")
+            cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
+            parser, subcommands = _build_parser()
+            # a key may serve any subcommand, but it must name some flag
+            dests = {a.dest for p in (parser, *subcommands) for a in p._actions
+                     if a.option_strings and a.dest != argparse.SUPPRESS}
+            unknown = [k for k in defaults if k.replace("-", "_") not in dests]
+            if unknown:
+                parser.exit(EXIT_CONFIG, "ladderkit: config key(s) match no flag: "
+                            + ", ".join(map(repr, unknown)) + "\n")
+            # subparsers parse into a fresh namespace, so they need the
+            # defaults as well
+            parser.set_defaults(**cleaned)
+            for sp in subcommands:
+                sp.set_defaults(**cleaned)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

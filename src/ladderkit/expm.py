@@ -8,9 +8,9 @@ Taylor degree m comes from a scalar tail rule run before any matrix work:
 the dropped tail is bounded by a geometric estimate from the first dropped
 term, and that bound is propagated through the squarings.  The degree-m
 polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
-about 2 sqrt(m) matrix products instead of m.  Taylor-plus-scaling is used
-instead of an eigendecomposition because truncated band matrices need not be
-normal.
+about 2 sqrt(m) matrix products instead of m, with the block size that needs
+the fewest.  Taylor-plus-scaling is used instead of an eigendecomposition
+because truncated band matrices need not be normal.
 
 An exponent i h with h real (exp(iy(R + L)), or any built from imaginary
 coefficients) takes a real evaluation of the same degree-m polynomial: its
@@ -49,48 +49,38 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
-def _ps_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-m Taylor coefficients laid out for ``_taylor_ps``, with
-    p = isqrt(m) and r = (m - 1) // p: row i of the first array holds the
-    coefficients of b, ..., b^p in block i, 1/(ip + j)! for j < p (the last
-    block up to 1/m!, which may be its b^p one), zeros elsewhere; row i of
-    the second holds its diagonal, 1/(ip)!."""
-    p = math.isqrt(m)
-    r = (m - 1) // p
-    coefs = np.zeros((r + 1, p), dtype=complex)
-    for i in range(r + 1):
-        block = _INV_FACT[i * p + 1:(i + 1) * p if i < r else m + 1]
-        coefs[i, :len(block)] = block
-    return coefs, np.array(_INV_FACT[:r * p + 1:p], dtype=complex)[:, None]
-
-
-def _cos_sin_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-m Taylor coefficients of exp(ib) laid out for
-    ``_taylor_cos_sin`` as two series in X = b^2: term k, (-1)^(k//2)/k!,
-    goes on X^(k//2) in the cos series for even k and in the sin series for
-    odd k.  With d = m // 2 the largest power of X, p minimises
-    p - 1 + 2 ((d - 1) // p), the real products the evaluation costs, and
-    r = max(0, (d - 1) // p).  Rows 2i and 2i + 1 hold block i of the cos
-    and the sin series, placed as in ``_ps_rows``."""
-    d = m // 2
-    p = min(range(1, max(d, 1) + 1), key=lambda q: q - 1 + 2 * ((d - 1) // q))
+def _layout(m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-m Taylor coefficients as t stacked series in Y for
+    ``_paterson_stockmeyer``: for t = 1, exp(b) in Y = b, term k (1/k!) on
+    Y^k; for t = 2, exp(ib) in Y = b^2, term k ((-1)^(k//2)/k!) on Y^(k//2)
+    of the cos series (even k) or the sin series (odd k).  With d = m // t,
+    p takes the fewest products, p - 1 + t ((d - 1) // p), ties going to
+    the p nearest isqrt(d), and r = max(0, (d - 1) // p).  Row t i + s of
+    the first array holds block i of series s, the term on Y^(ip + j) in
+    column j - 1 (the last block up to Y^d, which may be its Y^p one); the
+    same row of the second holds the term on Y^(ip)."""
+    d = m // t
+    p = min(range(1, max(d, 1) + 1),
+            key=lambda q: (q - 1 + t * ((d - 1) // q), abs(q - math.isqrt(d))))
     r = max(0, (d - 1) // p)
-    coefs, diag = np.zeros((r + 1, 2, p)), np.zeros((r + 1, 2))
+    coefs, diag = np.zeros((r + 1, t, p)), np.zeros((r + 1, t))
     for k in range(m + 1):
-        i = min(k // 2 // p, r)
-        j = k // 2 - i * p
-        coef = -_INV_FACT[k] if k // 2 % 2 else _INV_FACT[k]
+        i = min(k // t // p, r)
+        j = k // t - i * p
+        coef = -_INV_FACT[k] if t == 2 and k // 2 % 2 else _INV_FACT[k]
         if j:
-            coefs[i, k % 2, j - 1] = coef
+            coefs[i, k % t, j - 1] = coef
         else:
-            diag[i, k % 2] = coef
-    return coefs.reshape(2 * r + 2, p), diag.reshape(2 * r + 2, 1)
+            diag[i, k % t] = coef
+    return coefs.reshape(t * r + t, p), diag.reshape(t * r + t, 1)
 
 
-# one coefficient layout per Taylor degree the tail rule can pick, for
-# complex exponents and for imaginary ones
-_PS_ROWS = [None] + [_ps_rows(m) for m in range(1, _MAX_TERMS + 1)]
-_CS_ROWS = [None] + [_cos_sin_rows(m) for m in range(1, _MAX_TERMS + 1)]
+# one coefficient layout per Taylor degree the tail rule can pick: complex
+# for complex exponents, so their coefficient product stays complex by
+# complex (a real-by-complex one costs more), and real for imaginary ones
+_PS_ROWS = [None] + [tuple(x.astype(complex) for x in _layout(m, 1))
+                     for m in range(1, _MAX_TERMS + 1)]
+_CS_ROWS = [None] + [_layout(m, 2) for m in range(1, _MAX_TERMS + 1)]
 
 
 def _paterson_stockmeyer(powers: np.ndarray, coefs: np.ndarray,
@@ -126,7 +116,7 @@ def _paterson_stockmeyer(powers: np.ndarray, coefs: np.ndarray,
 def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
     """sum_k b^k/k! for k <= m at b = scale * a, one series in b from the
     degree's layout (``_PS_ROWS``).  Costs p - 1 + (m - 1) // p complex
-    products for degree m >= 1, least at p = isqrt(m)."""
+    products for degree m >= 1, with p from ``_layout``."""
     coefs, diag = _PS_ROWS[m]
     powers = np.empty((coefs.shape[1], *a.shape), dtype=complex)
     np.multiply(a, scale, out=powers[0])

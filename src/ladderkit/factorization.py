@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import (PAD_FLOOR, AlgebraSpec, IndexWindow, lambda_sq,
                       squared_couplings, suggested_pad)
-from .errors import PoleError
+from .errors import ConvergenceError, PoleError
 from .expm import expm, operator_matrix
 
 # u2_factors raises PoleError where |D+-| falls below this
@@ -213,8 +213,8 @@ def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
     """Scan the anti-normal sum for the core element n = m: (ln of the peak
     term magnitude, index where terms fall exp(_TAIL_LN) below both the peak
     and unity).  Stops at a zero coupling or coefficient (the terms after
-    it vanish) or at ``j_max``; without ``j_max`` raises ValueError after
-    100000 steps."""
+    it vanish) or at ``j_max``; without ``j_max`` raises ConvergenceError
+    after 100000 steps."""
     cl, cr, g_abs = _anti_scales(spec, coeffs)
     ln_t, peak = 0.0, 0.0
     j = n
@@ -230,7 +230,7 @@ def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
             return peak, j
         peak = max(peak, ln_t)
         if j_max is None and j > n + 100000:
-            raise ValueError("anti-normal ordering does not converge for these coefficients")
+            raise ConvergenceError("the anti-normal sum does not converge")
     return peak, j
 
 
@@ -250,9 +250,9 @@ def antinormal_reach(spec: AlgebraSpec, core_hi: int,
                      coeffs: tuple[complex, complex, complex]) -> int:
     """Smallest j_max for which the anti-normal ordered sum for core
     elements has converged (terms fallen to exp(-37) relative to their
-    peak), parametric specs only: ValueError for profiles.  Diverges as
-    |coefficients| approach the ordering's convergence edge; raises
-    ValueError beyond it."""
+    peak), parametric specs only: ValueError for profiles.  Grows without
+    bound as |coefficients| approach the ordering's convergence edge; past
+    it raises ConvergenceError, after a scan of 100000 states."""
     return _anti_scan(spec, core_hi, coeffs)[1]
 
 

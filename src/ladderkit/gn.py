@@ -110,7 +110,10 @@ def _amplitude(spec: AlgebraSpec, n: int, y: float, a: float, b: float,
     """A_n (yf)^n g^expo 2F1(a, b; n+1; z), z = -sinh(y*sqrt(sigma))^2, with f
     and g as in the module docstring.  ConvergenceError at |z| >= ``cut``
     unless the 2F1 ends, past ``max_terms`` terms, and at g <= 0 under a
-    non-integer ``expo``, where the power would be complex."""
+    non-integer ``expo``, where the power would be complex; ValueError at
+    n < 0, where the 2F1 has c = n + 1 <= 0."""
+    if n < 0:
+        raise ValueError(f"amplitudes need n >= 0, got n = {n}")
     _require_tower(spec, n)
     fac = u2_factors(spec, 1j * y, 1j * y, 0.0)
     yf, g = y * fac.f_plus.real, fac.g_plus.real

@@ -184,6 +184,15 @@ def test_padded_window_stops_at_decoupling():
     assert (w.j_min, w.j_max) == (-6, 8)
 
 
+def test_padded_window_refuses_a_negative_pad():
+    spec = AlgebraSpec.parametric(1, 1, 1)
+    assert padded_window(spec, 0, 3, 0) == IndexWindow(0, 3, 0, 3)
+    with pytest.raises(ValueError):
+        padded_window(spec, 0, 3, -2)
+    with pytest.raises(ValueError):
+        padded_window(spec, 0, 3, 2, -1)
+
+
 @pytest.mark.parametrize("sigma", [2, 1, 0.5, 0.25])
 def test_closure_grid_positive_sigma(sigma):
     for alpha, beta in [(1, 1), (1, 2), (2.5, 3.5), (10, 7)]:

@@ -528,3 +528,91 @@ def test_triangle_after_a_zero_weight(capsys):
                        "bar:0", "--rows", "5")
     assert code == 0
     assert out == "n=0\n 1\n\n\n\n\n"
+
+
+def test_gn_off_diagonal_parametric_takes_gnm(capsys):
+    args = ("gn", "--alpha", "1", "--beta", "2", "--sigma", "1", "--n", "3",
+            "--m", "1", "--y", "0.4")
+    code, doc, _ = run_json(capsys, *args)
+    assert code == 0
+    (row,) = doc["rows"]
+    assert row["route"] == "closed-form"
+    code, ref, _ = run_json(capsys, *args, "--route", "oracle")
+    assert code == 0
+    assert ref["rows"][0]["route"] == "oracle"
+    assert abs(row["value"] - ref["rows"][0]["value"]) <= 1e-9
+
+
+def test_check_algebra_tolerance_violation_exit_1(capsys):
+    code, doc, _ = run_json(capsys, "check-algebra", "--alpha", "1.5",
+                            "--beta", "2.5", "--sigma", "1", "--window",
+                            "0:16", "--tol", "1e-30")
+    assert code == 1
+    assert doc["pass"] is False
+    assert doc["commutator_residual"] > 1e-30
+
+
+def test_rotate_tolerance_violation_exit_1(capsys):
+    code, doc, _ = run_json(capsys, "rotate", "--omega", "0.7", "--theta",
+                            "1.1", "--phi", "2.3", "--j", "1.5", "--tol", "0")
+    assert code == 1
+    assert doc["pass"] is False
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_bad_config_file_exit_3(capsys, tmp_path, content):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run(capsys, "--config", str(cfg), "triangle",
+                         "--rule", "unit")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("ladderkit: ")
+
+
+def test_help_is_answered_before_the_config_file_is_read(capsys, tmp_path):
+    code, out, _ = run(capsys, "--config", str(tmp_path / "missing.json"),
+                       "--help")
+    assert code == 0
+    assert out.startswith("usage: ladderkit")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--y", "0.3"),                    # no --n
+    ("--n", "1"),                      # no --y
+    ("--n", "1", "--y-grid", "0.1:0.5"),
+    ("--n", "1", "--y-grid", "0.3:0.5:0"),
+    ("--n", "-1", "--y", "0.3"),       # the 2F1 would need c = n + 1 <= 0
+])
+def test_gn_incomplete_or_bad_flags_exit_3(capsys, extra):
+    code, out, err = run(capsys, "gn", "--alpha", "1", "--beta", "2",
+                         "--sigma", "1", *extra)
+    assert code == 3
+    assert out == ""
+    assert err.strip()
+
+
+def test_one_point_grid_prints_one_row(capsys):
+    code, doc, _ = run_json(capsys, "gn", "--alpha", "1", "--beta", "2",
+                            "--sigma", "1", "--n", "1", "--y-grid",
+                            "0.3:0.5:1")
+    assert code == 0
+    assert [row["y"] for row in doc["rows"]] == [0.3]
+
+
+def test_factorize_past_the_antinormal_edge_exit_2(capsys):
+    code, out, err = run(capsys, "factorize", "--alpha", "1", "--beta", "1",
+                         "--sigma", "1", "--y", "0.9", "--core", "0:3")
+    assert code == 2
+    assert out == ""
+    assert "does not converge" in err
+
+
+def test_factorize_negative_pad_exit_3(capsys):
+    code, out, err = run(capsys, "factorize", "--alpha", "1", "--beta", "1",
+                         "--sigma", "1", "--y", "0.3", "--core", "0:3",
+                         "--pad", "-2")
+    assert code == 3
+    assert out == ""
+    assert "padding" in err

@@ -342,3 +342,41 @@ def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
     # one term fewer would leave the tail above the tolerance at norm 1
     m = xm._MAX_TERMS - 1
     assert xm._INV_FACT[m + 1] / (1.0 - 1.0 / (m + 2)) > xm._TAIL_TOL
+
+
+@pytest.mark.parametrize("t, table, dtype", [(1, "_PS_ROWS", complex),
+                                             (2, "_CS_ROWS", float)])
+def test_layouts_take_the_fewest_products_and_hold_the_taylor_terms(
+        t, table, dtype):
+    # t = 1: exp(b) in Y = b; t = 2: exp(ib) in Y = b^2, the cos series on
+    # even terms and the sin series on odd ones, with signs (-1)^(k//2)
+    xm = importlib.import_module("ladderkit.expm")
+    for m in range(1, xm._MAX_TERMS + 1):
+        coefs, diag = getattr(xm, table)[m]
+        assert coefs.dtype == diag.dtype == dtype
+        rows, p = coefs.shape
+        d = m // t
+
+        def cost(q):
+            return q - 1 + t * ((d - 1) // q)
+        candidates = range(1, max(d, 1) + 1)
+        fewest = min(map(cost, candidates))
+        ties = [q for q in candidates if cost(q) == fewest]
+        assert cost(p) == fewest
+        assert abs(p - math.isqrt(d)) == min(abs(q - math.isqrt(d)) for q in ties)
+        assert rows == t * (max(0, (d - 1) // p) + 1)
+        # row t i + s is block i of series s: its diagonal on Y^(ip), its
+        # column j - 1 on Y^(ip + j); no term is zero, so every non-zero
+        # entry is one term, placed once
+        terms = {}
+        for row in range(rows):
+            i, s = divmod(row, t)
+            for j, coef in enumerate([diag[row, 0], *coefs[row]]):
+                if coef:
+                    assert (s, i * p + j) not in terms
+                    terms[s, i * p + j] = coef
+        assert set(terms) == {(k % t, k // t) for k in range(m + 1)}
+        for k in range(m + 1):
+            sign = (-1) ** (k // 2) if t == 2 else 1
+            want = sign / math.factorial(k)
+            assert terms[k % t, k // t] == pytest.approx(want, rel=4 * _EPS)

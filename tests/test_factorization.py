@@ -7,12 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
-                       PoleError, antinormal_core, antinormal_reach,
-                       build_matrices, expm, factorization_residual,
-                       gn_closed, gn_series, lambda_sq, operator_matrix,
-                       ordered_product, padded_window, reduces_to_u1,
-                       suggested_pad, u2_factors)
+from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow,
+                       NonUnitaryRegime, PoleError, antinormal_core,
+                       antinormal_reach, build_matrices, expm,
+                       factorization_residual, gn_closed, gn_series,
+                       lambda_sq, operator_matrix, ordered_product,
+                       padded_window, reduces_to_u1, suggested_pad,
+                       u2_factors)
 from ladderkit import factorization
 from ladderkit.algebra import squared_couplings
 from ladderkit.factorization import _raising_exp
@@ -244,6 +245,15 @@ def test_residual_runs_the_oracle_on_the_padding_rule_window(
     assert factorization_residual(spec, window, coeffs, "anti-normal") <= 1e-10
     assert window.size == window_states
     assert sizes == [oracle_states]
+
+
+def test_antinormal_reach_past_the_convergence_edge_raises():
+    # past y = 0.88 the anti-normal terms on (1, 1, 1) grow without end
+    # (their ratio tends to 1.05 at y = 0.9): a domain limit, so
+    # ConvergenceError; at y = 0.6 the reach is finite
+    assert antinormal_reach(SPEC111, 3, (0.6j, 0.6j, 0.0)) > 3
+    with pytest.raises(ConvergenceError):
+        antinormal_reach(SPEC111, 3, (0.9j, 0.9j, 0.0))
 
 
 def test_antinormal_exact_route_handles_growth():

@@ -221,6 +221,14 @@ def test_gn_auto_takes_the_profile_limits():
         gn_auto(AlgebraSpec.from_profile("phase"), 0, 0.5)
 
 
+@pytest.mark.parametrize("route", [gn_closed, gn_series, gn_auto,
+                                   recursion_residual])
+def test_amplitude_routes_refuse_a_negative_n(route):
+    # the 2F1 would be evaluated at c = n + 1 <= 0
+    with pytest.raises(ValueError):
+        route(SPEC12, -1, 0.3)
+
+
 def test_recursion_residual_has_no_oracle_fallback():
     # |z| = sinh(1.2)^2 > 0.95: the closed form refuses, and so does the
     # check, where gn_auto would take the oracle
