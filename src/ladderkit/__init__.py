@@ -18,8 +18,8 @@ from .gn import (GnEvaluation, Hyp2F1Sum, a_n, bessel_jn, gn_auto,
                  gn_bessel_limit, gn_closed, gn_oracle, gn_series,
                  gn_sho_limit, gnm, hyp2f1_series, recursion_residual)
 from .phase import phase_element, phase_gnm, phase_oracle_element
-from .rotations import (RotationSpec, SpinMatrices, antinormal_rotation,
-                        build_spin, rotation_direct, rotation_factorized)
+from .rotations import (RotationSpec, antinormal_rotation, rotation_direct,
+                        rotation_factorized)
 from .triangles import (CoeffDiagram, WeightRule, bar_rule, column_series,
                         gauss_bar_rule, gauss_tilde_rule, generate,
                         lambda_rule, lambda_symmetric_rule, render_ascii,
@@ -46,7 +46,7 @@ __all__ = [
     "lambda_symmetric_rule",
     "generate", "column_series", "row_sums", "sumrule_check",
     "render_ascii", "to_records",
-    "RotationSpec", "SpinMatrices", "build_spin", "rotation_factorized",
-    "rotation_direct", "antinormal_rotation",
+    "RotationSpec", "rotation_factorized", "rotation_direct",
+    "antinormal_rotation",
     "phase_element", "phase_gnm", "phase_oracle_element",
 ]

@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import re
 import sys
@@ -308,10 +309,11 @@ def _gn_row(spec, n, m, y, route, with_recursion):
     if spec.profile == "phase":
         raise ConvergenceError("no amplitude route for the phase profile;"
                                " use the phase command")
-    # the profile limits give G_n only, and stand in for every other route
+    # the profile limits give G_n only, and stand in for every other route;
+    # off the oracle, gnm refuses m < 0 (the oracle's hole sectors are real)
     if route == "oracle" or (m > 0 and not spec.is_parametric):
         ev = gn.gn_oracle(spec, n, y, m=m)
-    elif m > 0:
+    elif m != 0:
         ev = gn.gnm(spec, n, m, y)
     elif route == "closed" and spec.is_parametric:
         ev = gn.gn_closed(spec, n, y)
@@ -343,13 +345,17 @@ def _rule_from_text(text: str) -> triangles.WeightRule:
         return triangles.gauss_tilde_rule()
     if text == "gauss-bar":
         return triangles.gauss_bar_rule()
-    if text.startswith("tilde:"):
-        return triangles.tilde_rule(Fraction(text.split(":", 1)[1]))
-    if text.startswith("bar:"):
-        return triangles.bar_rule(Fraction(text.split(":", 1)[1]))
-    if text.startswith("lambda:"):
-        al, be, si = (Fraction(t) for t in text.split(":", 1)[1].split(","))
-        return triangles.lambda_rule(al, be, si)
+    try:
+        if text.startswith("tilde:"):
+            return triangles.tilde_rule(Fraction(text.split(":", 1)[1]))
+        if text.startswith("bar:"):
+            return triangles.bar_rule(Fraction(text.split(":", 1)[1]))
+        if text.startswith("lambda:"):
+            al, be, si = (Fraction(t) for t in text.split(":", 1)[1].split(","))
+            return triangles.lambda_rule(al, be, si)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"rule {text!r} has a zero denominator") from None
     raise argparse.ArgumentTypeError(f"unknown rule {text!r}")
 
 
@@ -381,14 +387,11 @@ def cmd_triangle(args) -> int:
 def cmd_rotate(args) -> int:
     _require(args, "omega", "theta", "phi", "j")
     spec = rotations.RotationSpec(args.omega, args.theta, args.phi, args.j)
-    methods = (["factorized", "direct", "antinormal"]
-               if args.method == "all" else [args.method])
-    mats = {}
-    for meth in methods:
-        fn = {"factorized": rotations.rotation_factorized,
+    routes = {"factorized": rotations.rotation_factorized,
               "direct": rotations.rotation_direct,
-              "antinormal": rotations.antinormal_rotation}[meth]
-        mats[meth] = fn(spec)
+              "antinormal": rotations.antinormal_rotation}
+    mats = {meth: fn(spec) for meth, fn in routes.items()
+            if args.method in ("all", meth)}
     try:
         h, s = complex(spec.h), complex(spec.s)
     except SingularS:
@@ -398,16 +401,13 @@ def cmd_rotate(args) -> int:
     payload = {
         "omega": args.omega, "theta": args.theta, "phi": args.phi, "j": args.j,
         "h": h, "s": s,
-        "matrices": {k: v for k, v in mats.items()},
+        "matrices": mats,
         "tol": args.tol,
     }
     code = EXIT_OK
     if len(mats) > 1:
-        devs = {}
-        names = list(mats)
-        for i, x in enumerate(names):
-            for z in names[i + 1:]:
-                devs[f"{x}|{z}"] = float(np.abs(mats[x] - mats[z]).max())
+        devs = {f"{x}|{z}": float(np.abs(mats[x] - mats[z]).max())
+                for x, z in itertools.combinations(mats, 2)}
         payload["pairwise_deviation"] = devs
         payload["pass"] = max(devs.values()) <= args.tol
         if not payload["pass"]:

@@ -214,8 +214,14 @@ def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
     term magnitude, index where terms fall exp(_TAIL_LN) below both the peak
     and unity).  Stops at a zero coupling or coefficient (the terms after
     it vanish) or at ``j_max``; without ``j_max`` raises ConvergenceError
-    after 100000 steps."""
+    at once past the convergence edge, else after 100000 steps."""
     cl, cr, g_abs = _anti_scales(spec, coeffs)
+    ratio = cl * cr * spec.sigma / (g_abs * g_abs)  # the term ratio's limit
+    # at ratio > 0, sigma > 0: lambda_j^2 <= 0 only between -alpha and -beta
+    lo, hi = sorted((-spec.alpha, -spec.beta))
+    if j_max is None and ratio >= 1 and math.ceil(max(lo, n)) > hi:
+        raise ConvergenceError("the anti-normal sum does not converge: its"
+                               f" term ratio tends to {ratio:.4g}")
     ln_t, peak = 0.0, 0.0
     j = n
     while j_max is None or j < j_max:
@@ -230,7 +236,8 @@ def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
             return peak, j
         peak = max(peak, ln_t)
         if j_max is None and j > n + 100000:
-            raise ConvergenceError("the anti-normal sum does not converge")
+            raise ConvergenceError("the anti-normal sum's reach is over"
+                                   " 100000 states")
     return peak, j
 
 
@@ -251,8 +258,10 @@ def antinormal_reach(spec: AlgebraSpec, core_hi: int,
     """Smallest j_max for which the anti-normal ordered sum for core
     elements has converged (terms fallen to exp(-37) relative to their
     peak), parametric specs only: ValueError for profiles.  Grows without
-    bound as |coefficients| approach the ordering's convergence edge; past
-    it raises ConvergenceError, after a scan of 100000 states."""
+    bound as |coefficients| approach the ordering's convergence edge, where
+    the term ratio's limit |a f-||b f-| sigma/|g-|^2 reaches 1.  Past it
+    (unless a zero coupling ends the sum) raises ConvergenceError at once,
+    and at a reach over 100000 states as well."""
     return _anti_scan(spec, core_hi, coeffs)[1]
 
 

@@ -20,8 +20,8 @@ h = sqrt(2) sin(theta) sin(omega) / s, or anti-normally with (h*, s*) and
 the factors reversed.  The parametrization degenerates where s = 0
 (omega = theta = pi/2): that set is an error, not a limit.  The factorized
 routes and ``RotationSpec.h`` raise SingularS wherever |s| < 1e-9, the pole
-guard of ``factorization.u2_factors``.  ``rotation_direct`` stays the
-independent reference.
+guard of ``factorization.u2_factors``.  ``rotation_direct``, the reference,
+is the oracle ``expm`` on the same block and exponent.
 """
 
 import cmath
@@ -33,39 +33,10 @@ import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow
 from .errors import PoleError, SingularS
-from .expm import expm
+from .expm import expm, operator_matrix
 from .factorization import _POLE_TOL, ordered_product
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _check_spin(j: float) -> int:
-    two_j = round(2 * j)
-    if two_j < 0 or abs(2 * j - two_j) > 1e-12:
-        raise ValueError(f"j = {j} is not a non-negative half-integer")
-    return two_j
-
-
-@dataclass(frozen=True)
-class SpinMatrices:
-    """Ladder and projection matrices in the |j, m> basis, m = -j .. j."""
-
-    j: float
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    j_z: np.ndarray
-
-
-def build_spin(j: float) -> SpinMatrices:
-    two_j = _check_spin(j)
-    dim = two_j + 1
-    ms = [-j + k for k in range(dim)]
-    plus = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        m = ms[k]
-        plus[k + 1, k] = math.sqrt((j - m) * (j + m + 1) / 2.0)
-    return SpinMatrices(j=j, j_plus=plus, j_minus=plus.conj().T.copy(),
-                        j_z=np.diag(ms).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -78,7 +49,9 @@ class RotationSpec:
     j: float
 
     def __post_init__(self):
-        _check_spin(self.j)
+        two_j = round(2 * self.j)
+        if two_j < 0 or abs(2 * self.j - two_j) > 1e-12:
+            raise ValueError(f"j = {self.j} is not a non-negative half-integer")
 
     @property
     def s(self) -> complex:
@@ -113,13 +86,6 @@ class RotationSpec:
     def c(self) -> complex:
         return self._coefficients()[2]
 
-    @property
-    def w_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return self.omega * np.array([st * math.cos(self.phi),
-                                      st * math.sin(self.phi),
-                                      math.cos(self.theta)])
-
 
 @lru_cache(maxsize=16)
 def _spin_block(two_j: int) -> tuple[AlgebraSpec, IndexWindow]:
@@ -127,15 +93,20 @@ def _spin_block(two_j: int) -> tuple[AlgebraSpec, IndexWindow]:
     return AlgebraSpec.parametric(1, -two_j, -0.5), IndexWindow(0, two_j, 0, two_j)
 
 
+def _exponent(spec: RotationSpec) -> tuple[AlgebraSpec, IndexWindow, tuple]:
+    """exp(2i W.J) as exp(aL + bR + cS): the spin-j block, its whole window
+    and (a, b, c) = (spec.b, spec.a, spec.c), since L = J_minus, R = J_plus."""
+    a, b, c = spec._coefficients()
+    return (*_spin_block(round(2 * spec.j)), (b, a, c))
+
+
 def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
     """The ordered product of exp(2i W.J) on the spin-j block."""
-    two_j = round(2 * spec.j)  # a half-integer, checked on construction
-    if two_j == 0:
+    if round(2 * spec.j) == 0:
         # the singlet is fixed, even at s = 0, where the factors have a pole
         return np.ones((1, 1), dtype=complex)
     try:
-        a, b, c = spec._coefficients()
-        return ordered_product(*_spin_block(two_j), (b, a, c), ordering)
+        return ordered_product(*_exponent(spec), ordering)
     except PoleError:
         # D+- = s, s*: the factors' only singular set
         raise SingularS(f"s = {spec.s:.3g}: factorization degenerates at"
@@ -155,11 +126,6 @@ def antinormal_rotation(spec: RotationSpec) -> np.ndarray:
 
 
 def rotation_direct(spec: RotationSpec) -> np.ndarray:
-    """exp(2i W.J) by direct exponentiation of the ladder pair and J_z:
-    2i W.J = 2i (w_x - i w_y) J_plus/sqrt(2) + 2i (w_x + i w_y) J_minus/sqrt(2)
-    + 2i w_z J_z, each entry rounded as J_x and J_y reassembled would give."""
-    spin = build_spin(spec.j)
-    wx, wy, wz = spec.w_vector
-    return expm(spin.j_plus / _SQRT2 * (2j * complex(wx, -wy))
-                + spin.j_minus / _SQRT2 * (2j * complex(wx, wy))
-                + 2j * wz * spin.j_z).matrix
+    """exp(2i W.J) by direct exponentiation of its exponent on the spin-j
+    block."""
+    return expm(operator_matrix(*_exponent(spec))).matrix

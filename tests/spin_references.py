@@ -3,16 +3,33 @@
 Independent of the factorized and direct rotation routes: the spin-1
 matrix is written out from the parametrization's scalars (h, s) and, for
 rotations about x, from cos and sin of the angle alone; any spin's
-exp(2i W.J) is exponentiated with J_x and J_y reassembled first.
+exp(2i W.J) is exponentiated with J_x and J_y reassembled first, from spin
+matrices and a rotation vector W built here, not by the library.
 """
 
 import math
 
 import numpy as np
 
-from ladderkit import RotationSpec, build_spin, expm
+from ladderkit import RotationSpec, expm
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J_plus, J_minus, J_z) over the |j, m> basis, m = -j .. j, with
+    J_plus|j m> = sqrt((j-m)(j+m+1)/2) |j m+1>."""
+    ms = np.arange(-j, j + 0.5)
+    plus = np.diag(np.sqrt((j - ms[:-1]) * (j + ms[:-1] + 1) / 2.0), -1)
+    return plus.astype(complex), plus.T.astype(complex), np.diag(ms).astype(complex)
+
+
+def w_vector(spec: RotationSpec) -> np.ndarray:
+    """W = omega (sin theta cos phi, sin theta sin phi, cos theta)."""
+    st = math.sin(spec.theta)
+    return spec.omega * np.array([st * math.cos(spec.phi),
+                                  st * math.sin(spec.phi),
+                                  math.cos(spec.theta)])
 
 
 def j1_reference_matrix(omega: float, theta: float, phi: float) -> np.ndarray:
@@ -47,15 +64,14 @@ def m_rephasing(j: float) -> np.ndarray:
     """diag(i^m) over the |j, m> basis (integer j only)."""
     if round(j) != j:
         raise ValueError("rephasing by i^m needs integer j")
-    m_values = np.diag(build_spin(j).j_z).real
-    return np.diag([1j ** int(round(m)) for m in m_values])
+    return np.diag([1j ** int(m) for m in np.arange(-j, j + 0.5)])
 
 
 def rotation_from_jx_jy(spec: RotationSpec) -> np.ndarray:
     """exp(2i (w_x J_x + w_y J_y + w_z J_z)) with J_x, J_y reassembled from
     the ladder pair, sqrt(2) J_pm = J_x -+/+ i J_y."""
-    spin = build_spin(spec.j)
-    jx = (spin.j_plus + spin.j_minus) / _SQRT2
-    jy = (spin.j_plus - spin.j_minus) / (1j * _SQRT2)
-    wx, wy, wz = spec.w_vector
-    return expm(2j * (wx * jx + wy * jy + wz * spin.j_z)).matrix
+    j_plus, j_minus, j_z = spin_matrices(spec.j)
+    jx = (j_plus + j_minus) / _SQRT2
+    jy = (j_plus - j_minus) / (1j * _SQRT2)
+    wx, wy, wz = w_vector(spec)
+    return expm(2j * (wx * jx + wy * jy + wz * j_z)).matrix

@@ -349,6 +349,14 @@ def test_unknown_rule_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("rule", ["bar:1/0", "lambda:1,1,1/0"])
+def test_rule_with_a_zero_denominator_exit_3(capsys, rule):
+    code, out, err = run(capsys, "triangle", "--rule", rule)
+    assert code == 3
+    assert out == ""
+    assert repr(rule) in err
+
+
 def test_rotate_direct_at_singular_s(capsys):
     # the direct route needs no h; s = 0 only blocks the factorized routes
     angles = ["--omega", repr(math.pi / 2), "--theta", repr(math.pi / 2),
@@ -543,6 +551,21 @@ def test_gn_off_diagonal_parametric_takes_gnm(capsys):
     assert abs(row["value"] - ref["rows"][0]["value"]) <= 1e-9
 
 
+def test_gn_negative_m_off_the_oracle_exit_3(capsys):
+    # a negative m is refused, not answered with the m = 0 value; the
+    # oracle keeps it, as the hole sector's matrix element
+    code, out, err = run(capsys, "gn", "--profile", "sho", "--n", "2",
+                         "--m", "-2", "--y", "0.3")
+    assert code == 3 and out == "" and "gnm" in err
+    for spec in (("--profile", "sho"),
+                 ("--alpha", "1", "--beta", "1", "--sigma", "1")):
+        code, doc, _ = run_json(capsys, "gn", *spec, "--n", "2", "--m", "-1",
+                                "--y", "0.3", "--route", "oracle")
+        assert code == 0
+        assert doc["rows"][0]["m"] == -1
+        assert doc["rows"][0]["route"] == "oracle"
+
+
 def test_check_algebra_tolerance_violation_exit_1(capsys):
     code, doc, _ = run_json(capsys, "check-algebra", "--alpha", "1.5",
                             "--beta", "2.5", "--sigma", "1", "--window",
@@ -584,6 +607,7 @@ def test_help_is_answered_before_the_config_file_is_read(capsys, tmp_path):
     ("--n", "1", "--y-grid", "0.1:0.5"),
     ("--n", "1", "--y-grid", "0.3:0.5:0"),
     ("--n", "-1", "--y", "0.3"),       # the 2F1 would need c = n + 1 <= 0
+    ("--n", "2", "--m", "-1", "--y", "0.3"),  # gnm needs m >= 0
 ])
 def test_gn_incomplete_or_bad_flags_exit_3(capsys, extra):
     code, out, err = run(capsys, "gn", "--alpha", "1", "--beta", "2",

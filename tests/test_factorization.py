@@ -256,6 +256,28 @@ def test_antinormal_reach_past_the_convergence_edge_raises():
         antinormal_reach(SPEC111, 3, (0.9j, 0.9j, 0.0))
 
 
+def test_antinormal_reach_refuses_past_the_edge_without_a_scan(monkeypatch):
+    # the ratio limit |a f-||b f-| sigma/|g-|^2 is 1.054 at y = 0.9: the
+    # refusal needs no coupling
+    looked_up = []
+    monkeypatch.setattr(factorization, "lambda_sq",
+                        lambda *args: looked_up.append(args) or lambda_sq(*args))
+    with pytest.raises(ConvergenceError, match="does not converge"):
+        antinormal_reach(SPEC111, 3, (0.9j, 0.9j, 0.0))
+    assert looked_up == []
+    # past the edge, a zero coupling above the core still ends the sum:
+    # lambda_5 = 0 on (-5, -5, 1)
+    spec = AlgebraSpec.parametric(-5, -5, 1)
+    assert antinormal_reach(spec, 3, (2j, 2j, 0.0)) == 5
+
+
+def test_antinormal_reach_over_100000_states_raises():
+    # inside the edge (ratio limit 0.9998 at y = 0.8813) the sum converges,
+    # but its reach passes the 100000-state guard
+    with pytest.raises(ConvergenceError, match="over 100000 states"):
+        antinormal_reach(SPEC111, 3, (0.8813j, 0.8813j, 0.0))
+
+
 def test_antinormal_exact_route_handles_growth():
     # float products lose ~sinh-growth digits here; the exact route does not
     y = 0.6

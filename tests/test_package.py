@@ -64,6 +64,21 @@ def test_oracle_imports_only_the_algebra():
     assert named & banned == set()
 
 
+def test_spin_reference_shares_no_route_code():
+    # the J_x/J_y reference builds its own spin matrices and rotation
+    # vector: from the library it takes the angles' container and the oracle
+    path = Path(__file__).with_name("spin_references.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ladderkit"):
+            found |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.split(".")[0] == "ladderkit"}
+    assert found == {"ladderkit.RotationSpec", "ladderkit.expm"}
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     # a public name is the library's only if the package itself (past its
     # own def or class line and the export list) or the benchmark uses it;
