@@ -138,8 +138,6 @@ def _emit(payload: dict, args) -> None:
 def _flatten(payload, prefix=""):
     out = {}
     for k, v in payload.items():
-        if k == "ascii":
-            continue
         key = f"{prefix}{k}"
         if isinstance(v, dict):
             out.update(_flatten(v, key + "."))
@@ -158,9 +156,8 @@ def _csv_cell(v):
 def _require(args, *names):
     missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
     if missing:
-        sys.stderr.write("ladderkit: missing required flag(s): "
-                         + ", ".join("--" + n for n in missing) + "\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError("missing required flag(s): "
+                         + ", ".join("--" + n for n in missing))
 
 
 def _spec_from_args(args) -> algebra.AlgebraSpec:
@@ -169,8 +166,7 @@ def _spec_from_args(args) -> algebra.AlgebraSpec:
     missing = [f for f in ("alpha", "beta", "sigma")
                if getattr(args, f, None) is None]
     if missing:
-        sys.stderr.write("ladderkit: give --profile or all of --alpha/--beta/--sigma\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError("give --profile or all of --alpha/--beta/--sigma")
     return algebra.AlgebraSpec.parametric(args.alpha, args.beta, args.sigma)
 
 
@@ -180,20 +176,12 @@ def _spec_payload(spec: algebra.AlgebraSpec) -> dict:
     return {"profile": spec.profile}
 
 
-def _add_spec_flags(p):
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--profile", choices=algebra.PROFILE_NAMES)
-
-
 def _ys_from_args(args) -> list[float]:
     ys = list(args.y or [])
     if args.y_grid:
         ys.extend(args.y_grid)
     if not ys:
-        sys.stderr.write("ladderkit: give --y (repeatable) or --y-grid\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError("give --y (repeatable) or --y-grid")
     return ys
 
 
@@ -212,9 +200,8 @@ def cmd_check_algebra(args) -> int:
     # truncation breaks the commutators unless the window is a whole block
     if (args.core is None and inset == 0 and spec.is_parametric
             and (algebra.lambda_sq(spec, lo - 1) or algebra.lambda_sq(spec, hi))):
-        sys.stderr.write("ladderkit: the window is too narrow for a core inside"
-                         " its edges; give --core\n")
-        return EXIT_CONFIG
+        raise ValueError("the window is too narrow for a core inside its"
+                         " edges; give --core")
     payload = {
         "spec": _spec_payload(spec),
         "window": {"j_min": lo, "j_max": hi,
@@ -251,8 +238,7 @@ def cmd_factorize(args) -> int:
     elif args.a is not None and args.b is not None:
         coeffs = (args.a, args.b, args.c if args.c is not None else 0.0)
     else:
-        sys.stderr.write("ladderkit: factorize needs --y or both --a and --b\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ValueError("factorize needs --y or both --a and --b")
     core_lo, core_hi = args.core
     magnitude = max(abs(c) for c in coeffs)
     pad = (args.pad if args.pad is not None
@@ -338,25 +324,24 @@ def cmd_gn(args) -> int:
     return EXIT_OK
 
 
+# a fixed rule is its bare name, a parametric one NAME:P1,P2,...
+_RULES = {"unit": triangles.unit_rule, "gauss-tilde": triangles.gauss_tilde_rule,
+          "gauss-bar": triangles.gauss_bar_rule, "tilde:": triangles.tilde_rule,
+          "bar:": triangles.bar_rule, "lambda:": triangles.lambda_rule}
+
+
 def _rule_from_text(text: str) -> triangles.WeightRule:
-    if text == "unit":
-        return triangles.unit_rule()
-    if text == "gauss-tilde":
-        return triangles.gauss_tilde_rule()
-    if text == "gauss-bar":
-        return triangles.gauss_bar_rule()
+    name, colon, params = text.partition(":")
+    make = _RULES.get(name + colon)
+    if make is None:
+        raise argparse.ArgumentTypeError(f"unknown rule {text!r}")
     try:
-        if text.startswith("tilde:"):
-            return triangles.tilde_rule(Fraction(text.split(":", 1)[1]))
-        if text.startswith("bar:"):
-            return triangles.bar_rule(Fraction(text.split(":", 1)[1]))
-        if text.startswith("lambda:"):
-            al, be, si = (Fraction(t) for t in text.split(":", 1)[1].split(","))
-            return triangles.lambda_rule(al, be, si)
+        return make(*map(Fraction, params.split(",") if colon else ()))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"rule {text!r} has a zero denominator") from None
-    raise argparse.ArgumentTypeError(f"unknown rule {text!r}")
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"rule {text!r}: {exc}") from None
 
 
 def cmd_triangle(args) -> int:
@@ -463,15 +448,28 @@ def _build_parser() -> tuple[_Parser, list]:
         subcommands.append(sp)
         return sp
 
-    p = add_parser("check-algebra", help="commutator closure and blocks")
-    _add_spec_flags(p)
+    # flags that several subcommands share, each declared once
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--alpha", type=float)
+    spec.add_argument("--beta", type=float)
+    spec.add_argument("--sigma", type=float)
+    spec.add_argument("--profile", choices=algebra.PROFILE_NAMES)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--n", type=int)
+    grid.add_argument("--m", type=int, default=0)
+    grid.add_argument("--y", type=float, action="append")
+    grid.add_argument("--y-grid", "--sweep", dest="y_grid", type=_parse_grid,
+                      default=None)
+
+    p = add_parser("check-algebra", help="commutator closure and blocks",
+                   parents=[spec])
     p.add_argument("--window", type=_parse_range)
     p.add_argument("--core", type=_parse_range, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_check_algebra)
 
-    p = add_parser("factorize", help="ordered factorization residuals")
-    _add_spec_flags(p)
+    p = add_parser("factorize", help="ordered factorization residuals",
+                   parents=[spec])
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--a", type=_parse_complex, default=None)
     p.add_argument("--b", type=_parse_complex, default=None)
@@ -484,13 +482,7 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--certify-pad", action="store_true")
     p.set_defaults(func=cmd_factorize)
 
-    p = add_parser("gn", help="transition amplitudes")
-    _add_spec_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--y", type=float, action="append")
-    p.add_argument("--y-grid", "--sweep", dest="y_grid", type=_parse_grid,
-                   default=None)
+    p = add_parser("gn", help="transition amplitudes", parents=[spec, grid])
     p.add_argument("--route", choices=("closed", "series", "oracle", "auto"),
                    default="auto")
     p.add_argument("--recursion", action="store_true")
@@ -520,12 +512,8 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--tol", type=float, default=1e-11)
     p.set_defaults(func=cmd_rotate)
 
-    p = add_parser("phase", help="shift-operator matrix elements")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--y", type=float, action="append")
-    p.add_argument("--y-grid", "--sweep", dest="y_grid", type=_parse_grid,
-                   default=None)
+    p = add_parser("phase", help="shift-operator matrix elements",
+                   parents=[grid])
     p.add_argument("--check-oracle", type=int, default=0, metavar="DIM")
     p.set_defaults(func=cmd_phase)
 
@@ -556,10 +544,10 @@ def main(argv=None) -> int:
             try:
                 with open(args.config) as fh:
                     defaults = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                parser.exit(EXIT_CONFIG, f"ladderkit: bad config file: {exc}\n")
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"bad config file: {exc}") from None
             if not isinstance(defaults, dict):
-                parser.exit(EXIT_CONFIG, "ladderkit: config file must hold an object\n")
+                raise ValueError("config file must hold an object")
             cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
             parser, subcommands = _build_parser()
             # a key may serve any subcommand, but it must name some flag
@@ -567,27 +555,26 @@ def main(argv=None) -> int:
                      if a.option_strings and a.dest != argparse.SUPPRESS}
             unknown = [k for k in defaults if k.replace("-", "_") not in dests]
             if unknown:
-                parser.exit(EXIT_CONFIG, "ladderkit: config key(s) match no flag: "
-                            + ", ".join(map(repr, unknown)) + "\n")
+                raise ValueError("config key(s) match no flag: "
+                                 + ", ".join(map(repr, unknown)))
             # subparsers parse into a fresh namespace, so they need the
             # defaults as well
             parser.set_defaults(**cleaned)
             for sp in subcommands:
                 sp.set_defaults(**cleaned)
             args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:
+        # --help, and the usage errors _Parser turns into exit 3
+        return int(exc.code or 0)
     except _DOMAIN_ERRORS as exc:
         sys.stderr.write(f"ladderkit: {exc}\n")
         return EXIT_DOMAIN
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        # argument validation inside the library / rule parsing
+        # missing or bad flags, rules and config; argument checks inside
+        # the library
         sys.stderr.write(f"ladderkit: {exc}\n")
         return EXIT_CONFIG
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -62,8 +62,6 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     total, term = 1.0, 1.0
     for k in range(_HYP_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        if term == 0.0:
-            return Hyp2F1Sum(total, 0.0, k + 1)
         total += term
         if not math.isfinite(total):
             raise ConvergenceError("2F1 series terms overflow")

@@ -172,6 +172,12 @@ def test_window_validation():
         IndexWindow(3, 2, 3, 2)
     with pytest.raises(ValueError):
         IndexWindow(0, 5, -1, 5)
+    with pytest.raises(IndexError, match="outside window"):
+        IndexWindow(0, 5, 1, 4).idx(6)
+    with pytest.raises(ValueError, match="unknown spec kind"):
+        AlgebraSpec(kind="matrix")
+    with pytest.raises(ValueError, match="unknown profile"):
+        AlgebraSpec.from_profile("harmonic")
 
 
 def test_padded_window_stops_at_decoupling():

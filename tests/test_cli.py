@@ -271,6 +271,11 @@ def test_bad_flag_exit_3(capsys):
     code, out, err = run(capsys, "check-algebra", "--alpha", "1",
                          "--beta", "1", "--sigma", "1", "--window", "zap")
     assert code == 3
+    for value in ("1,2,3", "x"):
+        code, out, err = run(capsys, "factorize", "--alpha", "1", "--beta",
+                             "1", "--sigma", "1", "--a", value, "--b", "0.1")
+        assert code == 3 and out == ""
+        assert f"expected RE or RE,IM, got {value!r}" in err
 
 
 def test_missing_spec_exit_3(capsys):
@@ -349,12 +354,37 @@ def test_unknown_rule_exit_3(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("rule", ["bar:1/0", "lambda:1,1,1/0"])
+# a malformed rule exits 3 with its text and the reason
+_RULE_REASONS = {
+    "bar:1/0": "has a zero denominator",
+    "lambda:1,1,1/0": "has a zero denominator",
+    "lambda:1,1": "missing 1 required positional argument",
+    "tilde:x": "Invalid literal for Fraction: 'x'",
+    "tilde:1,2": "takes 1 positional argument but 2 were given",
+    "lambda:1,2,1": "2 is not the square of a rational",
+}
+
+
+@pytest.mark.parametrize("rule", list(_RULE_REASONS))
 def test_rule_with_a_zero_denominator_exit_3(capsys, rule):
     code, out, err = run(capsys, "triangle", "--rule", rule)
     assert code == 3
     assert out == ""
-    assert repr(rule) in err
+    assert err.startswith(f"ladderkit: rule {rule!r}")
+    assert _RULE_REASONS[rule] in err
+
+
+def test_gauss_rules_by_name(capsys):
+    # both Gaussian diagrams have 1, 1, 3, 15 down column 0; gauss-bar
+    # has 12 at row 4, column 2 and 6 at row 3, column 3
+    for rule in ("gauss-tilde", "gauss-bar"):
+        code, doc, _ = run_json(capsys, "triangle", "--rule", rule,
+                                "--rows", "8")
+        assert code == 0
+        assert doc["rule"] == rule
+        nodes = {(r["row"], r["column"]): r["numerator"] for r in doc["nodes"]}
+        assert [nodes[(r, 0)] for r in (0, 2, 4, 6)] == ["1", "1", "3", "15"]
+    assert nodes[(4, 2)] == "12" and nodes[(3, 3)] == "6"
 
 
 def test_rotate_direct_at_singular_s(capsys):
@@ -582,11 +612,12 @@ def test_rotate_tolerance_violation_exit_1(capsys):
     assert doc["pass"] is False
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+@pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]",
+                                     b"\xff\xfe"])   # not UTF-8
 def test_bad_config_file_exit_3(capsys, tmp_path, content):
     cfg = tmp_path / "run.json"
     if content is not None:
-        cfg.write_text(content)
+        cfg.write_bytes(content)
     code, out, err = run(capsys, "--config", str(cfg), "triangle",
                          "--rule", "unit")
     assert code == 3

@@ -178,6 +178,15 @@ def test_expm_overflow_raises():
         expm(np.diag(np.full(3, 3000.0)))
     with pytest.raises(OverflowError):
         expm(np.array([[np.inf, 0], [0, 0]]))
+    # every squaring starts finite; only the last result, e^710, overflows
+    with pytest.raises(OverflowError, match="^matrix exponential overflowed$"):
+        expm([[710.0]])
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
+def test_expm_refuses_a_non_square_exponent(a):
+    with pytest.raises(ValueError, match="square"):
+        expm(a)
 
 
 # Rounding allowance on top of remainder_bound: _ROUNDING * eps *

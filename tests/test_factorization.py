@@ -100,6 +100,11 @@ def test_u1_factors_phase_profile_rejected():
         antinormal_reach(sho, 8, coeffs)
     with pytest.raises(ValueError):
         antinormal_core(sho, window, coeffs)
+    # a profile factors exp(iy(R+L)) only; an ordering is one of two
+    with pytest.raises(ValueError, match="only factor"):
+        ordered_product(sho, window, (0.3j, 0.2j, 0.0), "normal")
+    with pytest.raises(ValueError, match="unknown ordering"):
+        ordered_product(SPEC111, window, coeffs, "sideways")
 
 
 def test_u1_normal_matches_oracle_on_core():

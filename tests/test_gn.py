@@ -219,6 +219,9 @@ def test_gn_auto_takes_the_profile_limits():
     assert gn_auto(one, 3, 9.0).route == "oracle"
     with pytest.raises(ValueError):
         gn_auto(AlgebraSpec.from_profile("phase"), 0, 0.5)
+    # the 2F1 routes themselves need the parametric couplings
+    with pytest.raises(ValueError, match="parametric spec"):
+        gn_closed(sho, 3, 0.7)
 
 
 @pytest.mark.parametrize("route", [gn_closed, gn_series, gn_auto,

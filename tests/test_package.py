@@ -96,3 +96,33 @@ def test_every_export_has_a_caller_outside_the_tests():
                    for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_cli_refuses_through_main_alone():
+    # a command refuses by raising (ValueError: exit 3, a domain error:
+    # exit 2) and main alone writes the message; argparse's usage errors
+    # exit through _Parser.error, and the __main__ guard exits with main's code
+    tree = ast.parse(Path(ladderkit.__file__).with_name("cli.py").read_text())
+    stderr, raised, exits = set(), [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "stderr":
+                stderr.add(scope)
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "SystemExit":
+                    raised.append(scope)
+            elif (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "exit"):
+                exits.append((scope, ast.unparse(child.func)))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    assert stderr == {"main"}
+    assert raised == []
+    assert exits == [("_Parser.error", "self.exit"), ("", "sys.exit")]

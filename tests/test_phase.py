@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from diagram_references import phase_recursion_residual
 from exact_series import phase_gn_series, phase_gnm_series
@@ -83,6 +84,9 @@ def test_gnm_columns_match_path_counts():
             want = phase_gnm_series(n, m, 12)
             for r, c in got.items():
                 assert c == want[r]
+    for n, m in ((-1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="n, m >= 0"):
+            phase_gnm(n, m, 0.3)
 
 
 def test_recursion_residuals():

@@ -136,6 +136,8 @@ def test_row_sums_diamond():
     alt = row_sums(d, "alternating")
     assert alt[0] == 1
     assert all(v == 0 for v in alt[1:])
+    with pytest.raises(ValueError, match="signs must be"):
+        row_sums(d, "both")
 
 
 def test_row_sums_border_triangle():
@@ -236,6 +238,16 @@ def test_rule_is_asked_once_per_column(rule, boundary, start, num_rows,
                                    + [("left", n) for n in left])
 
 
+@pytest.mark.parametrize("boundary,start,num_rows,match", [
+    ("hexagonal", 0, 3, "boundary must be"),
+    ("triangular", 0, 0, "at least one row"),
+    ("triangular", -1, 3, "column >= 0"),
+])
+def test_generate_refuses_bad_arguments(boundary, start, num_rows, match):
+    with pytest.raises(ValueError, match=match):
+        generate(unit_rule(), boundary, start, num_rows)
+
+
 def test_non_rational_weights_are_rejected():
     rule = WeightRule("halves", lambda n: 1.5, lambda n: Fraction(1))
     with pytest.raises(TypeError, match=r"'halves'.*w_right\(0\)"):
@@ -275,6 +287,8 @@ def test_bar_three_halves_at_60_rows_matches_the_recursion():
     d = generate(rule, "triangular", 0, 60)
     assert d.rows == reference_rows(rule, "triangular", 0, 60)
     assert d.value(59, 59) == math.prod(n + Fraction(3, 2) for n in range(59))
+    with pytest.raises(IndexError, match="row 60 not generated"):
+        d.value(60, 0)
 
 
 def test_series_match_reference_functions():
@@ -307,6 +321,8 @@ def test_lambda_symmetric_requires_rational_roots():
     third = Fraction(1, 3)
     assert lambda_rule(third, third, 1).w_left(0) == third
     assert lambda_rule(1 / 3, 1 / 3, 1).w_left(0) == Fraction(1 / 3)
+    with pytest.raises(ValueError, match="negative coupling squared"):
+        lambda_rule(1, 1, -1)
 
 
 def test_diamond_triangle_decoupling():
@@ -346,6 +362,15 @@ def test_path_count_interior_values():
 ] + [(name, 0.0) for name in SUMRULE_NAMES])
 def test_sumrules(name, y):
     assert sumrule_check(name, y, 12) <= 1e-12
+
+
+@pytest.mark.parametrize("name,k_max,match", [
+    ("bessel-unity", 0, "k_max must be"),
+    ("bessel-tan", 12, "unknown sum rule"),
+])
+def test_sumrule_check_refuses_bad_arguments(name, k_max, match):
+    with pytest.raises(ValueError, match=match):
+        sumrule_check(name, 0.5, k_max)
 
 
 def test_render_and_records():
