@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Every run is a pure function of its flags (or of a JSON config file with
-the same keys; a key that names no flag is a configuration error), so
-identical invocations produce byte-identical output.
+the same keys; a key naming no flag, or a value the flag cannot take, is a
+configuration error), so identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 tolerance violation, 2 domain error (poles,
 non-representable couplings, degenerate parametrizations), 3 bad
 configuration.
@@ -87,6 +87,28 @@ def _parse_complex(text: str) -> complex:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+
+
+# the JSON kinds a config value other than a string may take, by flag
+# type; after list come the kinds of its items
+_NUMBER = (int, float)
+_CONFIG_KINDS = {int: (int,), float: _NUMBER, _parse_complex: _NUMBER,
+                 _parse_range: (list, int), _parse_grid: (list, *_NUMBER)}
+
+
+def _config_fits(action: argparse.Action, value) -> bool:
+    """Whether a config value can stand for the flag: its default, a string
+    in its choices or for its type to parse (as argparse parses a string
+    default), a boolean for an on/off flag, a list of numbers for the
+    repeatable ``--y``, or else a value of its type's kinds."""
+    append = isinstance(action, argparse._AppendAction)
+    if value is action.default or isinstance(value, str) and not append:
+        return value in (action.choices or [value])
+    kinds = ((bool,) if action.nargs == 0 else (list, *_NUMBER) if append
+             else _CONFIG_KINDS.get(action.type, ()))
+    if kinds[:1] == (list,):
+        return type(value) is list and all(type(x) in kinds[1:] for x in value)
+    return type(value) in kinds
 
 
 def _jsonable(obj):
@@ -195,13 +217,13 @@ def cmd_check_algebra(args) -> int:
     inset = min(2, max(0, (hi - lo) // 2))
     core = args.core or (lo + inset, hi - inset)
     window = algebra.IndexWindow(lo, hi, max(core[0], lo), min(core[1], hi))
-    m = algebra.build_matrices(spec, window)
     # a default core on a window of 1-2 states is the whole window, where
     # truncation breaks the commutators unless the window is a whole block
     if (args.core is None and inset == 0 and spec.is_parametric
             and (algebra.lambda_sq(spec, lo - 1) or algebra.lambda_sq(spec, hi))):
         raise ValueError("the window is too narrow for a core inside its"
                          " edges; give --core")
+    m = algebra.build_matrices(spec, window)
     payload = {
         "spec": _spec_payload(spec),
         "window": {"j_min": lo, "j_max": hi,
@@ -430,8 +452,7 @@ def cmd_sumrule(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> tuple[_Parser, list]:
-    subcommands = []
+def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="ladderkit",
                      description="ladder-algebra factorizations, amplitudes,"
                                  " diagrams, rotations and phase operators")
@@ -442,11 +463,6 @@ def _build_parser() -> tuple[_Parser, list]:
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults (same keys as flags)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(*a, **kw):
-        sp = sub.add_parser(*a, **kw)
-        subcommands.append(sp)
-        return sp
 
     # flags that several subcommands share, each declared once
     spec = argparse.ArgumentParser(add_help=False)
@@ -461,14 +477,14 @@ def _build_parser() -> tuple[_Parser, list]:
     grid.add_argument("--y-grid", "--sweep", dest="y_grid", type=_parse_grid,
                       default=None)
 
-    p = add_parser("check-algebra", help="commutator closure and blocks",
+    p = sub.add_parser("check-algebra", help="commutator closure and blocks",
                    parents=[spec])
     p.add_argument("--window", type=_parse_range)
     p.add_argument("--core", type=_parse_range, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_check_algebra)
 
-    p = add_parser("factorize", help="ordered factorization residuals",
+    p = sub.add_parser("factorize", help="ordered factorization residuals",
                    parents=[spec])
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--a", type=_parse_complex, default=None)
@@ -482,13 +498,13 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--certify-pad", action="store_true")
     p.set_defaults(func=cmd_factorize)
 
-    p = add_parser("gn", help="transition amplitudes", parents=[spec, grid])
+    p = sub.add_parser("gn", help="transition amplitudes", parents=[spec, grid])
     p.add_argument("--route", choices=("closed", "series", "oracle", "auto"),
                    default="auto")
     p.add_argument("--recursion", action="store_true")
     p.set_defaults(func=cmd_gn)
 
-    p = add_parser("triangle", help="exact coefficient diagrams")
+    p = sub.add_parser("triangle", help="exact coefficient diagrams")
     p.add_argument("--rule",
                    help="unit | tilde:P | bar:P | gauss-tilde | gauss-bar"
                         " | lambda:ALPHA,BETA,SIGMA")
@@ -501,7 +517,7 @@ def _build_parser() -> tuple[_Parser, list]:
                    default=None)
     p.set_defaults(func=cmd_triangle)
 
-    p = add_parser("rotate", help="spin rotation matrices")
+    p = sub.add_parser("rotate", help="spin rotation matrices")
     p.add_argument("--omega", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--phi", type=float)
@@ -512,19 +528,19 @@ def _build_parser() -> tuple[_Parser, list]:
     p.add_argument("--tol", type=float, default=1e-11)
     p.set_defaults(func=cmd_rotate)
 
-    p = add_parser("phase", help="shift-operator matrix elements",
+    p = sub.add_parser("phase", help="shift-operator matrix elements",
                    parents=[grid])
     p.add_argument("--check-oracle", type=int, default=0, metavar="DIM")
     p.set_defaults(func=cmd_phase)
 
-    p = add_parser("sumrule", help="Bessel sum rules")
+    p = sub.add_parser("sumrule", help="Bessel sum rules")
     p.add_argument("--name", choices=triangles.SUMRULE_NAMES)
     p.add_argument("--y", type=float)
     p.add_argument("--k-max", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_sumrule)
 
-    return parser, subcommands
+    return parser, sub.choices
 
 
 @functools.cache
@@ -551,16 +567,25 @@ def main(argv=None) -> int:
             cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
             parser, subcommands = _build_parser()
             # a key may serve any subcommand, but it must name some flag
-            dests = {a.dest for p in (parser, *subcommands) for a in p._actions
+            dests = {a.dest for p in (parser, *subcommands.values())
+                     for a in p._actions
                      if a.option_strings and a.dest != argparse.SUPPRESS}
             unknown = [k for k in defaults if k.replace("-", "_") not in dests]
             if unknown:
                 raise ValueError("config key(s) match no flag: "
                                  + ", ".join(map(repr, unknown)))
+            # a value must fit the flag it sets on the command that runs
+            actions = {a.dest: a for a in (*parser._actions,
+                                           *subcommands[args.command]._actions)}
+            for key, value in defaults.items():
+                action = actions.get(key.replace("-", "_"))
+                if action is not None and not _config_fits(action, value):
+                    raise ValueError(f"config key {key!r}: {value!r} is no"
+                                     f" value of {action.option_strings[0]}")
             # subparsers parse into a fresh namespace, so they need the
             # defaults as well
             parser.set_defaults(**cleaned)
-            for sp in subcommands:
+            for sp in subcommands.values():
                 sp.set_defaults(**cleaned)
             args = parser.parse_args(argv)
         return args.func(args)

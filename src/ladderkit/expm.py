@@ -12,12 +12,13 @@ about 2 sqrt(m) matrix products instead of m, with the block size that needs
 the fewest.  Taylor-plus-scaling is used instead of an eigendecomposition
 because truncated band matrices need not be normal.
 
-An exponent i h with h real (exp(iy(R + L)), or any built from imaginary
-coefficients) takes a real evaluation of the same degree-m polynomial: its
-even terms are cos, a polynomial in X = b^2 of half the degree, and its odd
-ones i b sin, b times another (Higham, Functions of Matrices, 2008, ch. 12),
-both from one real Paterson-Stockmeyer pass in X.  s, m, the squarings and
-the truncation bound are shared.
+An exponent i h with h real and chiral, zero wherever row + column is even
+(exp(iy(R + L)): R + L couples j only to j +- 1), is a real one up to a
+diagonal phase.  With E = diag(1, i, 1, i, ...), exp(ih) = E^-1 exp(K) E for
+K = E (ih) E^-1, which is h with its odd rows negated: real, of the same
+norm (Higham, Functions of Matrices, 2008, ch. 10).  exp(K) takes the same
+s, m, squarings and bound as the complex path, in real products, and the
+phase is put back entry by entry, without rounding.
 """
 
 import math
@@ -49,61 +50,53 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
-def _layout(m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-m Taylor coefficients as t stacked series in Y for
-    ``_paterson_stockmeyer``: for t = 1, exp(b) in Y = b, term k (1/k!) on
-    Y^k; for t = 2, exp(ib) in Y = b^2, term k ((-1)^(k//2)/k!) on Y^(k//2)
-    of the cos series (even k) or the sin series (odd k).  With d = m // t,
-    p takes the fewest products, p - 1 + t ((d - 1) // p), ties going to
-    the p nearest isqrt(d), and r = max(0, (d - 1) // p).  Row t i + s of
-    the first array holds block i of series s, the term on Y^(ip + j) in
-    column j - 1 (the last block up to Y^d, which may be its Y^p one); the
-    same row of the second holds the term on Y^(ip)."""
-    d = m // t
-    p = min(range(1, max(d, 1) + 1),
-            key=lambda q: (q - 1 + t * ((d - 1) // q), abs(q - math.isqrt(d))))
-    r = max(0, (d - 1) // p)
-    coefs, diag = np.zeros((r + 1, t, p)), np.zeros((r + 1, t))
+def _layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients 1/k!, k <= m, of exp(b) in b for ``_taylor_ps``:
+    p takes the fewest products, p - 1 + (m - 1) // p, ties going to the p
+    nearest isqrt(m), and r = max(0, (m - 1) // p).  Row i of the first
+    array holds block i, its term on b^(ip + j) in column j - 1 (the last
+    block up to b^m, maybe its b^p one); of the second, its term on b^(ip)."""
+    p = min(range(1, max(m, 1) + 1),
+            key=lambda q: (q - 1 + (m - 1) // q, abs(q - math.isqrt(m))))
+    r = max(0, (m - 1) // p)
+    rows = np.zeros((r + 1, p + 1))
     for k in range(m + 1):
-        i = min(k // t // p, r)
-        j = k // t - i * p
-        coef = -_INV_FACT[k] if t == 2 and k // 2 % 2 else _INV_FACT[k]
-        if j:
-            coefs[i, k % t, j - 1] = coef
-        else:
-            diag[i, k % t] = coef
-    return coefs.reshape(t * r + t, p), diag.reshape(t * r + t, 1)
+        i = min(k // p, r)
+        rows[i, k - i * p] = _INV_FACT[k]
+    return rows[:, 1:].copy(), rows[:, :1].copy()
 
 
-# one coefficient layout per Taylor degree the tail rule can pick: complex
-# for complex exponents, so their coefficient product stays complex by
-# complex (a real-by-complex one costs more), and real for imaginary ones
-_PS_ROWS = [None] + [tuple(x.astype(complex) for x in _layout(m, 1))
-                     for m in range(1, _MAX_TERMS + 1)]
-_CS_ROWS = [None] + [_layout(m, 2) for m in range(1, _MAX_TERMS + 1)]
+# one coefficient layout per Taylor degree the tail rule can pick: real for
+# the real exponents of the chiral route, and its complex cast for complex
+# exponents, so that their coefficient product stays complex by complex (a
+# real-by-complex one costs more)
+_RE_ROWS = [None] + [_layout(m) for m in range(1, _MAX_TERMS + 1)]
+_PS_ROWS = [None] + [tuple(x.astype(complex) for x in rows)
+                     for rows in _RE_ROWS[1:]]
 
 
-def _paterson_stockmeyer(powers: np.ndarray, coefs: np.ndarray,
-                         diag: np.ndarray, t: int) -> np.ndarray:
-    """t polynomials in Y by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973),
-    stacked as one (t n x n) array.  Row t i + s of the layout gives block i
-    of series s, sum_j coefs[row, j] Y^(j + 1) + diag[row] I; all blocks come
-    from one product of the layout with the stacked powers Y, ..., Y^p, and
-    Horner's rule in Y^p runs in place on the stacked blocks.  powers[0]
-    holds Y; the rest is built here by doubling, in ceil(log2 p) batched
-    calls.  Costs p - 1 products of n x n and len(coefs) / t - 1 of
-    (t n x n) by n x n."""
-    p, n = powers.shape[0], powers.shape[1]
+def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
+    """sum_k b^k/k! for k <= m at b = scale * a by Paterson-Stockmeyer
+    (SIAM J. Comput. 2, 1973), from the degree's layout, real or complex as
+    a is.  Block i, sum_j coefs[i, j] b^(j + 1) + diag[i] I, comes from one
+    product of the layout with the powers b, ..., b^p, stacked and built by
+    doubling in ceil(log2 p) batched calls; Horner's rule in b^p runs in
+    place on the blocks.  Costs p - 1 + (m - 1) // p products for degree
+    m >= 1, with p from ``_layout``."""
+    coefs, diag = (_PS_ROWS if a.dtype == complex else _RE_ROWS)[m]
+    p, n = coefs.shape[1], a.shape[0]
+    powers = np.empty((p, n, n), dtype=a.dtype)
+    np.multiply(a, scale, out=powers[0])
     k = 1
-    while k < p:  # Y^(k+1..2k) = Y^(1..k) @ Y^k, cut at Y^p
+    while k < p:  # b^(k+1..2k) = b^(1..k) @ b^k, cut at b^p
         np.matmul(powers[:min(k, p - k)], powers[k - 1],
                   out=powers[k:min(2 * k, p)])
         k *= 2
     blocks = coefs @ powers.reshape(p, n * n)
     diagonals = blocks[:, ::n + 1]
     np.add(diagonals, diag, out=diagonals)
-    blocks = blocks.reshape(-1, t * n, n)
-    top, step = powers[p - 1], np.empty((t * n, n), dtype=powers.dtype)
+    blocks = blocks.reshape(-1, n, n)
+    top, step = powers[p - 1], np.empty((n, n), dtype=a.dtype)
     total = blocks[-1]
     for block in blocks[:-1][::-1]:
         # np.dot forms the same product as @, at less cost per call
@@ -113,58 +106,34 @@ def _paterson_stockmeyer(powers: np.ndarray, coefs: np.ndarray,
     return total
 
 
-def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
-    """sum_k b^k/k! for k <= m at b = scale * a, one series in b from the
-    degree's layout (``_PS_ROWS``).  Costs p - 1 + (m - 1) // p complex
-    products for degree m >= 1, with p from ``_layout``."""
-    coefs, diag = _PS_ROWS[m]
-    powers = np.empty((coefs.shape[1], *a.shape), dtype=complex)
-    np.multiply(a, scale, out=powers[0])
-    return _paterson_stockmeyer(powers, coefs, diag, 1)
-
-
-def _taylor_cos_sin(h: np.ndarray, scale: float, m: int) -> np.ndarray:
-    """sum_k (ib)^k/k! for k <= m at b = scale * h, h real, as cos + i sin:
-    the even terms are a polynomial C in X = b^2 and the odd ones b S, with S
-    another polynomial in X, of degrees m // 2 and (m - 1) // 2.  One real
-    pass evaluates both, stacked as [C; S], from the degree's layout
-    (``_CS_ROWS``); then C + i b S.  All products are real: p + 1 of
-    n x n and r of 2n x n, with p and r from the layout (9 n x n at
-    m = 25, where ``_taylor_ps`` takes 8 complex ones)."""
-    n = h.shape[0]
-    coefs, diag = _CS_ROWS[m]
-    b = h * scale
-    powers = np.empty((coefs.shape[1], n, n))
-    np.dot(b, b, out=powers[0])
-    cos_sin = _paterson_stockmeyer(powers, coefs, diag, 2)
-    out = np.empty((n, n), dtype=complex)
-    out.real = cos_sin[:n]
-    out.imag = np.dot(b, cos_sin[n:])
-    return out
-
-
 def expm(a: np.ndarray) -> ExpmResult:
     """exp(a) for a square complex matrix, with a bound on the truncation
     error of the underlying Taylor series (rounding is not included).
 
-    The per-call work is the test for a zero real part, the norm, the
-    scalar tail rule and the matrix products: the coefficients 1/k! and
-    their Paterson-Stockmeyer layouts, complex and cos/sin, for each degree
-    the tail rule can pick are tables built at import.
+    The per-call work is the chiral test, the norm, the scalar tail rule
+    and the matrix products: the coefficients 1/k! and their
+    Paterson-Stockmeyer layouts, real and complex, for each degree the
+    tail rule can pick are tables built at import.
 
     Raises OverflowError if an intermediate norm leaves the floating range.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
-    # an imaginary exponent, i h with h real, takes the real cos + i sin
-    # evaluation; its norm is h's, as |0 + iy| = |y| exactly.  A real part
-    # on a[0, 0] or a[0, 1] (c and a in operator_matrix's exponents) settles
-    # the test for most complex exponents before the O(n^2) scan.
+    # an imaginary exponent i h is chiral when h is zero wherever row +
+    # column is even, and is then exponentiated as K, a new array (a.imag is
+    # a view of the caller's matrix): h with its odd rows negated.  A real
+    # part on a[0, 0] or a[0, 1] (c and a in operator_matrix's exponents)
+    # settles the test for most complex exponents before the O(n^2) scan.
     real = a.size and (a.item(0).real or a.size > 1 and a.item(1).real
                        or a.real.any())
     h = None if real else a.imag
-    norm = _norm_inf(a if h is None else h)
+    chiral = not (h is None or np.count_nonzero(h[::2, ::2])
+                  or np.count_nonzero(h[1::2, 1::2]))
+    x = -h if chiral else a
+    if chiral:
+        x[::2] = h[::2]
+    norm = _norm_inf(x)
     if not math.isfinite(norm):
         raise OverflowError("non-finite entries in exponent")
     if norm == 0.0:
@@ -184,10 +153,7 @@ def expm(a: np.ndarray) -> ExpmResult:
         tail = dropped / (1.0 - nb / (k + 2))
         if tail <= _TAIL_TOL:
             break
-    if h is None:
-        total = _taylor_ps(a, 2.0 ** -squarings, k)
-    else:
-        total = _taylor_cos_sin(h, 2.0 ** -squarings, k)
+    total = _taylor_ps(x, 2.0 ** -squarings, k)
     bound = tail
 
     # overflow is detected and raised explicitly; keep numpy quiet about it
@@ -200,6 +166,12 @@ def expm(a: np.ndarray) -> ExpmResult:
             bound = 2.0 * tn * bound + 3.0 * bound * bound
     if not np.isfinite(total).all() or not math.isfinite(bound):
         raise OverflowError("matrix exponential overflowed")
+    if chiral:
+        # E^-1 exp(K) E, exact entry by entry: exp(K) on entries of the same
+        # parity, i exp(K) on (even, odd) and -i exp(K) on (odd, even)
+        v, total = total, np.zeros(total.shape, dtype=complex)
+        total.real[::2, ::2], total.real[1::2, 1::2] = v[::2, ::2], v[1::2, 1::2]
+        total.imag[::2, 1::2], total.imag[1::2, ::2] = v[::2, 1::2], -v[1::2, ::2]
     return ExpmResult(total, bound)
 
 

@@ -328,6 +328,16 @@ def test_check_algebra_refuses_a_default_core_on_the_window_edges(
         assert json.loads(out)["commutator_residual"] == 0.0
 
 
+def test_check_algebra_refuses_a_narrow_window_before_building_it(capsys):
+    # lambda_1^2 < 0 on (1, -2, 1): building the window would be a domain
+    # error, exit 2, but the window is refused first
+    code, out, err = run(capsys, "check-algebra", "--alpha", "1", "--beta",
+                         "-2", "--sigma", "1", "--window", "0:1")
+    assert code == 3 and out == ""
+    assert err == ("ladderkit: the window is too narrow for a core inside"
+                   " its edges; give --core\n")
+
+
 def test_gn_series_term_bound_exit_2(capsys):
     # |z| = sinh(y)^2 = 0.99999: the 2F1 terms fall too slowly to settle
     # within _HYP_MAX_TERMS (about 0.1 s; unbounded, it ran for 18 s)
@@ -551,6 +561,59 @@ def test_config_key_matching_no_flag_exit_3(capsys, tmp_path):
                             "--rule", "unit")
     assert code == 0
     assert doc["num_rows"] == 3
+
+
+_TRIANGLE = ("triangle", "--rule", "unit")
+_GN = ("gn", "--profile", "sho", "--n", "1")
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"rows": 3.5}, _TRIANGLE),
+    ({"rows": True}, _TRIANGLE),
+    ({"rows": None}, _TRIANGLE),
+    ({"boundary": "square"}, _TRIANGLE),
+    ({"rule": 3}, _TRIANGLE),
+    ({"y": 0.3}, _GN),                 # --y repeats: a list
+    ({"y": "0.3"}, _GN),
+    ({"y": [0.3, "0.5"]}, _GN),
+    ({"recursion": 1}, _GN),
+    ({"window": [0, 16.5]}, ("check-algebra", "--profile", "sho")),
+    ({"a": [0.5, 0.1]}, ("factorize", "--profile", "sho", "--b", "0.5")),
+])
+def test_config_value_of_the_wrong_kind_exit_3(capsys, tmp_path, config,
+                                                argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 3 and out == ""
+    (key,) = config
+    assert err.startswith(f"ladderkit: config key {key!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, argv, field, want", [
+    ({"rows": 3}, _TRIANGLE, "num_rows", 3),
+    ({"rows": "3"}, _TRIANGLE, "num_rows", 3),     # parsed as --rows 3
+    ({"y": [0.3, 0.5]}, _GN, "rows", 2),
+    ({"y": 0.3}, ("sumrule", "--name", "bessel-unity"), "y", 0.3),
+])
+def test_config_value_of_the_flags_kind_is_taken(capsys, tmp_path, config,
+                                                  argv, field, want):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, doc, _ = run_json(capsys, "--config", str(cfg), *argv)
+    assert code == 0
+    got = doc[field]
+    assert (len(got) if isinstance(got, list) else got) == want
+
+
+def test_config_string_the_flag_type_refuses_exit_3(capsys, tmp_path):
+    # argparse parses a string value as the flag's text, and names the flag
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rows": "3.5"}))
+    code, out, err = run(capsys, "--config", str(cfg), *_TRIANGLE)
+    assert code == 3 and out == ""
+    assert "--rows" in err and "'3.5'" in err
 
 
 def test_triangle_after_a_zero_weight(capsys):

@@ -194,9 +194,10 @@ def test_expm_refuses_a_non_square_exponent(a):
 # eps ||a|| moves exp(a) by up to that times the norm of exp's Frechet
 # derivative.  In 1500 examples of this property, with Hypothesis targeting
 # the ratio, the worst was 2.5 for Paterson-Stockmeyer and 10.6 for the
-# term-by-term Taylor loop it replaced; in another 1500, about half of them
-# imaginary exponents, 1.4 for complex ones and 1.1 for the cos + i sin
-# evaluation of the imaginary ones.
+# term-by-term Taylor loop it replaced; in another 1500, half of them
+# imaginary exponents and a quarter chiral ones, 2.9 for complex ones, 1.4
+# for the imaginary ones on the complex path and 0.82 for the chiral ones
+# on the real route.
 _ROUNDING = 4.0
 
 
@@ -223,20 +224,27 @@ _REAL = st.floats(-1.5, 1.5)
 @st.composite
 def _exponents(draw):
     kind = draw(st.sampled_from(["sigma>0", "sigma<0", "block", "dense"]))
-    # an imaginary exponent i h, h real, takes expm's cos + i sin evaluation
+    # half the draws are imaginary, i h with h real; half of those are
+    # chiral, h zero wherever row + column is even, and take expm's real
+    # route, the others its complex path
     imaginary = draw(st.booleans())
+    chiral = imaginary and draw(st.booleans())
     if kind == "dense" and imaginary:
         n = draw(st.integers(1, 12))
         # not symmetric in general, so i h is not normal either
-        a = 1j * draw(arrays(float, (n, n), elements=st.floats(-4, 4)))
+        h = draw(arrays(float, (n, n), elements=st.floats(-4, 4)))
+        if chiral:
+            h[np.add.outer(range(n), range(n)) % 2 == 0] = 0.0
+        a = 1j * h
     elif kind == "dense":
         n = draw(st.integers(1, 12))
         a = draw(arrays(complex, (n, n), elements=st.complex_numbers(
             max_magnitude=4, allow_nan=False, allow_infinity=False)))
     else:
         if imaginary:
-            # i (y (R + L) + c S), the oracle's exp(iy(R+L)) and its S term
-            y, c = draw(_REAL), draw(_REAL)
+            # i (y (R + L) + c S): the oracle's exp(iy(R+L)) at c = 0
+            y = draw(_REAL)
+            c = 0.0 if chiral else draw(_REAL)
             coeffs = (1j * y, 1j * y, 1j * c)
         else:
             # independent a, b, c: a*L + b*R + c*S is not normal in general
@@ -291,7 +299,7 @@ def test_paterson_stockmeyer_matches_the_taylor_loop(seed):
     n = (1, 2, 6, 20, 40, 60)[seed]
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     # 1e-12, 1e-6 and 0.05 take p = 1, 2 and 3 powers
-    # and i h, h real, which takes the cos + i sin evaluation
+    # and i h, h real and dense, which is not chiral and takes the same path
     h = 1j * rng.normal(size=(n, n))
     for c in (a, h):
         for norm in (1e-12, 1e-6, 0.05, 0.3, 0.99, 1.01, 3.0, 11.0):
@@ -300,92 +308,128 @@ def test_paterson_stockmeyer_matches_the_taylor_loop(seed):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
-def test_cos_sin_evaluation_matches_paterson_stockmeyer_at_every_degree(n):
-    # every degree the tail rule can pick, so every layout of p and r
+def _chiral(n, seed):
+    """A real n x n matrix, zero wherever row + column is even."""
+    h = np.random.default_rng(seed).normal(size=(n, n))
+    h[np.add.outer(range(n), range(n)) % 2 == 0] = 0.0
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_chiral_route_matches_paterson_stockmeyer_at_every_degree(n):
+    # every degree the tail rule can pick, so every layout of p and r: the
+    # real polynomial in K, h with its odd rows negated, is the complex one
+    # in i h up to the phase E = diag(1, i, 1, i, ...)
     xm = importlib.import_module("ladderkit.expm")
-    h = np.random.default_rng(n).normal(size=(n, n))
+    h = _chiral(n, n)
+    e = 1j ** (np.arange(n) % 2)
     for norm in (1.0, 0.5):
         b = h * (norm / _norm(h))
+        k = b * (1 - 2 * (np.arange(n) % 2))[:, None]
         for m in range(1, xm._MAX_TERMS + 1):
-            got = xm._taylor_cos_sin(b, 1.0, m)
+            v = xm._taylor_ps(k, 1.0, m)
+            assert v.dtype == float
+            got = v / e[:, None] * e
             want = xm._taylor_ps(1j * b, 1.0, m)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_a_real_part_past_the_first_two_entries_takes_the_complex_path():
-    # a[0, 0] and a[0, 1] are imaginary, so only the full scan sees the real
-    # part; the cos + i sin evaluation would drop it
-    a = 1j * np.random.default_rng(3).normal(size=(5, 5))
+    # a[0, 0] and a[0, 1] are imaginary and the imaginary part is chiral, so
+    # only the full scan sees the real part; the real route would drop it
+    a = 1j * _chiral(5, 3)
     a[4, 2] += 0.7
     want = scipy.linalg.expm(a)
     assert np.abs(expm(a).matrix - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _spy_taylor_ps(monkeypatch):
+    """Record (dtype, degree) of every ``_taylor_ps`` call."""
+    xm = importlib.import_module("ladderkit.expm")
+    calls, evaluate = [], xm._taylor_ps
+
+    def run(a, scale, m):
+        calls.append((a.dtype, m))
+        return evaluate(a, scale, m)
+    monkeypatch.setattr(xm, "_taylor_ps", run)
+    return calls
 
 
 def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
     # the scaled norm is at most 1, where the tail rule takes the most
     # terms: at norm 1 it stops at the last degree the tables hold, with
     # its tail bound met, and below it it stops sooner; the same degrees
-    # for complex exponents and for imaginary ones, which take the cos + i sin
-    # evaluation
+    # for complex exponents and for chiral ones, which take the real route
     xm = importlib.import_module("ladderkit.expm")
-    degrees = {"_taylor_ps": [], "_taylor_cos_sin": []}
-
-    def spy(name):
-        evaluate = getattr(xm, name)
-
-        def run(a, scale, m):
-            degrees[name].append(m)
-            return evaluate(a, scale, m)
-        return run
-
-    for name in degrees:
-        monkeypatch.setattr(xm, name, spy(name))
-    bounds = [expm(np.array([[nb]])).remainder_bound for nb in (1.0, 0.5, 1e-3)]
-    assert degrees == {"_taylor_ps": [xm._MAX_TERMS, 20, 7], "_taylor_cos_sin": []}
-    bounds += [expm(np.array([[nb]])).remainder_bound
-               for nb in (1j, 0.5j, 1e-3j)]
-    assert degrees["_taylor_cos_sin"] == [xm._MAX_TERMS, 20, 7]
-    assert degrees["_taylor_ps"] == [xm._MAX_TERMS, 20, 7]
+    calls = _spy_taylor_ps(monkeypatch)
+    norms = (1.0, 0.5, 1e-3)
+    bounds = [expm(np.array([[nb]])).remainder_bound for nb in norms]
+    bounds += [expm(np.array([[0, nb], [nb, 0]]) * 1j).remainder_bound
+               for nb in norms]
+    degrees = [xm._MAX_TERMS, 20, 7]
+    assert calls == ([(complex, m) for m in degrees]
+                     + [(float, m) for m in degrees])
     assert max(bounds) <= xm._TAIL_TOL
     # one term fewer would leave the tail above the tolerance at norm 1
     m = xm._MAX_TERMS - 1
     assert xm._INV_FACT[m + 1] / (1.0 - 1.0 / (m + 2)) > xm._TAIL_TOL
 
 
-@pytest.mark.parametrize("t, table, dtype", [(1, "_PS_ROWS", complex),
-                                             (2, "_CS_ROWS", float)])
+@pytest.mark.parametrize("table, dtype", [("_RE_ROWS", float),
+                                          ("_PS_ROWS", complex)])
 def test_layouts_take_the_fewest_products_and_hold_the_taylor_terms(
-        t, table, dtype):
-    # t = 1: exp(b) in Y = b; t = 2: exp(ib) in Y = b^2, the cos series on
-    # even terms and the sin series on odd ones, with signs (-1)^(k//2)
+        table, dtype):
+    # one layout of exp(b) in b per degree: real, and its complex cast
     xm = importlib.import_module("ladderkit.expm")
     for m in range(1, xm._MAX_TERMS + 1):
         coefs, diag = getattr(xm, table)[m]
         assert coefs.dtype == diag.dtype == dtype
+        for got, real in zip((coefs, diag), xm._layout(m)):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == real.astype(dtype).tobytes()
         rows, p = coefs.shape
-        d = m // t
 
         def cost(q):
-            return q - 1 + t * ((d - 1) // q)
-        candidates = range(1, max(d, 1) + 1)
+            return q - 1 + (m - 1) // q
+        candidates = range(1, m + 1)
         fewest = min(map(cost, candidates))
         ties = [q for q in candidates if cost(q) == fewest]
         assert cost(p) == fewest
-        assert abs(p - math.isqrt(d)) == min(abs(q - math.isqrt(d)) for q in ties)
-        assert rows == t * (max(0, (d - 1) // p) + 1)
-        # row t i + s is block i of series s: its diagonal on Y^(ip), its
-        # column j - 1 on Y^(ip + j); no term is zero, so every non-zero
-        # entry is one term, placed once
+        assert abs(p - math.isqrt(m)) == min(abs(q - math.isqrt(m)) for q in ties)
+        assert rows == (m - 1) // p + 1 and diag.shape == (rows, 1)
+        # row i is block i: its diagonal on b^(ip), its column j - 1 on
+        # b^(ip + j); no term is zero, so every non-zero entry is one term,
+        # placed once
         terms = {}
-        for row in range(rows):
-            i, s = divmod(row, t)
-            for j, coef in enumerate([diag[row, 0], *coefs[row]]):
+        for i in range(rows):
+            for j, coef in enumerate([diag[i, 0], *coefs[i]]):
                 if coef:
-                    assert (s, i * p + j) not in terms
-                    terms[s, i * p + j] = coef
-        assert set(terms) == {(k % t, k // t) for k in range(m + 1)}
+                    assert i * p + j not in terms
+                    terms[i * p + j] = coef
+        assert set(terms) == set(range(m + 1))
         for k in range(m + 1):
-            sign = (-1) ** (k // 2) if t == 2 else 1
-            want = sign / math.factorial(k)
-            assert terms[k % t, k // t] == pytest.approx(want, rel=4 * _EPS)
+            assert terms[k] == pytest.approx(1 / math.factorial(k), rel=4 * _EPS)
+
+
+@pytest.mark.parametrize("form", ["complex", "chiral", "imaginary"])
+def test_expm_leaves_its_argument_unchanged(form):
+    # the chiral route builds K, h with its odd rows negated, in a new
+    # array: a.imag is a view of the caller's matrix
+    h = _chiral(6, 5)
+    a = {"complex": h + 0.5j * h, "chiral": 1j * h,
+         "imaginary": 1j * (h + np.eye(6))}[form]
+    keep = a.copy()
+    expm(a)
+    assert a.tobytes() == keep.tobytes()
+
+
+def test_one_same_parity_entry_takes_the_complex_path(monkeypatch):
+    # the chiral test is exact: a single tiny entry where row + column is
+    # even leaves the real route, and the complex path keeps it
+    calls = _spy_taylor_ps(monkeypatch)
+    a = 1j * _chiral(7, 2)
+    a[6, 6] = 1e-300j
+    got = expm(a).matrix
+    assert [dtype for dtype, _ in calls] == [complex]
+    want = scipy.linalg.expm(a)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
