@@ -74,19 +74,24 @@ class AlgebraSpec:
         return f"profile {self.profile!r}"
 
 
+# each profile's lambda_j^2 is j + 1 clipped to [lo, hi]: "sho" j + 1 from
+# j = -1 up, "constant-one" 1, "phase" 1 from j = 0 up, and 0 below
+_PROFILE_CLIP = {"sho": (0.0, math.inf), "constant-one": (1.0, 1.0),
+                 "phase": (0.0, 1.0)}
+
+
 def lambda_sq(spec: AlgebraSpec, j: int) -> float:
-    """Squared coupling lambda_j^2, elementwise over an index array on a
-    parametric spec.  Negative values are rejected only by window builds."""
+    """Squared coupling lambda_j^2, elementwise over an index array on every
+    spec.  Negative values are rejected only by window builds."""
     if spec.is_parametric:
         # group the symmetric product so the alpha <-> beta exchange is
         # exact in floating point
         return spec.sigma * ((spec.alpha + j) * (spec.beta + j))
-    if spec.profile == "sho":
-        return float(j + 1) if j >= -1 else 0.0
-    if spec.profile == "constant-one":
-        return 1.0
-    # "phase"
-    return 1.0 if j >= 0 else 0.0
+    lo, hi = _PROFILE_CLIP[spec.profile]
+    if isinstance(j, np.ndarray):
+        return np.minimum(np.maximum(j + 1.0, lo), hi)
+    l2 = j + 1.0
+    return lo if l2 < lo else hi if l2 > hi else l2
 
 
 def lambda_coupling(spec: AlgebraSpec, j: int) -> float:
@@ -155,10 +160,8 @@ def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
 
     Raises NonUnitaryRegime, naming the first j, if any of them is negative.
     """
-    # float labels: the parametric lambda_sq then runs without int casts
-    js = np.arange(window.j_min - 1.0, window.j_max + 1.0)
-    l2 = (lambda_sq(spec, js) if spec.is_parametric
-          else np.array([lambda_sq(spec, int(j)) for j in js]))
+    # float labels: lambda_sq then runs without int casts
+    l2 = lambda_sq(spec, np.arange(window.j_min - 1.0, window.j_max + 1.0))
     if l2.min() < 0.0:
         i = np.argmax(l2 < 0.0)
         raise NonUnitaryRegime(

@@ -183,7 +183,8 @@ def operator_matrix(spec: AlgebraSpec, window: IndexWindow,
     l2 = squared_couplings(spec, window)
     lam = np.sqrt(l2[1:-1])
     n = window.size
-    out = np.diag(c * np.diff(l2).astype(complex))
+    out = np.zeros((n, n), dtype=complex)
+    out.flat[::n + 1] = c * np.subtract(l2[1:], l2[:-1], dtype=complex)
     out.flat[1::n + 1] = a * lam
     out.flat[n::n + 1] = b * lam
     return out

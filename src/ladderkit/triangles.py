@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import AlgebraSpec
-from .gn import bessel_jn
+from .gn import _bessel_family
 
 
 @dataclass(frozen=True)
@@ -263,31 +263,29 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
     phase-integral: (1/y) sum_k 2k J_2k(2y)             = int_0^y J_1(2z)/z dz
 
     At y = 0 the two phase rules take their limits, left sides 1 and 0.
+    Every order comes from one ``_bessel_family`` call, made after the
+    arguments are checked.
     """
+    if name not in SUMRULE_NAMES:
+        raise ValueError(f"unknown sum rule {name!r}; choose from {SUMRULE_NAMES}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     x = 2.0 * y
+    j = _bessel_family(2 * k_max + 1, x)
+    even, odd = j[2::2], j[1::2]   # J_2 .. J_2k_max, J_1 .. J_{2k_max+1}
     if name == "bessel-unity":
-        lhs = bessel_jn(0, x) + 2.0 * sum(bessel_jn(2 * k, x)
-                                          for k in range(1, k_max + 1))
-        return abs(lhs - 1.0)
+        return abs(j[0] + 2.0 * sum(even) - 1.0)
     if name == "bessel-cos":
-        lhs = bessel_jn(0, x) + 2.0 * sum((-1.0) ** k * bessel_jn(2 * k, x)
-                                          for k in range(1, k_max + 1))
+        lhs = j[0] + 2.0 * (sum(even[1::2]) - sum(even[::2]))
         return abs(lhs - math.cos(x))
     if name == "bessel-sin":
-        lhs = 2.0 * sum((-1.0) ** (k + 1) * bessel_jn(2 * k - 1, x)
-                        for k in range(1, k_max + 1))
+        lhs = 2.0 * (sum(odd[:k_max:2]) - sum(odd[1:k_max:2]))
         return abs(lhs - math.sin(x))
     if name == "phase-unity":
-        lhs = sum((2 * k + 1) * bessel_jn(2 * k + 1, x)
-                  for k in range(0, k_max + 1)) / y if y else 1.0
+        lhs = sum(n * j[n] for n in range(1, 2 * k_max + 2, 2)) / y if y else 1.0
         return abs(lhs - 1.0)
-    if name == "phase-integral":
-        lhs = sum(2 * k * bessel_jn(2 * k, x)
-                  for k in range(1, k_max + 1)) / y if y else 0.0
-        return abs(lhs - _integral_j1_over_z(y))
-    raise ValueError(f"unknown sum rule {name!r}; choose from {SUMRULE_NAMES}")
+    lhs = sum(n * j[n] for n in range(2, 2 * k_max + 1, 2)) / y if y else 0.0
+    return abs(lhs - _integral_j1_over_z(y))
 
 
 def _lowest_terms(nums: dict, scale: int) -> dict:

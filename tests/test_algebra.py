@@ -62,6 +62,49 @@ def test_squared_couplings_of_profiles_are_lambda_sq(name):
                                             IndexWindow(-4, 6, -4, 6))
 
 
+def _lambda_sq_per_j(spec, j):
+    """lambda_j^2 for one label, the rule written case by case."""
+    if spec.is_parametric:
+        return spec.sigma * ((spec.alpha + j) * (spec.beta + j))
+    if spec.profile == "sho":
+        return float(j + 1) if j >= -1 else 0.0
+    if spec.profile == "constant-one":
+        return 1.0
+    return 1.0 if j >= 0 else 0.0
+
+
+_ARRAY_SPECS = [AlgebraSpec.from_profile(name)
+                for name in ("sho", "constant-one", "phase")] + [
+    AlgebraSpec.parametric(1.5, 2.5, 0.7), AlgebraSpec.parametric(6, -7, -0.5),
+    AlgebraSpec.parametric(-0.3, 2.0, 1.0)]
+
+
+@pytest.mark.parametrize("spec", _ARRAY_SPECS)
+def test_lambda_sq_on_an_index_array_is_the_per_j_rule(spec):
+    js = np.arange(-9, 12)
+    want = np.array([_lambda_sq_per_j(spec, int(j)) for j in js])
+    for labels in (js, js.astype(float)):
+        # the same bytes: values and signs of zeros
+        assert lambda_sq(spec, labels).tobytes() == want.tobytes()
+    assert [lambda_sq(spec, int(j)) for j in js] == want.tolist()
+
+
+@pytest.mark.parametrize("spec", _ARRAY_SPECS)
+def test_squared_couplings_keep_their_bytes(spec):
+    # the array build against the per-label loop (profiles) or the float
+    # label expression (parametric) that built them before
+    for lo, hi in ((-5, 6), (0, 59), (2, 2)):
+        window = IndexWindow(lo, hi, lo, hi)
+        js = np.arange(lo - 1.0, hi + 1.0)
+        want = (_lambda_sq_per_j(spec, js) if spec.is_parametric
+                else np.array([_lambda_sq_per_j(spec, int(j)) for j in js]))
+        if want.min() < 0.0:
+            with pytest.raises(NonUnitaryRegime):
+                squared_couplings(spec, window)
+        else:
+            assert squared_couplings(spec, window).tobytes() == want.tobytes()
+
+
 def test_build_superdiagonal_and_s():
     spec = AlgebraSpec.parametric(1, 1, 1)
     m = build_matrices(spec, IndexWindow(0, 3, 0, 3))

@@ -607,6 +607,19 @@ def test_config_value_of_the_flags_kind_is_taken(capsys, tmp_path, config,
     assert (len(got) if isinstance(got, list) else got) == want
 
 
+@pytest.mark.parametrize("grid, ys", [
+    ([0.1, 0.5, 3], [0.1, 0.5, 3]),      # a list is the grid's points
+    ("0.1:0.5:3", [0.1, 0.3, 0.5]),      # a string is the flag's text
+])
+def test_config_y_grid_list_is_points_string_is_start_stop_count(
+        capsys, tmp_path, grid, ys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"y_grid": grid}))
+    code, doc, _ = run_json(capsys, "--config", str(cfg), *_GN)
+    assert code == 0
+    assert [row["y"] for row in doc["rows"]] == pytest.approx(ys, abs=1e-15)
+
+
 def test_config_string_the_flag_type_refuses_exit_3(capsys, tmp_path):
     # argparse parses a string value as the flag's text, and names the flag
     cfg = tmp_path / "run.json"

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
                        expm, operator_matrix, oracle_element, pad_sufficiency,
                        padded_window)
+from ladderkit.algebra import squared_couplings
 
 _EPS = np.finfo(float).eps
 
@@ -118,6 +119,28 @@ def test_operator_matrix_combines_the_generators(spec, window):
         # array_equal takes -0.0 == 0.0: equal up to the sign of zeros
         assert np.array_equal(operator_matrix(spec, window, (a, b, c)),
                               a * m.L + b * m.R + c * m.S)
+
+
+@pytest.mark.parametrize("spec, window", [
+    (AlgebraSpec.parametric(1.5, 2.5, 0.7), IndexWindow(0, 20, 2, 18)),
+    (AlgebraSpec.parametric(6, -7, -0.5), IndexWindow(-5, 7, -5, 7)),
+    (AlgebraSpec.from_profile("sho"), IndexWindow(-2, 9, 0, 7)),
+    (AlgebraSpec.from_profile("constant-one"), IndexWindow(-3, 5, -1, 3)),
+    (AlgebraSpec.from_profile("phase"), IndexWindow(0, 59, 0, 59)),
+])
+def test_operator_matrix_keeps_its_bytes(spec, window):
+    # against the np.diag / np.diff build it replaced: the same values and
+    # the same signs of zeros, for real, imaginary and complex c
+    l2 = squared_couplings(spec, window)
+    lam, n = np.sqrt(l2[1:-1]), window.size
+    for a, b, c in ((0.3 - 1.1j, -0.7 + 0.2j, 0.45j), (1, 0, -2.5),
+                    (0.5j, 0.5j, 0.0), (-0.2j, 0.7j, -0.0),
+                    (0.1, -0.1, -1.5 + 2j)):
+        want = np.diag(c * np.diff(l2).astype(complex))
+        want.flat[1::n + 1] = a * lam
+        want.flat[n::n + 1] = b * lam
+        got = operator_matrix(spec, window, (a, b, c))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_oracle_element_identity_coeffs():

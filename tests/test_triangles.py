@@ -14,6 +14,7 @@ from ladderkit import (AlgebraSpec, bar_rule, bessel_jn, column_series,
                        lambda_rule, lambda_symmetric_rule, render_ascii,
                        row_sums, sumrule_check, tilde_rule, to_records,
                        unit_rule)
+from ladderkit import triangles
 from ladderkit.triangles import SUMRULE_NAMES, WeightRule
 
 
@@ -371,6 +372,50 @@ def test_sumrules(name, y):
 def test_sumrule_check_refuses_bad_arguments(name, k_max, match):
     with pytest.raises(ValueError, match=match):
         sumrule_check(name, 0.5, k_max)
+
+
+def _spy_family(monkeypatch, perturb=None):
+    """Count triangles' Bessel family calls; ``perturb`` maps the family."""
+    calls = []
+    real = triangles._bessel_family
+
+    def spy(n_max, x):
+        calls.append((n_max, x))
+        family = real(n_max, x)
+        return perturb(family) if perturb else family
+
+    monkeypatch.setattr(triangles, "_bessel_family", spy)
+    return calls
+
+
+def test_sumrule_check_reads_every_order_from_one_family_call(monkeypatch):
+    calls = _spy_family(monkeypatch)
+    for name in SUMRULE_NAMES:
+        sumrule_check(name, 0.7, 12)
+        assert calls == [(25, 1.4)]
+        calls.clear()
+    for name, k_max in (("bessel-tan", 12), ("bessel-unity", 0)):
+        with pytest.raises(ValueError):
+            sumrule_check(name, 0.7, k_max)
+    assert calls == []
+
+
+def test_sumrule_check_keeps_its_teeth(monkeypatch):
+    # bessel-unity sums the family's own values: one even order off by 1e-9
+    # shows in it
+    def perturb(family):
+        family[4] += 1e-9
+        return family
+
+    assert sumrule_check("bessel-unity", 0.7, 12) <= 1e-12
+    _spy_family(monkeypatch, perturb)
+    assert sumrule_check("bessel-unity", 0.7, 12) > 1e-10
+
+
+@pytest.mark.parametrize("name", SUMRULE_NAMES)
+def test_sumrules_at_the_edge_of_the_bessel_domain(name):
+    # x = 2y = 17; the alternating series read 1.3e-11 to 6.1e-11 here
+    assert sumrule_check(name, 8.5, 40) <= 1e-11
 
 
 def test_render_and_records():
