@@ -53,8 +53,8 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
 
     Exact (terminating) when a or b is a non-positive integer; otherwise
     requires |z| < 1.  Raises ConvergenceError outside that domain, on
-    overflow and past _HYP_MAX_TERMS terms; callers fall back to the
-    exponential oracle there.
+    overflow and past _HYP_MAX_TERMS terms; of the callers, only ``gn_auto``
+    falls back to the exponential oracle there.
     """
     if abs(z) >= 1.0 and not _terminates(a, b):
         raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= 1"
@@ -196,34 +196,15 @@ def gn_bessel_limit(n: int, y: float) -> GnEvaluation:
 
 
 def bessel_jn(n: int, x: float) -> float:
-    """Bessel J_n by its alternating power series; negative orders via
-    J_{-n}(x) = (-1)^n J_n(x).
-
-    Plain summation: converges for all x but loses accuracy to
-    cancellation as |x| grows.  Domain |x| <= 17, where the error against
-    scipy is at most 5.3e-11 for n <= 40 (below the sum rules' 1e-10);
-    outside it raises ConvergenceError (off by 3e7 at J_3(60)).
-    """
-    if abs(x) > 17.0:
-        raise ConvergenceError(f"|x| = {abs(x):g} > 17: outside bessel_jn's domain")
-    if n < 0:
-        return (-1.0) ** (-n) * bessel_jn(-n, x)
-    half = 0.5 * x
-    term = 1.0
-    for k in range(1, n + 1):
-        term *= half / k
-    total = term
-    for j in range(1, 400):
-        term *= -(half * half) / (j * (j + n))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
+    """Bessel J_n(x): order |n| of one ``_bessel_family`` call, with its
+    domain and accuracy; negative orders via J_{-n}(x) = (-1)^n J_n(x)."""
+    value = _bessel_family(abs(n), x)[abs(n)]
+    return -value if n < 0 and n % 2 else value
 
 
 def _bessel_family(n_max: int, x: float) -> list[float]:
     """[J_0(x), ..., J_{n_max}(x)] from one backward recurrence (Miller's
-    algorithm; Gautschi, SIAM Rev. 9, 1967), on ``bessel_jn``'s domain.
+    algorithm; Gautschi, SIAM Rev. 9, 1967).
 
     J_{k-1} = (2k/x) J_k - J_{k+1} runs on u_k = J_k k! / (x/2)^k,
 
@@ -235,9 +216,8 @@ def _bessel_family(n_max: int, x: float) -> list[float]:
     recurrence's factors (x/2)^2 / (k (k+1)), the relative error the start
     leaves there, is below 1e-20.  The family is normalised by
     J_0^2 + 2 sum_k J_k^2 = 1, never by J_0 + 2 sum_k J_2k = 1, the
-    bessel-unity sum rule that ``triangles.sumrule_check`` tests; the sign
-    comes from ``bessel_jn`` at order 0 or 1, whichever is the larger.
-    Within 2.7e-16 of 30-digit mpmath for n <= 40, |x| <= 17.
+    bessel-unity sum rule that ``triangles.sumrule_check`` tests.
+    Within 3e-16 of 30-digit mpmath for n <= n_max <= 40, |x| <= 17.
     ConvergenceError past |x| = 17.
     """
     if abs(x) > 17.0:
@@ -260,8 +240,8 @@ def _bessel_family(n_max: int, x: float) -> list[float]:
         scale *= half / k
         u[k] *= scale
         squares += u[k] * u[k]
-    k = 0 if abs(u0) >= abs(u[1]) else 1
-    norm = math.copysign(math.sqrt(u0 * u0 + 2.0 * squares), bessel_jn(k, x) * u[k])
+    # norm > 0: u (of q alone, started past |x|) is a positive multiple of the minimal solution
+    norm = math.sqrt(u0 * u0 + 2.0 * squares)
     return [v / norm for v in u[:n_max + 1]]
 
 

@@ -264,7 +264,8 @@ def test_bessel_reference_values():
 
 
 # (|x| bound, largest n, tolerance): the small-argument range, and the
-# whole documented domain at the sum-rule tolerance
+# whole documented domain at the sum-rule tolerance; scipy's own accuracy
+# at 1e-15 is unverified, so mpmath checks the tight bound below
 @given(st.sampled_from([(4.0, 8, 1e-12), (17.0, 40, 1e-10)]).flatmap(
     lambda c: st.tuples(st.integers(0, c[1]), st.floats(-c[0], c[0]),
                         st.just(c[2]))))
@@ -274,22 +275,14 @@ def test_bessel_against_scipy(case):
     assert abs(bessel_jn(n, x) - jv(n, x)) < tol
 
 
-def test_bessel_refuses_outside_its_domain():
-    # the plain series is off by 3e7 at J_3(60)
-    for n, x in ((3, 60.0), (0, -17.5)):
-        with pytest.raises(ConvergenceError):
-            bessel_jn(n, x)
-    assert abs(bessel_jn(3, -17.0) - jv(3, -17.0)) < 1e-10
-
-
 # J_0 .. J_40 on a grid over bessel_jn's whole domain, x = 0 and +-17 included
 _FAMILY_XS = [17 * k / 100 for k in range(-100, 101)]
 
 
 def test_bessel_family_against_mpmath():
-    # one backward recurrence, normalised by the sum of squares: within
-    # 1e-15 of 30-digit mpmath (the series bessel_jn is off by up to 5.3e-11
-    # near |x| = 17); the short families check where the recurrence starts
+    # one backward recurrence, normalised by the sum of squares, and
+    # bessel_jn(+-n, x) read from it: within 1e-15 of 30-digit mpmath; the
+    # short families check where the recurrence starts
     with mpmath.workdps(30):
         for x in _FAMILY_XS:
             want = [mpmath.besselj(n, x) for n in range(41)]
@@ -299,15 +292,23 @@ def test_bessel_family_against_mpmath():
                 for n, value in enumerate(family):
                     err = abs(mpmath.mpf(value) - want[n])
                     assert err <= 1e-15, (n, n_max, x)
+            for n in range(41):
+                for order, sign in ((n, 1), (-n, (-1) ** n)):
+                    err = abs(mpmath.mpf(bessel_jn(order, x)) - sign * want[n])
+                    assert err <= 1e-15, (order, x)
+        # the Bessel limit at 2y = 16.62, near the domain's edge
+        limit = gn_bessel_limit(0, 8.31).value
+        assert abs(mpmath.mpf(limit) - mpmath.besselj(0, 2 * 8.31)) <= 1e-15
 
 
 def test_bessel_family_refuses_where_bessel_jn_does():
     assert _bessel_family(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
-    for n, x in ((0, 17.5), (40, -17.000001), (3, 60.0)):
+    for n, x in ((0, 17.5), (0, -17.5), (40, -17.000001), (3, 60.0)):
         with pytest.raises(ConvergenceError):
             bessel_jn(n, x)
         with pytest.raises(ConvergenceError):
             _bessel_family(n, x)
+    assert abs(bessel_jn(3, -17.0) - jv(3, -17.0)) < 1e-10
 
 
 def test_bessel_leading_series():

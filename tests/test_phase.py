@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,19 @@ def test_gn_closed_form_vs_bessel_quotient():
         for y in (0.3, 0.8, 1.0):
             want = (n + 1) * bessel_jn(n + 1, 2 * y) / y
             assert abs(phase_gnm(n, 0, y) - want) < 1e-13
+
+
+def test_gnm_against_mpmath():
+    # n, m <= 12 over the Bessel domain 2y <= 17, y = 8.5 included
+    with mpmath.workdps(30):
+        for k in range(101):
+            y = 8.5 * k / 100
+            j = {o: mpmath.besselj(o, 2 * y) for o in range(-12, 27)}
+            for n in range(13):
+                for m in range(13):
+                    want = j[n - m] + (-1) ** m * j[n + m + 2]
+                    err = abs(mpmath.mpf(phase_gnm(n, m, y)) - want)
+                    assert err <= 1e-15, (n, m, y)
 
 
 def test_gn_regular_at_zero():
