@@ -54,6 +54,8 @@ class AlgebraSpec:
             raise ValueError(
                 f"unknown profile {self.profile!r}; choose from {PROFILE_NAMES}"
             )
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.sigma))):
+            raise ValueError(f"alpha, beta and sigma must be finite: {self.label()}")
 
     @classmethod
     def parametric(cls, alpha: float, beta: float, sigma: float) -> "AlgebraSpec":
@@ -107,6 +109,25 @@ def lambda_coupling(spec: AlgebraSpec, j: int) -> float:
     return math.sqrt(l2)
 
 
+def _breaks(spec: AlgebraSpec, j: int) -> tuple[float, float]:
+    """The labels k nearest to j, one with k < j and one with k >= j, where
+    lambda_k^2 <= 0 (-inf / +inf where there is none): the ends of the
+    sector of states coupled to j.  lambda^2 changes sign only at the roots
+    (-alpha and -beta; -1 for "sho" and "phase"; none for "constant-one"),
+    and its float value underflows to 0 only within 1 of a root (sigma = 0
+    makes it 0 everywhere), so reading j - 1, j and the floor and ceiling
+    of each root decides both, in O(1)."""
+    roots = ((-spec.alpha, -spec.beta) if spec.is_parametric
+             else () if spec.profile == "constant-one" else (-1,))
+    below, above = -math.inf, math.inf
+    for k in (j - 1, j, *map(math.floor, roots), *map(math.ceil, roots)):
+        if below < k < j and lambda_sq(spec, k) <= 0.0:
+            below = k
+        elif j <= k < above and lambda_sq(spec, k) <= 0.0:
+            above = k
+    return below, above
+
+
 @dataclass(frozen=True)
 class IndexWindow:
     """Inclusive basis-index range [j_min, j_max] with a trusted inner core
@@ -158,7 +179,8 @@ def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
     (L, R, S) are built from: the couplings lambda_{j_min} .. lambda_{j_max-1}
     and, through lambda_{j_min - 1}, the first diagonal entry of S.
 
-    Raises NonUnitaryRegime, naming the first j, if any of them is negative.
+    Raises NonUnitaryRegime, naming the first j, if any of them is negative,
+    and OverflowError, naming the first j, if any is not finite.
     """
     # float labels: lambda_sq then runs without int casts
     l2 = lambda_sq(spec, np.arange(window.j_min - 1.0, window.j_max + 1.0))
@@ -168,6 +190,10 @@ def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
             f"lambda_{window.j_min - 1 + i}^2 = {l2[i]:g} < 0 for {spec.label()};"
             " window not representable with real couplings"
         )
+    if not math.isfinite(l2.max()):  # a NaN fails here too
+        i = np.argmax(~np.isfinite(l2))
+        raise OverflowError(f"lambda_{window.j_min - 1 + i}^2 = {l2[i]:g} is not"
+                            f" finite for {spec.label()}")
     return l2
 
 
@@ -211,14 +237,9 @@ def detect_blocks(spec: AlgebraSpec, window: IndexWindow) -> list[tuple[int, int
     vanishing coupling decouples the states on either side.  Returns the
     maximal invariant sub-ranges as (lo, hi) pairs.
     """
-    blocks = []
-    lo = window.j_min
-    for j in range(window.j_min, window.j_max):
-        if lambda_sq(spec, j) == 0.0:
-            blocks.append((lo, j))
-            lo = j + 1
-    blocks.append((lo, window.j_max))
-    return blocks
+    cuts = (window.j_min + np.flatnonzero(
+        lambda_sq(spec, np.arange(window.j_min, window.j_max)) == 0.0)).tolist()
+    return list(zip([window.j_min] + [j + 1 for j in cuts], cuts + [window.j_max]))
 
 
 def padded_window(spec: AlgebraSpec, core_lo: int, core_hi: int,
@@ -234,19 +255,13 @@ def padded_window(spec: AlgebraSpec, core_lo: int, core_hi: int,
         pad_hi = pad
     if min(pad, pad_hi) < 0:
         raise ValueError(f"padding must be >= 0, got {pad} and {pad_hi}")
-    lo = core_lo
-    for _ in range(pad):
-        # extend only while the state below is coupled and the grown window
-        # stays buildable (its bottom S entry needs lambda_{lo-2}^2 >= 0)
-        if lambda_sq(spec, lo - 1) <= 0.0 or lambda_sq(spec, lo - 2) < 0.0:
-            break
-        lo -= 1
-    hi = core_hi
-    for _ in range(pad_hi):
-        if lambda_sq(spec, hi) <= 0.0 or lambda_sq(spec, hi + 1) < 0.0:
-            break
-        hi += 1
-    return IndexWindow(lo, hi, core_lo, core_hi)
+    below, above = _breaks(spec, core_lo)[0], _breaks(spec, core_hi)[1]
+    # a window needs lambda^2 >= 0 on j_min - 1 .. j_max: each side stops at
+    # its break, one state short of it where lambda^2 < 0 there
+    lo = below + 1 + (below > -math.inf and lambda_sq(spec, below) < 0.0)
+    hi = above - (above < math.inf and lambda_sq(spec, above) < 0.0)
+    return IndexWindow(min(core_lo, max(core_lo - pad, lo)),
+                       max(core_hi, min(core_hi + pad_hi, hi)), core_lo, core_hi)
 
 
 def suggested_pad(spec: AlgebraSpec, core_lo: int, core_hi: int,
@@ -259,7 +274,6 @@ def suggested_pad(spec: AlgebraSpec, core_lo: int, core_hi: int,
     slowly converging orderings should override (see
     factorization.antinormal_reach).
     """
-    lam_max = 0.0
-    for j in range(core_lo, core_hi + 2):
-        lam_max = max(lam_max, math.sqrt(max(lambda_sq(spec, j), 0.0)))
+    l2 = lambda_sq(spec, np.arange(core_lo, core_hi + 2))
+    lam_max = math.sqrt(np.fmax(l2, 0.0).max(initial=0.0))  # a NaN counts as 0
     return max(PAD_FLOOR, math.ceil(8.0 * abs(magnitude) * lam_max))

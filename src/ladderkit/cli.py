@@ -235,8 +235,8 @@ def cmd_check_algebra(args) -> int:
     if spec.is_parametric:
         resid = algebra.commutator_residual(m, spec)
         payload["commutator_residual"] = resid
-        payload["pass"] = resid <= args.tol
-        if resid > args.tol:
+        payload["pass"] = resid <= args.tol  # False for a NaN residual
+        if not payload["pass"]:
             code = EXIT_TOL
     else:
         s_diag = [float(x.real) for x in np.diag(m.S)]

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (PAD_FLOOR, AlgebraSpec, IndexWindow, lambda_sq,
+from .algebra import (PAD_FLOOR, AlgebraSpec, IndexWindow, _breaks, lambda_sq,
                       squared_couplings, suggested_pad)
 from .errors import ConvergenceError, PoleError
 from .expm import expm, operator_matrix
@@ -217,9 +217,7 @@ def _anti_scan(spec, n, coeffs, j_max=None) -> tuple[float, int]:
     at once past the convergence edge, else after 100000 steps."""
     cl, cr, g_abs = _anti_scales(spec, coeffs)
     ratio = cl * cr * spec.sigma / (g_abs * g_abs)  # the term ratio's limit
-    # at ratio > 0, sigma > 0: lambda_j^2 <= 0 only between -alpha and -beta
-    lo, hi = sorted((-spec.alpha, -spec.beta))
-    if j_max is None and ratio >= 1 and math.ceil(max(lo, n)) > hi:
+    if j_max is None and ratio >= 1 and _breaks(spec, n)[1] == math.inf:
         raise ConvergenceError("the anti-normal sum does not converge: its"
                                f" term ratio tends to {ratio:.4g}")
     ln_t, peak = 0.0, 0.0
@@ -368,8 +366,8 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
         peak = _anti_peak(spec, window, coeffs)
     # a chain entry is at most e^(|xS| lambda_max) for x = a, b, and at most
     # e^(peak/2) times the (|a|/|b|)^(+-k/2) tilt between the two chains
-    lam_max = max((math.sqrt(max(lambda_sq(spec, j), 0.0))
-                   for j in range(lo, window.j_max)), default=0.0)
+    l2 = lambda_sq(spec, np.arange(lo, window.j_max))
+    lam_max = math.sqrt(np.fmax(l2, 0.0).max(initial=0.0))
     tilt = (window.j_max - lo) * abs(math.log(af / bf)) / 2 if af and bf else math.inf
     chain = min(peak / 2 + tilt, max(af, bf) / g_abs * lam_max)
     ln2_g = math.log2(g_abs)  # |D-^e| = 2^(-e ln2_g)

@@ -24,7 +24,8 @@ only through sigma*y^2.
 import math
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, lambda_coupling, padded_window, suggested_pad
+from .algebra import (AlgebraSpec, _breaks, lambda_coupling, padded_window,
+                      suggested_pad)
 from .errors import ConvergenceError
 from .expm import oracle_element
 from .factorization import u2_factors
@@ -91,15 +92,14 @@ def a_n(spec: AlgebraSpec, n: int) -> float:
 
 
 def _require_tower(spec: AlgebraSpec, n: int) -> None:
-    """NonUnitaryRegime at the first negative lambda_j^2, j >= n, before a zero
-    coupling ends the tower; the sign changes only at -alpha and -beta, so n and
-    the first j at or past each root above n decide it.  ValueError for profiles."""
+    """NonUnitaryRegime where the tower above n ends at a negative lambda_j^2,
+    not at a zero coupling.  ValueError for profiles."""
     if not spec.is_parametric:
         raise ValueError("this route needs a parametric spec; use the"
                          " limit routes for profiles")
-    for j in sorted({n, *(math.ceil(r) for r in (-spec.alpha, -spec.beta) if r > n)}):
-        if lambda_coupling(spec, j) == 0.0:
-            break
+    top = _breaks(spec, n)[1]
+    if top < math.inf:
+        lambda_coupling(spec, top)  # raises where lambda_top^2 < 0
 
 
 def _amplitude(spec: AlgebraSpec, n: int, y: float, a: float, b: float,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
                        build_matrices, commutator_residual, detect_blocks,
-                       lambda_coupling, lambda_sq, padded_window)
-from ladderkit.algebra import squared_couplings
+                       lambda_coupling, lambda_sq, padded_window,
+                       suggested_pad)
+from ladderkit.algebra import PAD_FLOOR, squared_couplings
 
 
 def test_lambda_sq_parametric_values():
@@ -240,6 +243,78 @@ def test_padded_window_refuses_a_negative_pad():
         padded_window(spec, 0, 3, -2)
     with pytest.raises(ValueError):
         padded_window(spec, 0, 3, 2, -1)
+
+
+def test_spec_refuses_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                AlgebraSpec.parametric(*args)
+
+
+@pytest.mark.parametrize("spec, what", [
+    # (1e160 + j)^2 overflows to inf; at sigma = 0 it gives 0 * inf = NaN
+    (AlgebraSpec.parametric(1e160, 1e160, 1), "inf"),
+    (AlgebraSpec.parametric(-1e160, 1e160, 0), "nan"),
+])
+def test_squared_couplings_refuse_non_finite_couplings(spec, what):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=f"lambda_-1\\^2 = {what} is not finite"):
+            squared_couplings(spec, IndexWindow(0, 4, 0, 4))
+        with pytest.raises(OverflowError):
+            build_matrices(spec, IndexWindow(0, 4, 0, 4))
+
+
+def _padded_window_per_j(spec, core_lo, core_hi, pad, pad_hi):
+    """padded_window's rule one state at a time: grow a side while the next
+    state is coupled and the grown window stays buildable."""
+    lo = core_lo
+    while (lo > core_lo - pad and lambda_sq(spec, lo - 1) > 0.0
+           and lambda_sq(spec, lo - 2) >= 0.0):
+        lo -= 1
+    hi = core_hi
+    while (hi < core_hi + pad_hi and lambda_sq(spec, hi) > 0.0
+           and lambda_sq(spec, hi + 1) >= 0.0):
+        hi += 1
+    return IndexWindow(lo, hi, core_lo, core_hi)
+
+
+def _detect_blocks_per_j(spec, window):
+    blocks, lo = [], window.j_min
+    for j in range(window.j_min, window.j_max):
+        if lambda_sq(spec, j) == 0.0:
+            blocks.append((lo, j))
+            lo = j + 1
+    return blocks + [(lo, window.j_max)]
+
+
+def _suggested_pad_per_j(spec, core_lo, core_hi, magnitude):
+    lam_max = max(math.sqrt(max(lambda_sq(spec, j), 0.0))
+                  for j in range(core_lo, core_hi + 2))
+    return max(PAD_FLOOR, math.ceil(8.0 * abs(magnitude) * lam_max))
+
+
+# roots within 1e-200 of an integer, and sigma small enough that lambda^2
+# underflows to 0 next to a root (lambda_6^2 on (-8, -6.25, 5e-324))
+_SECTOR_SPECS = _ARRAY_SPECS + [
+    AlgebraSpec.parametric(*p) for p in (
+        (-1e-200, -3.5, 1e-300), (1e-200, 1.75, 5e-324), (-8, -6.25, 5e-324),
+        (0.49, -2.000000001, -5e-324), (5e-324, -5e-324, 1e300),
+        (2.5, -3.25, -1e300), (1e200, -2, 1e-300), (1e200, 3, 0),
+        (7, -8, -0.5), (0.5, 0.5, 1), (1, 3, 1), (-2.5, -2.5, -1))]
+
+
+@pytest.mark.parametrize("spec", _SECTOR_SPECS)
+def test_sector_reads_match_the_per_label_rules(spec):
+    for core_lo, core_hi in ((-6, -6), (-3, 2), (0, 0), (0, 5), (4, 9)):
+        for pad, pad_hi in ((0, 0), (2, 7), (40, 40)):
+            assert (padded_window(spec, core_lo, core_hi, pad, pad_hi)
+                    == _padded_window_per_j(spec, core_lo, core_hi, pad, pad_hi))
+        window = IndexWindow(core_lo - 7, core_hi + 7, core_lo, core_hi)
+        assert detect_blocks(spec, window) == _detect_blocks_per_j(spec, window)
+        for magnitude in (0.3, 4.0):
+            assert (suggested_pad(spec, core_lo, core_hi, magnitude)
+                    == _suggested_pad_per_j(spec, core_lo, core_hi, magnitude))
 
 
 @pytest.mark.parametrize("sigma", [2, 1, 0.5, 0.25])

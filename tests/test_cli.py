@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 import scipy.special
 
@@ -34,6 +35,28 @@ def test_check_algebra_domain_error_exit_2(capsys):
                          "--beta", "-2", "--sigma", "1", "--window", "0:16")
     assert code == 2
     assert "lambda" in err
+
+
+def test_check_algebra_exits_by_its_own_pass(capsys, monkeypatch):
+    # a NaN residual is no pass: it fails "resid <= tol" and must exit 1
+    monkeypatch.setattr(cli.algebra, "commutator_residual",
+                        lambda m, spec: math.nan)
+    code, doc, _ = run_json(capsys, "check-algebra", "--alpha", "1",
+                            "--beta", "1", "--sigma", "1", "--window", "0:16")
+    assert doc["pass"] is False
+    assert code == 1
+
+
+@pytest.mark.parametrize("alpha, code, message", [
+    ("1e160", 2, "lambda_-1^2 = inf is not finite"),   # overflowing couplings
+    ("nan", 3, "must be finite"),
+])
+def test_check_algebra_refuses_non_finite_input(capsys, alpha, code, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, out, err = run(capsys, "check-algebra", "--alpha", alpha,
+                            "--beta", alpha, "--sigma", "1", "--window", "0:4")
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 def test_check_algebra_phase_profile_reports_impulse(capsys):

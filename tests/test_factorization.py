@@ -14,7 +14,7 @@ from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow,
                        lambda_sq, operator_matrix, ordered_product,
                        padded_window, reduces_to_u1, suggested_pad,
                        u2_factors)
-from ladderkit import factorization
+from ladderkit import algebra, factorization
 from ladderkit.algebra import squared_couplings
 from ladderkit.factorization import _raising_exp
 
@@ -263,17 +263,27 @@ def test_antinormal_reach_past_the_convergence_edge_raises():
 
 def test_antinormal_reach_refuses_past_the_edge_without_a_scan(monkeypatch):
     # the ratio limit |a f-||b f-| sigma/|g-|^2 is 1.054 at y = 0.9: the
-    # refusal needs no coupling
+    # refusal needs only the sector's break above the core, a few couplings
     looked_up = []
-    monkeypatch.setattr(factorization, "lambda_sq",
-                        lambda *args: looked_up.append(args) or lambda_sq(*args))
+    for module in (algebra, factorization):
+        monkeypatch.setattr(module, "lambda_sq", lambda *args, m=module:
+                            looked_up.append(m) or lambda_sq(*args))
     with pytest.raises(ConvergenceError, match="does not converge"):
         antinormal_reach(SPEC111, 3, (0.9j, 0.9j, 0.0))
-    assert looked_up == []
+    assert factorization not in looked_up
+    assert len(looked_up) <= 6
     # past the edge, a zero coupling above the core still ends the sum:
     # lambda_5 = 0 on (-5, -5, 1)
     spec = AlgebraSpec.parametric(-5, -5, 1)
     assert antinormal_reach(spec, 3, (2j, 2j, 0.0)) == 5
+
+
+def test_antinormal_reach_stops_where_a_coupling_underflows_to_zero():
+    # past the edge (ratio limit 3.7), but the float lambda_0^2 =
+    # 2 * (1e-200)^2 is 0, and the sum ends there
+    spec = AlgebraSpec.parametric(-1e-200, -1e-200, 2)
+    assert lambda_sq(spec, 0) == 0.0
+    assert antinormal_reach(spec, -2, (1j, 1j, 0.0)) == 0
 
 
 def test_antinormal_reach_over_100000_states_raises():

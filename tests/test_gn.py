@@ -159,6 +159,14 @@ def test_series_routes_refuse_a_negative_coupling_in_the_tower(alpha, beta,
                     route(spec, n, y)
 
 
+def test_a_coupling_that_underflows_to_zero_ends_the_tower():
+    # on (-8, -6.25, 5e-324) the float lambda_6^2 = 5e-324 * 0.5 is 0, as
+    # the window builds read it, so the tower ends there before the
+    # negative lambda_7^2
+    spec = AlgebraSpec.parametric(-8, -6.25, 5e-324)
+    assert gn_closed(spec, 0, 0.5).value == 1.0
+
+
 @pytest.mark.parametrize("y", [2.5, 3.0])
 def test_series_routes_refuse_a_negative_sech_under_a_fractional_power(y):
     # sec(y sqrt(1/2)) < 0 for y past 2.22, where g^(1 - 2n - alpha - beta)

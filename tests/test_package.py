@@ -64,6 +64,19 @@ def test_oracle_imports_only_the_algebra():
     assert named & banned == set()
 
 
+def test_only_the_algebra_derives_the_coupling_roots():
+    # the sector rule (where lambda^2 <= 0, from the roots -alpha and -beta)
+    # lives in algebra._breaks; no other module negates alpha or beta
+    negating = set()
+    for path in Path(ladderkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                    and isinstance(node.operand, ast.Attribute)
+                    and node.operand.attr in ("alpha", "beta")):
+                negating.add(path.name)
+    assert negating == {"algebra.py"}
+
+
 def test_spin_reference_shares_no_route_code():
     # the J_x/J_y reference builds its own spin matrices and rotation
     # vector: from the library it takes the angles' container and the oracle
