@@ -41,16 +41,13 @@ class AlgebraSpec:
     filling fields by hand.
     """
 
-    kind: str
     alpha: float = 0.0
     beta: float = 0.0
     sigma: float = 0.0
-    profile: str = ""
+    profile: str | None = None  # None: parametric
 
     def __post_init__(self):
-        if self.kind not in ("parametric", "profile"):
-            raise ValueError(f"unknown spec kind {self.kind!r}")
-        if self.kind == "profile" and self.profile not in PROFILE_NAMES:
+        if self.profile is not None and self.profile not in PROFILE_NAMES:
             raise ValueError(
                 f"unknown profile {self.profile!r}; choose from {PROFILE_NAMES}"
             )
@@ -59,16 +56,15 @@ class AlgebraSpec:
 
     @classmethod
     def parametric(cls, alpha: float, beta: float, sigma: float) -> "AlgebraSpec":
-        return cls(kind="parametric", alpha=float(alpha), beta=float(beta),
-                   sigma=float(sigma))
+        return cls(alpha=float(alpha), beta=float(beta), sigma=float(sigma))
 
     @classmethod
     def from_profile(cls, name: str) -> "AlgebraSpec":
-        return cls(kind="profile", profile=name)
+        return cls(profile=name)
 
     @property
     def is_parametric(self) -> bool:
-        return self.kind == "parametric"
+        return self.profile is None
 
     def label(self) -> str:
         if self.is_parametric:
@@ -190,11 +186,20 @@ def squared_couplings(spec: AlgebraSpec, window: IndexWindow) -> np.ndarray:
             f"lambda_{window.j_min - 1 + i}^2 = {l2[i]:g} < 0 for {spec.label()};"
             " window not representable with real couplings"
         )
-    if not math.isfinite(l2.max()):  # a NaN fails here too
-        i = np.argmax(~np.isfinite(l2))
-        raise OverflowError(f"lambda_{window.j_min - 1 + i}^2 = {l2[i]:g} is not"
-                            f" finite for {spec.label()}")
+    _finite_top(spec, l2, window.j_min - 1)
     return l2
+
+
+def _finite_top(spec: AlgebraSpec, l2: np.ndarray, j0: int) -> float:
+    """The largest of l2 = lambda_j^2 for j = j0, j0 + 1, ..., or 0 where
+    every one is below 0.  Raises OverflowError, naming the first j, where
+    that is not finite: an inf, or a NaN anywhere in l2."""
+    top = l2.max(initial=0.0)
+    if not math.isfinite(top):
+        i = np.argmax(~np.isfinite(l2))
+        raise OverflowError(f"lambda_{j0 + i}^2 = {l2[i]:g} is not finite"
+                            f" for {spec.label()}")
+    return top
 
 
 def build_matrices(spec: AlgebraSpec, window: IndexWindow) -> LadderMatrices:
@@ -225,9 +230,8 @@ def commutator_residual(m: LadderMatrices, spec: AlgebraSpec) -> float:
     d1 = m.L @ m.R - m.R @ m.L - m.S
     d2 = m.L @ m.S - m.S @ m.L - two_sigma * m.L
     d3 = m.S @ m.R - m.R @ m.S - two_sigma * m.R
-    return max(
-        float(np.abs(d[sl, sl]).max()) for d in (d1, d2, d3)
-    )
+    # np.max, not max: a NaN in any block is the answer
+    return float(np.max([np.abs(d[sl, sl]).max() for d in (d1, d2, d3)]))
 
 
 def detect_blocks(spec: AlgebraSpec, window: IndexWindow) -> list[tuple[int, int]]:
@@ -272,8 +276,9 @@ def suggested_pad(spec: AlgebraSpec, core_lo: int, core_hi: int,
     exp(iy(R+L))).  Each Taylor order of a banded exponential moves support
     by one band, so the requirement scales with coupling size.  Callers with
     slowly converging orderings should override (see
-    factorization.antinormal_reach).
+    factorization.antinormal_reach).  Raises OverflowError, as
+    squared_couplings does, where a core coupling is not finite.
     """
     l2 = lambda_sq(spec, np.arange(core_lo, core_hi + 2))
-    lam_max = math.sqrt(np.fmax(l2, 0.0).max(initial=0.0))  # a NaN counts as 0
+    lam_max = math.sqrt(_finite_top(spec, l2, core_lo))
     return max(PAD_FLOOR, math.ceil(8.0 * abs(magnitude) * lam_max))

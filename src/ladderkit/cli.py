@@ -3,9 +3,10 @@
 Every run is a pure function of its flags (or of a JSON config file with
 the same keys; a key naming no flag, or a value the flag cannot take, is a
 configuration error), so identical invocations produce byte-identical output.
-Exit codes: 0 success, 1 tolerance violation, 2 domain error (poles,
+Commands return their payload and ``main`` writes it.  Exit codes: 0
+success, 1 exactly when "pass" is false, 2 domain error (poles,
 non-representable couplings, degenerate parametrizations), 3 bad
-configuration.
+configuration or an ``--out`` that cannot be written.
 """
 
 import argparse
@@ -151,8 +152,11 @@ def _emit(payload: dict, args) -> None:
                      for k, v in sorted(_flatten(payload).items())]
             text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -210,7 +214,7 @@ def _ys_from_args(args) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_check_algebra(args) -> int:
+def cmd_check_algebra(args) -> dict:
     _require(args, "window")
     spec = _spec_from_args(args)
     lo, hi = args.window
@@ -231,13 +235,10 @@ def cmd_check_algebra(args) -> int:
         "blocks": [list(b) for b in algebra.detect_blocks(spec, window)],
         "tol": args.tol,
     }
-    code = EXIT_OK
     if spec.is_parametric:
         resid = algebra.commutator_residual(m, spec)
         payload["commutator_residual"] = resid
         payload["pass"] = resid <= args.tol  # False for a NaN residual
-        if not payload["pass"]:
-            code = EXIT_TOL
     else:
         s_diag = [float(x.real) for x in np.diag(m.S)]
         payload["s_diagonal"] = s_diag
@@ -245,15 +246,14 @@ def cmd_check_algebra(args) -> int:
             impulse = [1.0 if j == 0 else 0.0 for j in window.indices()]
             payload["s_is_unit_impulse_at_0"] = s_diag == impulse
         payload["pass"] = True
-    _emit(payload, args)
-    return code
+    return payload
 
 
 def _span(window) -> dict:
     return {"j_min": window.j_min, "j_max": window.j_max}
 
 
-def cmd_factorize(args) -> int:
+def cmd_factorize(args) -> dict:
     spec = _spec_from_args(args)
     if args.y is not None:
         coeffs = (1j * args.y, 1j * args.y, 0.0)
@@ -307,10 +307,8 @@ def cmd_factorize(args) -> int:
         box = max(certs, key=certs.get)
         payload["pad_sufficiency"] = certs[box]
         payload["pad_sufficiency_window"] = _span(box)
-    worst = max(residuals.values())
-    payload["pass"] = worst <= args.tol
-    _emit(payload, args)
-    return EXIT_OK if worst <= args.tol else EXIT_TOL
+    payload["pass"] = max(residuals.values()) <= args.tol
+    return payload
 
 
 def _gn_row(spec, n, m, y, route, with_recursion):
@@ -336,14 +334,13 @@ def _gn_row(spec, n, m, y, route, with_recursion):
     return row
 
 
-def cmd_gn(args) -> int:
+def cmd_gn(args) -> dict:
     _require(args, "n")
     spec = _spec_from_args(args)
     ys = _ys_from_args(args)
     rows = [_gn_row(spec, args.n, args.m, y, args.route, args.recursion)
             for y in ys]
-    _emit({"spec": _spec_payload(spec), "rows": rows}, args)
-    return EXIT_OK
+    return {"spec": _spec_payload(spec), "rows": rows}
 
 
 # a fixed rule is its bare name, a parametric one NAME:P1,P2,...
@@ -366,7 +363,7 @@ def _rule_from_text(text: str) -> triangles.WeightRule:
         raise argparse.ArgumentTypeError(f"rule {text!r}: {exc}") from None
 
 
-def cmd_triangle(args) -> int:
+def cmd_triangle(args) -> dict:
     _require(args, "rule")
     rule = _rule_from_text(args.rule)
     d = triangles.generate(rule, args.boundary, args.start, args.rows)
@@ -387,11 +384,10 @@ def cmd_triangle(args) -> int:
             for kind in (("plain", "alternating") if args.row_sums == "both"
                          else (args.row_sums,))
         }
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
-def cmd_rotate(args) -> int:
+def cmd_rotate(args) -> dict:
     _require(args, "omega", "theta", "phi", "j")
     spec = rotations.RotationSpec(args.omega, args.theta, args.phi, args.j)
     routes = {"factorized": rotations.rotation_factorized,
@@ -411,16 +407,12 @@ def cmd_rotate(args) -> int:
         "matrices": mats,
         "tol": args.tol,
     }
-    code = EXIT_OK
     if len(mats) > 1:
         devs = {f"{x}|{z}": float(np.abs(mats[x] - mats[z]).max())
                 for x, z in itertools.combinations(mats, 2)}
         payload["pairwise_deviation"] = devs
         payload["pass"] = max(devs.values()) <= args.tol
-        if not payload["pass"]:
-            code = EXIT_TOL
-    _emit(payload, args)
-    return code
+    return payload
 
 
 def _phase_row(n, m, y, oracle_dim):
@@ -433,21 +425,18 @@ def _phase_row(n, m, y, oracle_dim):
     return row
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> dict:
     _require(args, "n")
     ys = _ys_from_args(args)
     rows = [_phase_row(args.n, args.m, y, args.check_oracle) for y in ys]
-    _emit({"rows": rows}, args)
-    return EXIT_OK
+    return {"rows": rows}
 
 
-def cmd_sumrule(args) -> int:
+def cmd_sumrule(args) -> dict:
     _require(args, "name", "y")
     dev = triangles.sumrule_check(args.name, args.y, args.k_max)
-    payload = {"name": args.name, "y": args.y, "k_max": args.k_max,
-               "deviation": dev, "tol": args.tol, "pass": dev <= args.tol}
-    _emit(payload, args)
-    return EXIT_OK if dev <= args.tol else EXIT_TOL
+    return {"name": args.name, "y": args.y, "k_max": args.k_max,
+            "deviation": dev, "tol": args.tol, "pass": dev <= args.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +577,8 @@ def main(argv=None) -> int:
             for sp in subcommands.values():
                 sp.set_defaults(**cleaned)
             args = parser.parse_args(argv)
-        return args.func(args)
+        payload = args.func(args)
+        _emit(payload, args)
     except SystemExit as exc:
         # --help, and the usage errors _Parser turns into exit 3
         return int(exc.code or 0)
@@ -596,10 +586,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"ladderkit: {exc}\n")
         return EXIT_DOMAIN
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        # missing or bad flags, rules and config; argument checks inside
-        # the library
+        # missing or bad flags, rules, config and --out; argument checks
+        # inside the library
         sys.stderr.write(f"ladderkit: {exc}\n")
         return EXIT_CONFIG
+    return EXIT_OK if payload.get("pass", True) else EXIT_TOL
 
 
 if __name__ == "__main__":

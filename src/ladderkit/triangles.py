@@ -114,7 +114,8 @@ class CoeffDiagram:
     Row r holds integer numerators over one positive scale,
     T(r, n) = numerators[r][n] / scales[r], with every stored numerator
     nonzero.  ``rows`` gives the nodes as normalised Fractions, built on
-    its first read.
+    its first read; the text layout and the records read them, so each
+    node is reduced once.
     """
 
     rule_name: str
@@ -288,24 +289,10 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
     return abs(lhs - _integral_j1_over_z(y))
 
 
-def _lowest_terms(nums: dict, scale: int) -> dict:
-    """Each node of a row as the strings of its numerator and denominator
-    in lowest terms."""
-    if scale == 1:
-        return {n: (str(v), "1") for n, v in nums.items()}
-    out = {}
-    for n, v in nums.items():
-        g = math.gcd(v, scale)
-        out[n] = (str(v // g), str(scale // g))
-    return out
-
-
 def render_ascii(d: CoeffDiagram) -> str:
     """Node values laid out on their staggered columns, one text row per
     diagram row."""
-    texts = [{n: a if b == "1" else f"{a}/{b}"
-              for n, (a, b) in _lowest_terms(nums, scale).items()}
-             for nums, scale in zip(d.numerators, d.scales)]
+    texts = [{n: str(v) for n, v in row.items()} for row in d.rows]
     cols = sorted({n for row in texts for n in row})
     if not cols:
         return ""
@@ -323,11 +310,6 @@ def render_ascii(d: CoeffDiagram) -> str:
 def to_records(d: CoeffDiagram) -> list[dict]:
     """One machine-readable record per node; numerator/denominator as
     strings so arbitrary-size integers survive serialization."""
-    recs = []
-    for r, (nums, scale) in enumerate(zip(d.numerators, d.scales)):
-        row = _lowest_terms(nums, scale)
-        for n in sorted(row):
-            a, b = row[n]
-            recs.append({"row": r, "column": n,
-                         "numerator": a, "denominator": b})
-    return recs
+    return [{"row": r, "column": n, "numerator": str(v.numerator),
+             "denominator": str(v.denominator)}
+            for r, row in enumerate(d.rows) for n, v in sorted(row.items())]

@@ -172,6 +172,15 @@ def test_commutator_residual_corner_positive():
     assert commutator_residual(m, spec) > 1.0
 
 
+def test_commutator_residual_propagates_a_nan():
+    # L S overflows on (1, 1, 1e300): inf - inf leaves NaN in the core of
+    # the [L, S] - 2 sigma L block, while the [L, R] - S block is finite
+    spec = AlgebraSpec.parametric(1, 1, 1e300)
+    m = build_matrices(spec, IndexWindow(0, 4, 1, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(commutator_residual(m, spec))
+
+
 def test_commutator_residual_rejects_profiles():
     m = build_matrices(AlgebraSpec.from_profile("sho"), IndexWindow(0, 6, 1, 5))
     with pytest.raises(ValueError):
@@ -220,10 +229,9 @@ def test_window_validation():
         IndexWindow(0, 5, -1, 5)
     with pytest.raises(IndexError, match="outside window"):
         IndexWindow(0, 5, 1, 4).idx(6)
-    with pytest.raises(ValueError, match="unknown spec kind"):
-        AlgebraSpec(kind="matrix")
-    with pytest.raises(ValueError, match="unknown profile"):
-        AlgebraSpec.from_profile("harmonic")
+    for name in ("harmonic", ""):
+        with pytest.raises(ValueError, match="unknown profile"):
+            AlgebraSpec.from_profile(name)
 
 
 def test_padded_window_stops_at_decoupling():
@@ -263,6 +271,9 @@ def test_squared_couplings_refuse_non_finite_couplings(spec, what):
             squared_couplings(spec, IndexWindow(0, 4, 0, 4))
         with pytest.raises(OverflowError):
             build_matrices(spec, IndexWindow(0, 4, 0, 4))
+        # suggested_pad reads the core's couplings first, in the same words
+        with pytest.raises(OverflowError, match=f"lambda_0\\^2 = {what} is not finite"):
+            suggested_pad(spec, 0, 4, 0.3)
 
 
 def _padded_window_per_j(spec, core_lo, core_hi, pad, pad_hi):

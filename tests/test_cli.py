@@ -326,6 +326,26 @@ def test_out_file(capsys, tmp_path):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("target", ["missing/res.json", "."])
+def test_out_that_cannot_be_written_exit_3(capsys, tmp_path, target):
+    # a missing directory, and a directory itself
+    code, out, err = run(capsys, "--out", str(tmp_path / target), "gn",
+                         "--profile", "sho", "--n", "1", "--y", "0.5")
+    assert (code, out) == (3, "")
+    assert err.startswith("ladderkit: cannot write --out: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("route", ["auto", "oracle"])
+def test_gn_overflowing_couplings_name_the_coupling_exit_2(capsys, route):
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "gn", "--alpha", "1e160", "--beta",
+                             "1e160", "--sigma", "1", "--n", "1", "--y",
+                             "0.3", "--route", route)
+    assert (code, out) == (2, "")
+    assert "lambda_0^2 = inf is not finite" in err
+
+
 def test_small_window_default_core(capsys):
     code, doc, _ = run_json(capsys, "check-algebra", "--alpha", "1",
                             "--beta", "1", "--sigma", "1", "--window", "0:3")

@@ -113,15 +113,24 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 def test_cli_refuses_through_main_alone():
     # a command refuses by raising (ValueError: exit 3, a domain error:
-    # exit 2) and main alone writes the message; argparse's usage errors
-    # exit through _Parser.error, and the __main__ guard exits with main's code
+    # exit 2) and otherwise returns its payload; main alone writes the
+    # message or the payload (through _emit, the one writer to stdout) and
+    # picks every exit code; argparse's usage errors exit through
+    # _Parser.error, and the __main__ guard exits with main's code
     tree = ast.parse(Path(ladderkit.__file__).with_name("cli.py").read_text())
-    stderr, raised, exits = set(), [], []
+    stderr, stdout, raised, exits = set(), set(), [], []
+    readers = {"_emit": set(), "EXIT_": set()}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute) and child.attr == "stderr":
                 stderr.add(scope)
+            elif isinstance(child, ast.Attribute) and child.attr == "stdout":
+                stdout.add(scope)
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                for prefix, scopes in readers.items():
+                    if child.id.startswith(prefix):
+                        scopes.add(scope)
             elif isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
                 if isinstance(exc, ast.Name) and exc.id == "SystemExit":
@@ -137,5 +146,7 @@ def test_cli_refuses_through_main_alone():
 
     visit(tree, "")
     assert stderr == {"main"}
+    assert stdout == {"_emit"}
+    assert readers == {"_emit": {"main"}, "EXIT_": {"_Parser.error", "main"}}
     assert raised == []
     assert exits == [("_Parser.error", "self.exit"), ("", "sys.exit")]
