@@ -539,46 +539,56 @@ def _shared_parser() -> _Parser:
     return _build_parser()[0]
 
 
+def _parse(argv):
+    """The parsed flags: one parse of argv, and a second with --config."""
+    parser = _shared_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # parse again, with the config file's values as flag defaults
+        try:
+            with open(args.config) as fh:
+                defaults = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"bad config file: {exc}") from None
+        if not isinstance(defaults, dict):
+            raise ValueError("config file must hold an object")
+        cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
+        parser, subcommands = _build_parser()
+        # a key may serve any subcommand, but it must name some flag
+        dests = {a.dest for p in (parser, *subcommands.values())
+                 for a in p._actions
+                 if a.option_strings and a.dest != argparse.SUPPRESS}
+        unknown = [k for k in defaults if k.replace("-", "_") not in dests]
+        if unknown:
+            raise ValueError("config key(s) match no flag: "
+                             + ", ".join(map(repr, unknown)))
+        # a value must fit the flag it sets on the command that runs
+        actions = {a.dest: a for a in (*parser._actions,
+                                       *subcommands[args.command]._actions)}
+        for key, value in defaults.items():
+            action = actions.get(key.replace("-", "_"))
+            if action is not None and not _config_fits(action, value):
+                raise ValueError(f"config key {key!r}: {value!r} is no"
+                                 f" value of {action.option_strings[0]}")
+        # subparsers parse into a fresh namespace, so they need the
+        # defaults as well
+        parser.set_defaults(**cleaned)
+        for sp in subcommands.values():
+            sp.set_defaults(**cleaned)
+        args = parser.parse_args(argv)
+    return args
+
+
 def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # parse again, with the config file's values as flag defaults
-            try:
-                with open(args.config) as fh:
-                    defaults = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"bad config file: {exc}") from None
-            if not isinstance(defaults, dict):
-                raise ValueError("config file must hold an object")
-            cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
-            parser, subcommands = _build_parser()
-            # a key may serve any subcommand, but it must name some flag
-            dests = {a.dest for p in (parser, *subcommands.values())
-                     for a in p._actions
-                     if a.option_strings and a.dest != argparse.SUPPRESS}
-            unknown = [k for k in defaults if k.replace("-", "_") not in dests]
-            if unknown:
-                raise ValueError("config key(s) match no flag: "
-                                 + ", ".join(map(repr, unknown)))
-            # a value must fit the flag it sets on the command that runs
-            actions = {a.dest: a for a in (*parser._actions,
-                                           *subcommands[args.command]._actions)}
-            for key, value in defaults.items():
-                action = actions.get(key.replace("-", "_"))
-                if action is not None and not _config_fits(action, value):
-                    raise ValueError(f"config key {key!r}: {value!r} is no"
-                                     f" value of {action.option_strings[0]}")
-            # subparsers parse into a fresh namespace, so they need the
-            # defaults as well
-            parser.set_defaults(**cleaned)
-            for sp in subcommands.values():
-                sp.set_defaults(**cleaned)
-            args = parser.parse_args(argv)
-        payload = args.func(args)
-        _emit(payload, args)
+        # the library refuses by raising; numpy's floating-point
+        # warnings on the way would put its install path on stderr
+        # beside main's one line
+        with np.errstate(all="ignore"):
+            args = _parse(argv)
+            payload = args.func(args)
+            _emit(payload, args)
     except SystemExit as exc:
         # --help, and the usage errors _Parser turns into exit 3
         return int(exc.code or 0)

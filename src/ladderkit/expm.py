@@ -18,7 +18,11 @@ diagonal phase.  With E = diag(1, i, 1, i, ...), exp(ih) = E^-1 exp(K) E for
 K = E (ih) E^-1, which is h with its odd rows negated: real, of the same
 norm (Higham, Functions of Matrices, 2008, ch. 10).  exp(K) takes the same
 s, m, squarings and bound as the complex path, in real products, and the
-phase is put back entry by entry, without rounding.
+phase is put back entry by entry, without rounding.  One core serves all
+three kinds: a float64 exponent goes through it in real arithmetic and
+stays real, a complex one in complex arithmetic, and K in real arithmetic
+before its phase.  ``oracle_element`` builds K for exp(iy(R + L)) straight
+from the couplings and puts the phase back on the one element it reads.
 """
 
 import math
@@ -106,38 +110,24 @@ def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
     return total
 
 
-def expm(a: np.ndarray) -> ExpmResult:
-    """exp(a) for a square complex matrix, with a bound on the truncation
-    error of the underlying Taylor series (rounding is not included).
+def _odd_rows_negated(k: np.ndarray) -> np.ndarray:
+    """K = E (i h) E^-1 for E = diag(1, i, 1, i, ...), from a real h with
+    zeros wherever row + column is even: h with its odd rows negated, in
+    place on k, which holds h and is returned."""
+    np.negative(k[1::2], out=k[1::2])
+    return k
 
-    The per-call work is the chiral test, the norm, the scalar tail rule
-    and the matrix products: the coefficients 1/k! and their
-    Paterson-Stockmeyer layouts, real and complex, for each degree the
-    tail rule can pick are tables built at import.
 
-    Raises OverflowError if an intermediate norm leaves the floating range.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm needs a square matrix")
-    # an imaginary exponent i h is chiral when h is zero wherever row +
-    # column is even, and is then exponentiated as K, a new array (a.imag is
-    # a view of the caller's matrix): h with its odd rows negated.  A real
-    # part on a[0, 0] or a[0, 1] (c and a in operator_matrix's exponents)
-    # settles the test for most complex exponents before the O(n^2) scan.
-    real = a.size and (a.item(0).real or a.size > 1 and a.item(1).real
-                       or a.real.any())
-    h = None if real else a.imag
-    chiral = not (h is None or np.count_nonzero(h[::2, ::2])
-                  or np.count_nonzero(h[1::2, 1::2]))
-    x = -h if chiral else a
-    if chiral:
-        x[::2] = h[::2]
+def _exp(x: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """exp(x) and its truncation bound for a square float64 or complex x,
+    in x's arithmetic; None when x is zero, whose exponential is exactly
+    the identity.  Raises OverflowError if an intermediate norm leaves the
+    floating range."""
     norm = _norm_inf(x)
     if not math.isfinite(norm):
         raise OverflowError("non-finite entries in exponent")
     if norm == 0.0:
-        return ExpmResult(np.eye(len(a), dtype=complex), 0.0)
+        return None
 
     # scale so the Taylor argument has norm <= 1; the tail's geometric
     # ratio nb/(k+2) then stays <= 1/3
@@ -166,6 +156,42 @@ def expm(a: np.ndarray) -> ExpmResult:
             bound = 2.0 * tn * bound + 3.0 * bound * bound
     if not np.isfinite(total).all() or not math.isfinite(bound):
         raise OverflowError("matrix exponential overflowed")
+    return total, bound
+
+
+def expm(a: np.ndarray) -> ExpmResult:
+    """exp(a) for a square real or complex matrix, with a bound on the
+    truncation error of the underlying Taylor series (rounding is not
+    included).  A float64 matrix is exponentiated in real arithmetic and
+    its exponential returned as float64; any other is taken as complex and
+    its exponential returned as complex.
+
+    The per-call work is the chiral test, the norm, the scalar tail rule
+    and the matrix products: the coefficients 1/k! and their
+    Paterson-Stockmeyer layouts, real and complex, for each degree the
+    tail rule can pick are tables built at import.
+
+    Raises OverflowError if an intermediate norm leaves the floating range.
+    """
+    a = np.asarray(a)
+    if a.dtype != float:
+        a = a.astype(complex, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expm needs a square matrix")
+    # an imaginary exponent i h is chiral when h is zero wherever row +
+    # column is even, and is then exponentiated as K, built in a copy of
+    # h (a.imag is a view of the caller's matrix).  A real part on a[0, 0]
+    # or a[0, 1] (c and a in operator_matrix's exponents) settles the test
+    # for most complex exponents before the O(n^2) scan.
+    real = a.dtype == float or a.size and (
+        a.item(0).real or a.size > 1 and a.item(1).real or a.real.any())
+    h = None if real else a.imag
+    chiral = not (h is None or np.count_nonzero(h[::2, ::2])
+                  or np.count_nonzero(h[1::2, 1::2]))
+    res = _exp(_odd_rows_negated(h.copy()) if chiral else a)
+    if res is None:
+        return ExpmResult(np.eye(len(a), dtype=a.dtype), 0.0)
+    total, bound = res
     if chiral:
         # E^-1 exp(K) E, exact entry by entry: exp(K) on entries of the same
         # parity, i exp(K) on (even, odd) and -i exp(K) on (odd, even)
@@ -175,25 +201,42 @@ def expm(a: np.ndarray) -> ExpmResult:
     return ExpmResult(total, bound)
 
 
+def _bands(spec: AlgebraSpec, window: IndexWindow,
+           coeffs: tuple[complex, complex, complex]) -> tuple[np.ndarray, ...]:
+    """The diagonal, upper and lower bands of a*L + b*R + c*S on the
+    window, for coeffs = (a, b, c), from ``squared_couplings``."""
+    a, b, c = coeffs
+    l2 = squared_couplings(spec, window)
+    lam = np.sqrt(l2[1:-1])
+    return c * np.subtract(l2[1:], l2[:-1], dtype=complex), a * lam, b * lam
+
+
+def _tridiagonal(diag: np.ndarray, up: np.ndarray,
+                 low: np.ndarray) -> np.ndarray:
+    """The square array of diag's dtype with these three bands."""
+    n = len(diag)
+    out = np.zeros((n, n), dtype=diag.dtype)
+    out.flat[::n + 1], out.flat[1::n + 1], out.flat[n::n + 1] = diag, up, low
+    return out
+
+
 def operator_matrix(spec: AlgebraSpec, window: IndexWindow,
                     coeffs: tuple[complex, complex, complex]) -> np.ndarray:
     """a*L + b*R + c*S on the window, for coeffs = (a, b, c): one
     tridiagonal array built from ``squared_couplings``."""
-    a, b, c = coeffs
-    l2 = squared_couplings(spec, window)
-    lam = np.sqrt(l2[1:-1])
-    n = window.size
-    out = np.zeros((n, n), dtype=complex)
-    out.flat[::n + 1] = c * np.subtract(l2[1:], l2[:-1], dtype=complex)
-    out.flat[1::n + 1] = a * lam
-    out.flat[n::n + 1] = b * lam
-    return out
+    return _tridiagonal(*_bands(spec, window, coeffs))
 
 
 def oracle_element(spec: AlgebraSpec, window: IndexWindow,
                    coeffs: tuple[complex, complex, complex],
                    n: int, m: int) -> complex:
-    """<n| exp(a*L + b*R + c*S) |m> by direct exponentiation.
+    """<n| exp(a*L + b*R + c*S) |m> by direct exponentiation: the value of
+    ``expm(operator_matrix(...))``, bit for bit.
+
+    An exponent that ``expm`` takes as chiral (exp(iy(R + L)) for real y)
+    goes to it as the real K, built from the bands; the element then takes
+    its phase from the parity of its window indices (i, j): none on the
+    same parity, i on (even, odd), -i on (odd, even).
 
     n and m must lie in the window core; the caller is responsible for
     enough padding (certify with pad_sufficiency).
@@ -201,8 +244,21 @@ def oracle_element(spec: AlgebraSpec, window: IndexWindow,
     if not (window.in_core(n) and window.in_core(m)):
         raise ValueError(f"labels ({n}, {m}) outside core "
                          f"[{window.core_lo}, {window.core_hi}]")
-    res = expm(operator_matrix(spec, window, coeffs))
-    return complex(res.matrix[window.idx(n), window.idx(m)])
+    i, j = window.idx(n), window.idx(m)
+    diag, up, low = _bands(spec, window, coeffs)
+    # expm's chiral test, read on the bands: no real part anywhere and
+    # nothing on the diagonal, the only band where row + column is even
+    # (count_nonzero costs less per call than any)
+    if (np.count_nonzero(diag) or np.count_nonzero(up.real)
+            or np.count_nonzero(low.real)):
+        return complex(expm(_tridiagonal(diag, up, low)).matrix[i, j])
+    up, low = up.imag, low.imag
+    v = expm(_odd_rows_negated(_tridiagonal(diag.imag, up, low))).matrix[i, j]
+    if (i - j) % 2 == 0 or not (np.count_nonzero(up) or np.count_nonzero(low)):
+        # same parity, or a zero exponent, whose exponential expm returns
+        # as the identity with no phase put back
+        return complex(v)
+    return complex(0.0, v if i % 2 == 0 else -v)
 
 
 def pad_sufficiency(spec: AlgebraSpec, window: IndexWindow,

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -790,3 +793,22 @@ def test_factorize_negative_pad_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "padding" in err
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    # lambda_0^2 overflows to inf: main's one refusal line alone
+    ("gn --alpha 1e160 --beta 1e160 --sigma 1 --n 1 --y 0.3", 2, 1),
+    # the commutators overflow to inf and NaN: "pass" false, nothing else
+    ("check-algebra --alpha 1 --beta 1 --sigma 1e300 --window 0:4"
+     " --core 1:3", 1, 0),
+])
+def test_numpy_warnings_stay_off_stderr(argv, code, lines):
+    # in a fresh interpreter, where numpy's RuntimeWarnings would print
+    # with the package's install path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "ladderkit.cli",
+                          *argv.split()], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == code
+    assert len(out.stderr.splitlines()) == lines, out.stderr
+    assert "Warning" not in out.stderr

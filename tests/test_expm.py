@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
-                       expm, operator_matrix, oracle_element, pad_sufficiency,
-                       padded_window)
+                       expm, gn_oracle, operator_matrix, oracle_element,
+                       pad_sufficiency, padded_window, phase_oracle_element)
 from ladderkit.algebra import squared_couplings
 
 _EPS = np.finfo(float).eps
@@ -220,7 +220,8 @@ def test_expm_refuses_a_non_square_exponent(a):
 # term-by-term Taylor loop it replaced; in another 1500, half of them
 # imaginary exponents and a quarter chiral ones, 2.9 for complex ones, 1.4
 # for the imaginary ones on the complex path and 0.82 for the chiral ones
-# on the real route.
+# on the real route; in 600 random float64 exponents in real arithmetic
+# (1-12 states, the same norm edges), 1.9.
 _ROUNDING = 4.0
 
 
@@ -246,13 +247,18 @@ _REAL = st.floats(-1.5, 1.5)
 
 @st.composite
 def _exponents(draw):
-    kind = draw(st.sampled_from(["sigma>0", "sigma<0", "block", "dense"]))
-    # half the draws are imaginary, i h with h real; half of those are
-    # chiral, h zero wherever row + column is even, and take expm's real
-    # route, the others its complex path
+    kind = draw(st.sampled_from(["sigma>0", "sigma<0", "block", "dense",
+                                 "real"]))
+    # half the draws of the other kinds are imaginary, i h with h real;
+    # half of those are chiral, h zero wherever row + column is even, and
+    # take expm's real route, the others its complex path
     imaginary = draw(st.booleans())
     chiral = imaginary and draw(st.booleans())
-    if kind == "dense" and imaginary:
+    if kind == "real":
+        # float64, which expm exponentiates in real arithmetic
+        n = draw(st.integers(1, 12))
+        a = draw(arrays(float, (n, n), elements=st.floats(-4, 4)))
+    elif kind == "dense" and imaginary:
         n = draw(st.integers(1, 12))
         # not symmetric in general, so i h is not normal either
         h = draw(arrays(float, (n, n), elements=st.floats(-4, 4)))
@@ -299,16 +305,21 @@ def _exponents(draw):
         # a complex quotient takes the reciprocal of a subnormal norm, inf
         side = draw(st.sampled_from([-1.0, 1.0]))
         norm = _norm(a)
-        a = ((a.real / norm + 1j * (a.imag / norm))
-             * (edge * (1.0 + side * 2.0 ** -40)))
+        scale = edge * (1.0 + side * 2.0 ** -40)
+        if a.dtype == float:
+            a = a / norm * scale
+        else:
+            a = (a.real / norm + 1j * (a.imag / norm)) * scale
     return a
 
 
 @given(_exponents())
-# 80, so that the complex exponents, now half the draws, keep their 40
-@settings(max_examples=80, deadline=None)
+# 100, so that the complex exponents, now two fifths of the draws, keep
+# their 40
+@settings(max_examples=100, deadline=None)
 def test_expm_against_mpmath_reference(a):
     res = expm(a)
+    assert res.matrix.dtype == a.dtype
     with mpmath.workdps(30):
         ref = mpmath.expm(mpmath.matrix(a.tolist()))
         ref = np.array(ref.tolist(), dtype=complex)
@@ -382,15 +393,19 @@ def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
     # the scaled norm is at most 1, where the tail rule takes the most
     # terms: at norm 1 it stops at the last degree the tables hold, with
     # its tail bound met, and below it it stops sooner; the same degrees
-    # for complex exponents and for chiral ones, which take the real route
+    # for complex exponents, real ones and chiral ones, which take the
+    # real route
     xm = importlib.import_module("ladderkit.expm")
     calls = _spy_taylor_ps(monkeypatch)
     norms = (1.0, 0.5, 1e-3)
-    bounds = [expm(np.array([[nb]])).remainder_bound for nb in norms]
+    bounds = [expm(np.array([[nb]], dtype=complex)).remainder_bound
+              for nb in norms]
+    bounds += [expm(np.array([[nb]])).remainder_bound for nb in norms]
     bounds += [expm(np.array([[0, nb], [nb, 0]]) * 1j).remainder_bound
                for nb in norms]
     degrees = [xm._MAX_TERMS, 20, 7]
     assert calls == ([(complex, m) for m in degrees]
+                     + [(float, m) for m in degrees]
                      + [(float, m) for m in degrees])
     assert max(bounds) <= xm._TAIL_TOL
     # one term fewer would leave the tail above the tolerance at norm 1
@@ -434,13 +449,14 @@ def test_layouts_take_the_fewest_products_and_hold_the_taylor_terms(
             assert terms[k] == pytest.approx(1 / math.factorial(k), rel=4 * _EPS)
 
 
-@pytest.mark.parametrize("form", ["complex", "chiral", "imaginary"])
+@pytest.mark.parametrize("form", ["complex", "chiral", "imaginary", "real"])
 def test_expm_leaves_its_argument_unchanged(form):
     # the chiral route builds K, h with its odd rows negated, in a new
-    # array: a.imag is a view of the caller's matrix
+    # array: a.imag is a view of the caller's matrix; a float64 exponent
+    # goes to the core as it is
     h = _chiral(6, 5)
     a = {"complex": h + 0.5j * h, "chiral": 1j * h,
-         "imaginary": 1j * (h + np.eye(6))}[form]
+         "imaginary": 1j * (h + np.eye(6)), "real": h + np.eye(6)}[form]
     keep = a.copy()
     expm(a)
     assert a.tobytes() == keep.tobytes()
@@ -456,3 +472,75 @@ def test_one_same_parity_entry_takes_the_complex_path(monkeypatch):
     assert [dtype for dtype, _ in calls] == [complex]
     want = scipy.linalg.expm(a)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_a_float64_exponent_stays_real(n):
+    # K, h with its odd rows negated, exponentiated as it is, is the real
+    # matrix behind the chiral route's exp(i h): the same bits before the
+    # phase, and the same bound
+    h = _chiral(n, n) * 3.0
+    k = h * (1 - 2 * (np.arange(n) % 2))[:, None]
+    real, phased = expm(k), expm(1j * h)
+    assert real.matrix.dtype == float
+    behind = phased.matrix.real.copy()
+    behind[::2, 1::2] = phased.matrix.imag[::2, 1::2]
+    behind[1::2, ::2] = -phased.matrix.imag[1::2, ::2]
+    assert real.matrix.tobytes() == behind.tobytes()
+    assert real.remainder_bound == phased.remainder_bound
+    assert expm(np.zeros((n, n))).matrix.dtype == float
+
+
+def _same(z, w):
+    """z == w, with the same signs of zero."""
+    return z == w and all(math.copysign(1.0, p) == math.copysign(1.0, q)
+                          for p, q in ((z.real, w.real), (z.imag, w.imag)))
+
+
+@pytest.mark.parametrize("spec, window", [
+    (AlgebraSpec.parametric(1, 1, 1), IndexWindow(0, 17, 0, 5)),
+    (AlgebraSpec.parametric(1.5, 2.5, 0.7), IndexWindow(1, 20, 1, 6)),
+    (AlgebraSpec.parametric(6, -7, -0.5), IndexWindow(-5, 7, -5, 7)),
+    (AlgebraSpec.from_profile("sho"), IndexWindow(-2, 9, 0, 5)),
+    (AlgebraSpec.from_profile("constant-one"), IndexWindow(-7, 8, -3, 3)),
+    (AlgebraSpec.from_profile("phase"), IndexWindow(0, 29, 0, 5)),
+])
+def test_oracle_element_reads_the_chiral_route_bit_for_bit(spec, window):
+    # at (iy, iy, 0) oracle_element builds K from the couplings and phases
+    # one element; it must give what the complex exponent gives through
+    # expm, for n > m and n < m on both parities of the window index, at
+    # y = 0 (expm returns the identity there, +0.0 off the diagonal) and
+    # where entries underflow to signed zeros
+    labels = range(window.core_lo, window.core_hi + 1)
+    for y in (0.0, 1e-300, 0.3, -1.1, 2.5):
+        coeffs = (1j * y, 1j * y, 0.0)
+        full = expm(operator_matrix(spec, window, coeffs)).matrix
+        for n in labels:
+            for m in labels:
+                got = oracle_element(spec, window, coeffs, n, m)
+                want = complex(full[window.idx(n), window.idx(m)])
+                assert _same(got, want), (y, n, m, got, want)
+
+
+def test_oracle_element_makes_one_expm_call(monkeypatch):
+    # one traced expm call per element: on a float64 K for exp(iy(R+L)),
+    # on the complex exponent otherwise, and likewise through the callers
+    xm = importlib.import_module("ladderkit.expm")
+    dtypes, exponentiate = [], xm.expm
+
+    def run(a):
+        dtypes.append(np.asarray(a).dtype)
+        return exponentiate(a)
+    monkeypatch.setattr(xm, "expm", run)
+    spec = AlgebraSpec.parametric(1, 2, 1)
+    window = IndexWindow(0, 20, 0, 4)
+    oracle_element(spec, window, (0.4j, 0.4j, 0.0), 3, 0)
+    assert dtypes == [float]
+    oracle_element(spec, window, (0.4j, 0.4j, 0.2j), 3, 0)
+    oracle_element(spec, window, (0.4, 0.4j, 0.0), 3, 0)
+    assert dtypes == [float, complex, complex]
+    dtypes.clear()
+    gn_oracle(spec, 2, 0.5)
+    phase_oracle_element(2, 1, 0.5)
+    pad_sufficiency(spec, window, (0.1j, 0.1j, 0.0), 2, 0)
+    assert dtypes == [float] * 4
