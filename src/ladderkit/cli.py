@@ -10,6 +10,7 @@ configuration or an ``--out`` that cannot be written.
 """
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -30,8 +31,9 @@ EXIT_TOL = 1
 EXIT_DOMAIN = 2
 EXIT_CONFIG = 3
 
-# arithmetic outside the library's own checks can still raise the last two
-_DOMAIN_ERRORS = (LadderError, ZeroDivisionError, OverflowError)
+# arithmetic outside the library's own checks can still raise the next
+# two, and a window too large to allocate the last
+_DOMAIN_ERRORS = (LadderError, ZeroDivisionError, OverflowError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,30 +129,24 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict, args) -> None:
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        rows = payload.get("rows") or payload.get("nodes")
-        if rows is None:
-            rows = [
-                {"key": k, "value": v}
-                for k, v in sorted(_flatten(payload).items())
-            ]
-        buf = io.StringIO()
-        fields = list(rows[0].keys()) if rows else []
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-        text = buf.getvalue()
-    else:  # ascii
-        if "ascii" in payload:
-            text = payload["ascii"] + "\n"
-        else:
-            lines = [f"{k} = {_csv_cell(v)}"
-                     for k, v in sorted(_flatten(payload).items())]
-            text = "\n".join(lines) + "\n"
+    elif args.format == "ascii" and "ascii" in payload:
+        text = payload["ascii"] + "\n"
+    else:
+        pairs = sorted(_flatten(payload).items())
+        if args.format == "ascii":
+            text = "".join(f"{k} = {_csv_cell(v)}\n" for k, v in pairs)
+        else:  # csv: the rows, else the nodes, else the key/value pairs
+            rows = (payload.get("rows") or payload.get("nodes")
+                    or [{"key": k, "value": v} for k, v in pairs])
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]),
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows({k: _csv_cell(v) for k, v in row.items()}
+                             for row in rows)
+            text = buf.getvalue()
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -187,11 +183,9 @@ def _require(args, *names):
 
 
 def _spec_from_args(args) -> algebra.AlgebraSpec:
-    if getattr(args, "profile", None):
+    if args.profile:
         return algebra.AlgebraSpec.from_profile(args.profile)
-    missing = [f for f in ("alpha", "beta", "sigma")
-               if getattr(args, f, None) is None]
-    if missing:
+    if None in (args.alpha, args.beta, args.sigma):
         raise ValueError("give --profile or all of --alpha/--beta/--sigma")
     return algebra.AlgebraSpec.parametric(args.alpha, args.beta, args.sigma)
 
@@ -232,7 +226,7 @@ def cmd_check_algebra(args) -> dict:
         "spec": _spec_payload(spec),
         "window": {"j_min": lo, "j_max": hi,
                    "core_lo": window.core_lo, "core_hi": window.core_hi},
-        "blocks": [list(b) for b in algebra.detect_blocks(spec, window)],
+        "blocks": algebra.detect_blocks(spec, window),
         "tol": args.tol,
     }
     if spec.is_parametric:
@@ -284,10 +278,7 @@ def cmd_factorize(args) -> dict:
         "tol": args.tol,
     }
     if spec.is_parametric:
-        fac = factorization.u2_factors(spec, *coeffs)
-        payload["factors"] = {"f_plus": fac.f_plus, "f_minus": fac.f_minus,
-                              "g_plus": fac.g_plus, "g_minus": fac.g_minus,
-                              "q_sq": fac.q_sq}
+        payload["factors"] = factorization.u2_factors(spec, *coeffs)._asdict()
     else:
         payload["factors"] = {"diagonal_scalar": factorization._profile_diagonal(
             spec, complex(coeffs[0]).imag)}
@@ -576,6 +567,13 @@ def _parse(argv):
         for sp in subcommands.values():
             sp.set_defaults(**cleaned)
         args = parser.parse_args(argv)
+    # refuse a non-finite number, from a flag or the config file alike:
+    # float() reads "nan" and "inf", and json reads NaN and Infinity
+    for dest, value in vars(args).items():
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite,"
+                                 f" got {x}")
     return args
 
 

@@ -123,31 +123,32 @@ def _exp(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     in x's arithmetic; None when x is zero, whose exponential is exactly
     the identity.  Raises OverflowError if an intermediate norm leaves the
     floating range."""
-    norm = _norm_inf(x)
-    if not math.isfinite(norm):
-        raise OverflowError("non-finite entries in exponent")
-    if norm == 0.0:
-        return None
-
-    # scale so the Taylor argument has norm <= 1; the tail's geometric
-    # ratio nb/(k+2) then stays <= 1/3
-    squarings = max(0, math.ceil(math.log2(norm)))
-    nb = norm / (2.0 ** squarings)
-
-    # the degree from the tail rule, on scalars only
-    term_bound = 1.0
-    tail = math.inf
-    for k in range(1, _MAX_TERMS + 1):
-        term_bound *= nb / k
-        dropped = term_bound * nb / (k + 1)
-        tail = dropped / (1.0 - nb / (k + 2))
-        if tail <= _TAIL_TOL:
-            break
-    total = _taylor_ps(x, 2.0 ** -squarings, k)
-    bound = tail
-
-    # overflow is detected and raised explicitly; keep numpy quiet about it
+    # overflow, in the row sums of x or in a squaring, is detected and
+    # raised explicitly; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
+        norm = _norm_inf(x)
+        if not math.isfinite(norm):
+            raise OverflowError("non-finite entries in exponent")
+        if norm == 0.0:
+            return None
+
+        # scale so the Taylor argument has norm <= 1; the tail's geometric
+        # ratio nb/(k+2) then stays <= 1/3
+        squarings = max(0, math.ceil(math.log2(norm)))
+        nb = norm / (2.0 ** squarings)
+
+        # the degree from the tail rule, on scalars only
+        term_bound = 1.0
+        tail = math.inf
+        for k in range(1, _MAX_TERMS + 1):
+            term_bound *= nb / k
+            dropped = term_bound * nb / (k + 1)
+            tail = dropped / (1.0 - nb / (k + 2))
+            if tail <= _TAIL_TOL:
+                break
+        total = _taylor_ps(x, 2.0 ** -squarings, k)
+        bound = tail
+
         for _ in range(squarings):
             tn = _norm_inf(total)
             if not math.isfinite(tn):

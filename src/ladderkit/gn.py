@@ -154,8 +154,9 @@ def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
     """Exponential-oracle route: (-i)^(n-m) <n| exp(iy(R+L)) |m> on a
     window padded past the core (down-padding stops at a decoupling
     boundary, so hole sectors are included exactly where they couple).
-    The exponent is chiral, so ``expm`` gives the phase exactly: the
-    imaginary part is 0, and err_estimate is 1e-15, no rounding bound."""
+    The exponent is chiral, so ``oracle_element`` puts the phase back
+    exactly: the imaginary part is 0, and err_estimate is 1e-15, no
+    rounding bound."""
     lo, hi = min(0, m), max(n, m)
     window = padded_window(spec, lo, hi, suggested_pad(spec, lo, hi, y))
     val = (-1j) ** ((n - m) % 4) * oracle_element(

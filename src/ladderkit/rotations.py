@@ -49,6 +49,8 @@ class RotationSpec:
     j: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega, self.theta, self.phi, self.j))):
+            raise ValueError(f"omega, theta, phi and j must be finite: {self}")
         two_j = round(2 * self.j)
         if two_j < 0 or abs(2 * self.j - two_j) > 1e-12:
             raise ValueError(f"j = {self.j} is not a non-negative half-integer")

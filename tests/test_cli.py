@@ -62,6 +62,50 @@ def test_check_algebra_refuses_non_finite_input(capsys, alpha, code, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("gn --profile sho --n 2 --y nan", "--y must be finite, got nan"),
+    ("gn --profile sho --n 2 --y inf", "--y must be finite, got inf"),
+    ("rotate --omega nan --theta 1.1 --phi 2.3 --j 0.5 --method factorized",
+     "--omega must be finite, got nan"),
+    ("gn --alpha 1 --beta 1 --sigma 1 --n 2 --y nan",
+     "--y must be finite, got nan"),
+    ("gn --alpha 1 --beta 1 --sigma 1 --n 2 --y inf",
+     "--y must be finite, got inf"),
+    ("gn --alpha 1 --beta 1 --sigma 1 --n 2 --y inf --route closed",
+     "--y must be finite, got inf"),
+    ("gn --profile sho --n 2 --y-grid inf:1:1",
+     "--y-grid must be finite, got inf"),
+    ("phase --n 2 --m 1 --y nan", "--y must be finite, got nan"),
+    ("sumrule --name bessel-unity --y nan", "--y must be finite, got nan"),
+    ("factorize --alpha 1 --beta 1 --sigma 1 --y nan",
+     "--y must be finite, got nan"),
+    ("factorize --alpha 1 --beta 1 --sigma 1 --a nan,0 --b 0.1",
+     "--a must be finite, got (nan+0j)"),
+    # json reads NaN, so a config value lands in the namespace as a flag does
+    ("--config {config} gn --beta 1 --sigma 1 --n 2 --y 0.3",
+     "--alpha must be finite, got nan"),
+])
+def test_non_finite_numbers_exit_3_naming_the_flag(capsys, tmp_path, argv,
+                                                   message):
+    config = tmp_path / "config.json"
+    config.write_text('{"alpha": NaN}')
+    code, out, err = run(capsys, *argv.format(config=config).split())
+    assert (code, out, err) == (3, "", f"ladderkit: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "check-algebra --alpha 1 --beta 1 --sigma 1 --window 0:1000000000000000000",
+    "phase --n 2 --m 1 --y 0.5 --check-oracle 1000000000000000000",
+])
+def test_window_too_large_to_allocate_exit_2(capsys, argv):
+    # 10^18 float64 couplings, 8e18 bytes, are more than any 64-bit CPU
+    # maps, so the allocation fails at once and touches no memory
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("ladderkit: Unable to allocate")
+    assert len(err.splitlines()) == 1
+
+
 def test_check_algebra_phase_profile_reports_impulse(capsys):
     code, doc, _ = run_json(capsys, "check-algebra", "--profile", "phase",
                             "--window", "0:6")
@@ -537,6 +581,19 @@ def test_ascii_format_flattens_the_payload(capsys):
     assert "pass = True" in lines
     assert "window.j_max = 4" in lines
 
+    # an ndarray cell is the JSON of its entries, each {"im", "re"}
+    code, out, _ = run(capsys, "--format", "ascii", "rotate", "--omega", "0.7",
+                       "--theta", "1.1", "--phi", "2.3", "--j", "0.5",
+                       "--method", "direct")
+    assert code == 0
+    table = dict(line.split(" = ") for line in out.splitlines())
+    assert list(table) == sorted(["h", "j", "matrices.direct", "omega", "phi",
+                                  "s", "theta", "tol"])
+    direct = cli.rotations.rotation_direct(
+        cli.rotations.RotationSpec(0.7, 1.1, 2.3, 0.5))
+    assert table["matrices.direct"] == json.dumps(
+        [[{"im": z.imag, "re": z.real} for z in row] for row in direct.tolist()])
+
 
 def test_csv_format_flattens_the_payload(capsys):
     code, out, _ = run(capsys, "--format", "csv", "factorize", "--alpha", "1",
@@ -555,6 +612,20 @@ def test_csv_format_flattens_the_payload(capsys):
     assert table["window.core_hi"] == "3"
     assert table["pass"] == "True"
     assert float(table["residuals.normal"]) <= 1e-10
+
+    # csv rows keep their own columns; a complex cell is its JSON
+    code, out, _ = run(capsys, "--format", "csv", "phase", "--n", "2",
+                       "--m", "1", "--y", "0.5", "--y", "0.7",
+                       "--check-oracle", "60")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert out.splitlines()[0] == "y,n,m,gnm,element,oracle_deviation"
+    assert [row["y"] for row in rows] == ["0.5", "0.7"]
+    for row in rows:
+        element = cli.phase.phase_element(2, 1, float(row["y"]))
+        assert row["element"] == json.dumps(
+            {"im": element.imag, "re": element.real})
+        assert float(row["oracle_deviation"]) <= 1e-12
 
 
 def test_factorize_scans_the_antinormal_peak_from_both_core_edges(capsys):

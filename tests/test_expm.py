@@ -204,6 +204,12 @@ def test_expm_overflow_raises():
     # every squaring starts finite; only the last result, e^710, overflows
     with pytest.raises(OverflowError, match="^matrix exponential overflowed$"):
         expm([[710.0]])
+    # finite entries whose row sums overflow: the typed refusal alone, with
+    # no numpy warning (the suite turns warnings into errors)
+    with pytest.raises(OverflowError, match="^non-finite entries in exponent$"):
+        expm(np.array([[1e308, 1e308], [0.0, 0.0]]))
+    with pytest.raises(OverflowError, match="^non-finite entries in exponent$"):
+        phase_oracle_element(2, 1, 1e308)
 
 
 @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])

@@ -136,6 +136,14 @@ def test_invalid_j_rejected():
         RotationSpec(0.1, 0.2, 0.3, 0.7)
 
 
+@pytest.mark.parametrize("field", ["omega", "theta", "phi", "j"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rotation_parameters_rejected(field, value):
+    params = {"omega": 0.7, "theta": 1.1, "phi": 2.3, "j": 0.5, field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        RotationSpec(**params)
+
+
 def test_spin_block_matrices_are_the_spin_matrices():
     for j in (0.5, 1.0, 1.5, 2.0, 2.5, 5.0):
         j_plus, j_minus, j_z = spin_matrices(j)
