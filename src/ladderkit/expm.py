@@ -23,6 +23,12 @@ three kinds: a float64 exponent goes through it in real arithmetic and
 stays real, a complex one in complex arithmetic, and K in real arithmetic
 before its phase.  ``oracle_element`` builds K for exp(iy(R + L)) straight
 from the couplings and puts the phase back on the one element it reads.
+
+A real chiral exponent, such as that K, is [[0, B], [C, 0]] in parity order
+(even indices first), so its square is diag(BC, CB).  From 32 states up the
+same degree-m polynomial runs on the half-size BC (``_taylor_ps``), at about
+13/8 full-size products where the dense pass takes 8 (degree 25); s, m, the
+squarings and the bound are unchanged.
 """
 
 import math
@@ -54,60 +60,115 @@ def _norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
-def _layout(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients 1/k!, k <= m, of exp(b) in b for ``_taylor_ps``:
-    p takes the fewest products, p - 1 + (m - 1) // p, ties going to the p
-    nearest isqrt(m), and r = max(0, (m - 1) // p).  Row i of the first
-    array holds block i, its term on b^(ip + j) in column j - 1 (the last
-    block up to b^m, maybe its b^p one); of the second, its term on b^(ip)."""
-    p = min(range(1, max(m, 1) + 1),
-            key=lambda q: (q - 1 + (m - 1) // q, abs(q - math.isqrt(m))))
-    r = max(0, (m - 1) // p)
-    rows = np.zeros((r + 1, p + 1))
-    for k in range(m + 1):
-        i = min(k // p, r)
-        rows[i, k - i * p] = _INV_FACT[k]
+def _layout(m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients 1/k!, k <= m, of exp(b) laid out for ``_taylor_ps``
+    as t stacked series in one matrix Y.  t = 1 is exp's series in Y = b,
+    term k on Y^k.  t = 3 holds the parity evaluation's three series in
+    Y = b^2: E, O and F take the terms 1/(2j)!, 1/(2j + 1)! and 1/(2j + 2)!
+    on Y^j, each while its k <= m.  With d the highest power of Y, p takes
+    the fewest products, p - 1 + t ((d - 1) // p), ties going to the p
+    nearest isqrt(d), and r = max(0, (d - 1) // p).  Row t i + s of the
+    first array holds block i of series s, its term on Y^(ip + j) in column
+    j - 1 (the last block up to Y^d, maybe its Y^p one); of the second, its
+    term on Y^(ip)."""
+    w = 1 if t == 1 else 2  # Y = b^w: series s holds term w j + s on Y^j
+    d = m // w
+    p = min(range(1, max(d, 1) + 1),
+            key=lambda q: (q - 1 + t * ((d - 1) // q), abs(q - math.isqrt(d))))
+    r = max(0, (d - 1) // p)
+    rows = np.zeros((r + 1, t, p + 1))
+    for s in range(t):
+        for j in range((m - s) // w + 1):
+            i = min(j // p, r)
+            rows[i, s, j - i * p] = _INV_FACT[w * j + s]
+    rows = rows.reshape(-1, p + 1)
     return rows[:, 1:].copy(), rows[:, :1].copy()
 
 
 # one coefficient layout per Taylor degree the tail rule can pick: real for
-# the real exponents of the chiral route, and its complex cast for complex
-# exponents, so that their coefficient product stays complex by complex (a
-# real-by-complex one costs more)
-_RE_ROWS = [None] + [_layout(m) for m in range(1, _MAX_TERMS + 1)]
+# float64 exponents, its complex cast for complex ones, so that their
+# coefficient product stays complex by complex (a real-by-complex one costs
+# more), and the three parity series for chiral float64 ones
+_RE_ROWS = [None] + [_layout(m, 1) for m in range(1, _MAX_TERMS + 1)]
 _PS_ROWS = [None] + [tuple(x.astype(complex) for x in rows)
                      for rows in _RE_ROWS[1:]]
+_PARITY_ROWS = [None] + [_layout(m, 3) for m in range(1, _MAX_TERMS + 1)]
+
+# a chiral float64 exponent of at least _PARITY_MIN states takes the parity
+# evaluation, a smaller one the dense pass.  _exp on exp(iy(R + L))'s K, its
+# chiral test included (one BLAS thread on one of 2 vCPUs, the two passes
+# interleaved in one process, best of 60 x 100 calls each, dense -> parity),
+# for the phase profile at y = 0.5 (degree 25, no squaring) and (1, 2, 1) at
+# y = 0.3 (4-5 squarings): 17 states 34.8 -> 42.3 and 57.4 -> 65.6 us,
+# 28: 45.8 -> 49.4 and 76.2 -> 82.9, 31: 48.4 -> 49.7 and 82.7 -> 85.4,
+# 32: 52.3 -> 49.4 and 87.5 -> 84.0, 40: 66.1 -> 57.2 and 111.6 -> 99.1,
+# 60: 124.5 -> 76.4 and 228.8 -> 186.4
+_PARITY_MIN = 32
 
 
-def _taylor_ps(a: np.ndarray, scale: float, m: int) -> np.ndarray:
+def _taylor_ps(a: np.ndarray, scale: float, m: int,
+               parity: bool = False) -> np.ndarray:
     """sum_k b^k/k! for k <= m at b = scale * a by Paterson-Stockmeyer
     (SIAM J. Comput. 2, 1973), from the degree's layout, real or complex as
-    a is.  Block i, sum_j coefs[i, j] b^(j + 1) + diag[i] I, comes from one
-    product of the layout with the powers b, ..., b^p, stacked and built by
-    doubling in ceil(log2 p) batched calls; Horner's rule in b^p runs in
-    place on the blocks.  Costs p - 1 + (m - 1) // p products for degree
-    m >= 1, with p from ``_layout``."""
-    coefs, diag = (_PS_ROWS if a.dtype == complex else _RE_ROWS)[m]
-    p, n = coefs.shape[1], a.shape[0]
+    a is.  Block i of each series, sum_j coefs[row, j] Y^(j + 1) + diag[row] I,
+    comes from one product of the layout with the powers Y, ..., Y^p,
+    stacked and built by doubling in ceil(log2 p) batched calls; Horner's
+    rule in Y^p runs in place on the t series' blocks, stacked as one
+    (t n x n) array.  Costs p - 1 products of n x n and r of t n x n by
+    n x n, with p and r from ``_layout``.
+
+    The dense pass is t = 1 on Y = b.  With ``parity``, a is real and
+    chiral, zero wherever row + column is even: in parity order (even
+    indices first) b = [[0, B], [C, 0]] and b^2 = diag(BC, CB), so with
+    the t = 3 series E, O and F of Y = BC
+
+        sum_k b^k/k! = [[E(Y), O(Y) B], [C O(Y), I + C F(Y) B]],
+
+    where the lower right is E(CB), as x F(x) = E(x) - 1.  Y has ceil(n/2)
+    states: the pass and the five products around it (Y itself and the
+    assembly) cost about 13/8 n x n products at degree 25, where the dense
+    pass costs 8."""
+    if parity:
+        up, low = a[::2, 1::2] * scale, a[1::2, ::2] * scale  # B, C
+        coefs, diag = _PARITY_ROWS[m]
+        t, n = 3, len(up)
+    else:
+        coefs, diag = (_PS_ROWS if a.dtype == complex else _RE_ROWS)[m]
+        t, n = 1, len(a)
+    p = coefs.shape[1]
     powers = np.empty((p, n, n), dtype=a.dtype)
-    np.multiply(a, scale, out=powers[0])
+    if parity:
+        np.dot(up, low, out=powers[0])
+    else:
+        np.multiply(a, scale, out=powers[0])
     k = 1
-    while k < p:  # b^(k+1..2k) = b^(1..k) @ b^k, cut at b^p
+    while k < p:  # Y^(k+1..2k) = Y^(1..k) @ Y^k, cut at Y^p
         np.matmul(powers[:min(k, p - k)], powers[k - 1],
                   out=powers[k:min(2 * k, p)])
         k *= 2
     blocks = coefs @ powers.reshape(p, n * n)
     diagonals = blocks[:, ::n + 1]
     np.add(diagonals, diag, out=diagonals)
-    blocks = blocks.reshape(-1, n, n)
-    top, step = powers[p - 1], np.empty((n, n), dtype=a.dtype)
+    blocks = blocks.reshape(-1, t * n, n)
+    top, step = powers[p - 1], np.empty((t * n, n), dtype=a.dtype)
     total = blocks[-1]
     for block in blocks[:-1][::-1]:
         # np.dot forms the same product as @, at less cost per call
         np.dot(total, top, out=step)
         block += step
         total = block
-    return total
+    if not parity:
+        return total
+    # C O(Y) and C F(Y) in one batched product
+    lows = np.matmul(low, total[n:].reshape(2, n, n))
+    out = np.empty(a.shape)
+    out[::2, ::2] = total[:n]
+    out[::2, 1::2] = total[n:2 * n] @ up
+    out[1::2, ::2] = lows[0]
+    out[1::2, 1::2] = lows[1] @ up
+    odd_diagonal = out.reshape(-1)[len(a) + 1::2 * len(a) + 2]
+    odd_diagonal += 1.0
+    return out
 
 
 def _odd_rows_negated(k: np.ndarray) -> np.ndarray:
@@ -146,7 +207,11 @@ def _exp(x: np.ndarray) -> tuple[np.ndarray, float] | None:
             tail = dropped / (1.0 - nb / (k + 2))
             if tail <= _TAIL_TOL:
                 break
-        total = _taylor_ps(x, 2.0 ** -squarings, k)
+        # the parity evaluation for a chiral float64 x past the break-even
+        parity = (x.dtype == float and len(x) >= _PARITY_MIN
+                  and not (np.count_nonzero(x[::2, ::2])
+                           or np.count_nonzero(x[1::2, 1::2])))
+        total = _taylor_ps(x, 2.0 ** -squarings, k, parity)
         bound = tail
 
         for _ in range(squarings):
@@ -167,10 +232,10 @@ def expm(a: np.ndarray) -> ExpmResult:
     its exponential returned as float64; any other is taken as complex and
     its exponential returned as complex.
 
-    The per-call work is the chiral test, the norm, the scalar tail rule
+    The per-call work is the chiral tests, the norm, the scalar tail rule
     and the matrix products: the coefficients 1/k! and their
-    Paterson-Stockmeyer layouts, real and complex, for each degree the
-    tail rule can pick are tables built at import.
+    Paterson-Stockmeyer layouts, real, complex and parity, for each degree
+    the tail rule can pick are tables built at import.
 
     Raises OverflowError if an intermediate norm leaves the floating range.
     """

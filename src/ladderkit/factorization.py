@@ -179,6 +179,9 @@ def ordered_product(spec: AlgebraSpec, window: IndexWindow,
     if ordering not in ("normal", "anti-normal"):
         raise ValueError(f"unknown ordering {ordering!r}")
     sign = +1 if ordering == "normal" else -1
+    # the couplings first: a window too large to allocate is refused here,
+    # before the diagonal's per-state Python list is built
+    lam = np.sqrt(squared_couplings(spec, window)[1:-1])
     if spec.is_parametric:
         fac = u2_factors(spec, a, b, c)
         f, g = (fac.f_plus, fac.g_plus) if sign > 0 else (fac.f_minus, fac.g_minus)
@@ -190,8 +193,7 @@ def ordered_product(spec: AlgebraSpec, window: IndexWindow,
         diagonal = np.full(window.size,
                            _profile_diagonal(spec, complex(a).imag) ** sign,
                            dtype=complex)
-    raising, lowering = _raising_exp((b * f, a * f),
-                                     np.sqrt(squared_couplings(spec, window)[1:-1]))
+    raising, lowering = _raising_exp((b * f, a * f), lam)
     lowering = lowering.T
     if sign > 0:
         return raising @ (diagonal[:, None] * lowering)
@@ -461,20 +463,27 @@ def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
                            coeffs: tuple[complex, complex, complex],
                            ordering: str) -> float:
     """Max abs deviation on the window core between the ordered product on
-    the whole window and the exponential oracle on ``oracle_window``.
+    the window and the exponential oracle on ``oracle_window``.
 
     The anti-normal ordering on a parametric spec takes the exact
     ``antinormal_core``, given the peak scanned here, where that peak term
     exceeds e^4 (a float product would lose about peak/ln 10 digits);
-    every other case takes the core of ``ordered_product``.
+    every other case takes the core of ``ordered_product`` on the states
+    that reach it.  Element (n, m) of the normal product sums over
+    j <= min(n, m), so it needs [j_min, core_hi]; of the anti-normal one,
+    over j >= max(n, m), so it needs [core_lo, j_max].
     """
     box = oracle_window(spec, window, coeffs)
-    sl, core = window.core_slice(), box.core_slice()
+    core = box.core_slice()
     oracle = expm(operator_matrix(spec, box, coeffs)).matrix[core, core]
     peak = (_anti_peak(spec, window, coeffs)
             if ordering == "anti-normal" and spec.is_parametric else 0.0)
     if peak > 4.0:
         block = antinormal_core(spec, window, coeffs, peak=peak)
     else:
-        block = ordered_product(spec, window, coeffs, ordering)[sl, sl]
+        lo, hi = window.core_lo, window.core_hi
+        cut = (IndexWindow(window.j_min, hi, lo, hi) if ordering == "normal"
+               else IndexWindow(lo, window.j_max, lo, hi))
+        sl = cut.core_slice()
+        block = ordered_product(spec, cut, coeffs, ordering)[sl, sl]
     return float(np.abs(block - oracle).max())

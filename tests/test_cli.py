@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -104,6 +105,30 @@ def test_window_too_large_to_allocate_exit_2(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("ladderkit: Unable to allocate")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("method", ["factorized", "antinormal", "direct",
+                                    "all"])
+def test_rotation_too_large_to_allocate_exit_2(method):
+    # the spin block of j = 10^15 has 2 * 10^15 + 1 states; every route
+    # builds its couplings first, whose 14.2 PiB numpy refuses at once.  A
+    # fresh interpreter capped at 2 GiB of address space and a timeout:
+    # a route that builds a per-state Python list first fails here instead
+    # of filling the machine's memory.  One BLAS thread, so that the cap
+    # does not depend on the core count
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-m", "ladderkit.cli", "rotate",
+                          "--omega", "0.7", "--theta", "1.1", "--phi", "2.3",
+                          "--j", "1e15", "--method", method],
+                         capture_output=True, text=True, env=env, timeout=60,
+                         preexec_fn=cap)
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert out.stderr.startswith("ladderkit: Unable to allocate 14.2 PiB")
+    assert len(out.stderr.splitlines()) == 1
 
 
 def test_check_algebra_phase_profile_reports_impulse(capsys):

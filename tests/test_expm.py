@@ -374,6 +374,88 @@ def test_chiral_route_matches_paterson_stockmeyer_at_every_degree(n):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 41])
+def test_parity_evaluation_matches_the_dense_pass_at_every_degree(n):
+    # every degree the tail rule can pick, so every layout of p and r: the
+    # polynomial on the parity blocks of K^2 is the dense one in K, on even
+    # and odd sizes, with the scale applied before the split or not
+    xm = importlib.import_module("ladderkit.expm")
+    k = _chiral(n, n + 1)
+    for norm, scale in ((1.0, 1.0), (0.5, 1.0), (4.0, 0.25)):
+        b = k * (norm / _norm(k))
+        for m in range(1, xm._MAX_TERMS + 1):
+            got = xm._taylor_ps(b, scale, m, True)
+            want = xm._taylor_ps(b, scale, m)
+            assert got.dtype == float and got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_parity_layouts_take_the_fewest_products_and_hold_the_three_series():
+    # series E, O and F in Y = b^2 hold 1/(2j)!, 1/(2j + 1)! and 1/(2j + 2)!
+    # on Y^j, each while 2j + s <= m; p takes the fewest products for three
+    # stacked series, p - 1 + 3 r
+    xm = importlib.import_module("ladderkit.expm")
+    for m in range(1, xm._MAX_TERMS + 1):
+        coefs, diag = xm._PARITY_ROWS[m]
+        assert coefs.dtype == diag.dtype == float
+        assert coefs.flags.c_contiguous and diag.flags.c_contiguous
+        rows, p = coefs.shape
+        d = m // 2
+
+        def cost(q):
+            return q - 1 + 3 * ((d - 1) // q)
+        assert cost(p) == min(map(cost, range(1, max(d, 1) + 1)))
+        r = max(0, (d - 1) // p)
+        assert rows == 3 * (r + 1) and diag.shape == (rows, 1)
+        for s in range(3):
+            terms = {}
+            for i in range(r + 1):
+                row = 3 * i + s
+                for j, coef in enumerate([diag[row, 0], *coefs[row]]):
+                    if coef:
+                        assert i * p + j not in terms
+                        terms[i * p + j] = coef
+            assert set(terms) == set(range((m - s) // 2 + 1))
+            for j, coef in terms.items():
+                assert coef == pytest.approx(1 / math.factorial(2 * j + s),
+                                             rel=4 * _EPS)
+
+
+def test_the_parity_evaluation_starts_at_the_break_even(monkeypatch):
+    # chiral float64 exponents from _PARITY_MIN states up, the chiral
+    # route's K among them; smaller ones, one same-parity entry and complex
+    # exponents take the dense pass
+    xm = importlib.import_module("ladderkit.expm")
+    calls = _spy_taylor_ps(monkeypatch)
+    for n in (xm._PARITY_MIN - 1, xm._PARITY_MIN):
+        h = _chiral(n, n)
+        same_parity = h.copy()
+        same_parity[n - 1, n - 1] = 1e-300
+        for a in (h, 1j * h, same_parity, h.astype(complex)):
+            expm(a)
+    assert [parity for *_, parity in calls] == [False] * 4 + [True, True,
+                                                             False, False]
+
+
+@pytest.mark.parametrize("spec, window, y", [
+    (AlgebraSpec.from_profile("phase"), IndexWindow(0, 33, 0, 0), 0.9),
+    (AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 32, 0, 0), 0.3),
+])
+def test_parity_evaluation_against_mpmath_past_the_break_even(
+        monkeypatch, spec, window, y):
+    # exp(iy(R + L)) on windows that take the parity evaluation, one
+    # squaring and five, within the property test's allowance
+    calls = _spy_taylor_ps(monkeypatch)
+    a = operator_matrix(spec, window, (1j * y, 1j * y, 0.0))
+    res = expm(a)
+    assert [parity for *_, parity in calls] == [True]
+    with mpmath.workdps(30):
+        ref = mpmath.expm(mpmath.matrix(a.tolist()))
+        ref = np.array(ref.tolist(), dtype=complex)
+    allow = _ROUNDING * _EPS * max(1.0, _norm(a)) * _frechet_scale(a)
+    assert _norm(res.matrix - ref) <= res.remainder_bound + allow
+
+
 def test_a_real_part_past_the_first_two_entries_takes_the_complex_path():
     # a[0, 0] and a[0, 1] are imaginary and the imaginary part is chiral, so
     # only the full scan sees the real part; the real route would drop it
@@ -384,13 +466,13 @@ def test_a_real_part_past_the_first_two_entries_takes_the_complex_path():
 
 
 def _spy_taylor_ps(monkeypatch):
-    """Record (dtype, degree) of every ``_taylor_ps`` call."""
+    """Record (dtype, degree, parity) of every ``_taylor_ps`` call."""
     xm = importlib.import_module("ladderkit.expm")
     calls, evaluate = [], xm._taylor_ps
 
-    def run(a, scale, m):
-        calls.append((a.dtype, m))
-        return evaluate(a, scale, m)
+    def run(a, scale, m, parity=False):
+        calls.append((a.dtype, m, parity))
+        return evaluate(a, scale, m, parity)
     monkeypatch.setattr(xm, "_taylor_ps", run)
     return calls
 
@@ -400,7 +482,8 @@ def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
     # terms: at norm 1 it stops at the last degree the tables hold, with
     # its tail bound met, and below it it stops sooner; the same degrees
     # for complex exponents, real ones and chiral ones, which take the
-    # real route
+    # real route, and chiral ones past the break-even, which take the
+    # parity evaluation
     xm = importlib.import_module("ladderkit.expm")
     calls = _spy_taylor_ps(monkeypatch)
     norms = (1.0, 0.5, 1e-3)
@@ -409,10 +492,14 @@ def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
     bounds += [expm(np.array([[nb]])).remainder_bound for nb in norms]
     bounds += [expm(np.array([[0, nb], [nb, 0]]) * 1j).remainder_bound
                for nb in norms]
+    # nb on the first superdiagonal, where row + column is odd: norm nb
+    shift = np.eye(xm._PARITY_MIN + 1, k=1)
+    bounds += [expm(shift * nb).remainder_bound for nb in norms]
     degrees = [xm._MAX_TERMS, 20, 7]
-    assert calls == ([(complex, m) for m in degrees]
-                     + [(float, m) for m in degrees]
-                     + [(float, m) for m in degrees])
+    assert calls == ([(complex, m, False) for m in degrees]
+                     + [(float, m, False) for m in degrees]
+                     + [(float, m, False) for m in degrees]
+                     + [(float, m, True) for m in degrees])
     assert max(bounds) <= xm._TAIL_TOL
     # one term fewer would leave the tail above the tolerance at norm 1
     m = xm._MAX_TERMS - 1
@@ -428,7 +515,7 @@ def test_layouts_take_the_fewest_products_and_hold_the_taylor_terms(
     for m in range(1, xm._MAX_TERMS + 1):
         coefs, diag = getattr(xm, table)[m]
         assert coefs.dtype == diag.dtype == dtype
-        for got, real in zip((coefs, diag), xm._layout(m)):
+        for got, real in zip((coefs, diag), xm._layout(m, 1)):
             assert got.flags.c_contiguous
             assert got.tobytes() == real.astype(dtype).tobytes()
         rows, p = coefs.shape
@@ -475,7 +562,7 @@ def test_one_same_parity_entry_takes_the_complex_path(monkeypatch):
     a = 1j * _chiral(7, 2)
     a[6, 6] = 1e-300j
     got = expm(a).matrix
-    assert [dtype for dtype, _ in calls] == [complex]
+    assert [dtype for dtype, *_ in calls] == [complex]
     want = scipy.linalg.expm(a)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -510,6 +597,7 @@ def _same(z, w):
     (AlgebraSpec.from_profile("sho"), IndexWindow(-2, 9, 0, 5)),
     (AlgebraSpec.from_profile("constant-one"), IndexWindow(-7, 8, -3, 3)),
     (AlgebraSpec.from_profile("phase"), IndexWindow(0, 29, 0, 5)),
+    (AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 40, 0, 5)),
 ])
 def test_oracle_element_reads_the_chiral_route_bit_for_bit(spec, window):
     # at (iy, iy, 0) oracle_element builds K from the couplings and phases

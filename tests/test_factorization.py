@@ -252,6 +252,40 @@ def test_residual_runs_the_oracle_on_the_padding_rule_window(
     assert sizes == [oracle_states]
 
 
+@pytest.mark.parametrize("spec, window, coeffs", [
+    # sigma > 0: exp(iy(R+L)) and a u2 exponent
+    (AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 25, 3, 6),
+     (0.3j, 0.3j, 0.0)),
+    (AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 25, 3, 6),
+     (0.2 + 0.1j, -0.3j, 0.15j)),
+    # sigma < 0, inside the block [-5, 12], with j_min < core_lo
+    (AlgebraSpec.parametric(6, -12, -0.5), IndexWindow(-5, 11, -2, 4),
+     (0.2 + 0.1j, 0.3j, -0.1j)),
+])
+@pytest.mark.parametrize("ordering", ["normal", "anti-normal"])
+def test_residual_builds_the_product_on_the_states_that_reach_the_core(
+        monkeypatch, spec, window, coeffs, ordering):
+    # the normal core sums over j <= min(n, m), the anti-normal one over
+    # j >= max(n, m): the residual's product runs on [j_min, core_hi] or
+    # [core_lo, j_max], and its core is the whole window's to rounding
+    built, build = [], factorization.ordered_product
+
+    def spy(*args):
+        built.append((args[1], build(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(factorization, "ordered_product", spy)
+    factorization_residual(spec, window, coeffs, ordering)
+    [(cut, product)] = built
+    lo, hi = window.core_lo, window.core_hi
+    assert cut == (IndexWindow(window.j_min, hi, lo, hi)
+                   if ordering == "normal"
+                   else IndexWindow(lo, window.j_max, lo, hi))
+    sl, whole = cut.core_slice(), window.core_slice()
+    want = build(spec, window, coeffs, ordering)[whole, whole]
+    assert np.abs(product[sl, sl] - want).max() <= 1e-15
+
+
 def test_antinormal_reach_past_the_convergence_edge_raises():
     # past y = 0.88 the anti-normal terms on (1, 1, 1) grow without end
     # (their ratio tends to 1.05 at y = 0.9): a domain limit, so

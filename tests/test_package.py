@@ -77,6 +77,33 @@ def test_only_the_algebra_derives_the_coupling_roots():
     assert negating == {"algebra.py"}
 
 
+def test_only_the_oracle_core_runs_the_taylor_polynomial():
+    # one Paterson-Stockmeyer evaluator, expm._taylor_ps, called from
+    # expm._exp alone, and its layout tables read by it alone (past their
+    # build at import): no second polynomial path beside it
+    readers = {"_taylor_ps": set(), "_RE_ROWS": set(), "_PS_ROWS": set(),
+               "_PARITY_ROWS": set()}
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else None)
+            if name in readers and isinstance(child.ctx, ast.Load):
+                readers[name].add(f"{module}.{scope}".rstrip("."))
+            inner = (f"{scope}.{child.name}".lstrip(".")
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                     else scope)
+            visit(child, inner, module)
+
+    for path in Path(ladderkit.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), "", path.stem)
+    assert readers == {"_taylor_ps": {"expm._exp"},
+                       "_RE_ROWS": {"expm", "expm._taylor_ps"},
+                       "_PS_ROWS": {"expm._taylor_ps"},
+                       "_PARITY_ROWS": {"expm._taylor_ps"}}
+
+
 def test_spin_reference_shares_no_route_code():
     # the J_x/J_y reference builds its own spin matrices and rotation
     # vector: from the library it takes the angles' container and the oracle
