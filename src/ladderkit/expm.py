@@ -3,8 +3,9 @@
 This is the independent reference ("oracle") against which every closed
 form and ordered factorization in the package is checked, so it shares no
 code with them: plain scaling-and-squaring around a truncated Taylor
-series.  The argument is scaled by 2^-s to induced infinity norm <= 1.  The
-Taylor degree m comes from a scalar tail rule run before any matrix work:
+series.  The argument is scaled by 2^-s to induced infinity norm <= 1 (2 on
+the parity evaluation, below).  The Taylor degree m comes from a scalar tail
+rule run before any matrix work:
 the dropped tail is bounded by a geometric estimate from the first dropped
 term, and that bound is propagated through the squarings.  The degree-m
 polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
@@ -16,19 +17,26 @@ An exponent i h with h real and chiral, zero wherever row + column is even
 (exp(iy(R + L)): R + L couples j only to j +- 1), is a real one up to a
 diagonal phase.  With E = diag(1, i, 1, i, ...), exp(ih) = E^-1 exp(K) E for
 K = E (ih) E^-1, which is h with its odd rows negated: real, of the same
-norm (Higham, Functions of Matrices, 2008, ch. 10).  exp(K) takes the same
-s, m, squarings and bound as the complex path, in real products, and the
-phase is put back entry by entry, without rounding.  One core serves all
+norm (Higham, Functions of Matrices, 2008, ch. 10).  exp(K) is taken in
+real products, bit for bit as for the float64 K, and the phase is put back
+entry by entry, without rounding.  One core serves all
 three kinds: a float64 exponent goes through it in real arithmetic and
 stays real, a complex one in complex arithmetic, and K in real arithmetic
 before its phase.  ``oracle_element`` builds K for exp(iy(R + L)) straight
 from the couplings and puts the phase back on the one element it reads.
 
 A real chiral exponent, such as that K, is [[0, B], [C, 0]] in parity order
-(even indices first), so its square is diag(BC, CB).  From 32 states up the
-same degree-m polynomial runs on the half-size BC (``_taylor_ps``), at about
-13/8 full-size products where the dense pass takes 8 (degree 25); s, m, the
-squarings and the bound are unchanged.
+(even indices first), so its square is diag(BC, CB).  From _PARITY_MIN
+states up the degree-m polynomial runs on the half-size BC (``_taylor_ps``),
+where a higher degree costs half-size products, so this parity evaluation
+scales to norm <= 2: s is one lower wherever the norm is above 1, which
+saves a full-size squaring and its norm, and the same tail target takes
+degree 32 at norm 2 (2^33/33! ~ 9.9e-28), about 15/8 full-size products
+where the dense pass takes 8 at degree 25.  The dense passes keep norm <= 1,
+since their extra degree would cost full-size products.  Not beyond 2: at
+norm 4 (degree about 42) the terms would sum to e^4 ~ 55 times an
+exponential of norm about 1 for the oracle's exponents, and that cancellation
+is not measured.
 """
 
 import math
@@ -40,14 +48,17 @@ import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow, padded_window, squared_couplings
 
-# the Taylor series stops once its tail bound is below _TAIL_TOL; at the
-# largest scaled norm, 1, that takes _MAX_TERMS terms, and fewer below it
+# the Taylor series stops once its tail bound is below _TAIL_TOL.  At the
+# largest scaled norm that takes the most terms: _MAX_TERMS at 1 on the dense
+# passes, _PARITY_TERMS at 2 on the parity evaluation (2^33/33! ~ 9.9e-28),
+# and fewer below it
 _TAIL_TOL = 1e-26
 _MAX_TERMS = 25
+_PARITY_TERMS = 32
 
-# the Taylor coefficients 1/k!, k = 0.._MAX_TERMS, each the previous one
+# the Taylor coefficients 1/k!, k = 0.._PARITY_TERMS, each the previous one
 # divided by k
-_INV_FACT = list(accumulate(range(1, _MAX_TERMS + 1), truediv, initial=1.0))
+_INV_FACT = list(accumulate(range(1, _PARITY_TERMS + 1), truediv, initial=1.0))
 
 
 @dataclass(frozen=True)
@@ -92,18 +103,24 @@ def _layout(m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
 _RE_ROWS = [None] + [_layout(m, 1) for m in range(1, _MAX_TERMS + 1)]
 _PS_ROWS = [None] + [tuple(x.astype(complex) for x in rows)
                      for rows in _RE_ROWS[1:]]
-_PARITY_ROWS = [None] + [_layout(m, 3) for m in range(1, _MAX_TERMS + 1)]
+_PARITY_ROWS = [None] + [_layout(m, 3) for m in range(1, _PARITY_TERMS + 1)]
 
 # a chiral float64 exponent of at least _PARITY_MIN states takes the parity
-# evaluation, a smaller one the dense pass.  _exp on exp(iy(R + L))'s K, its
-# chiral test included (one BLAS thread on one of 2 vCPUs, the two passes
-# interleaved in one process, best of 60 x 100 calls each, dense -> parity),
-# for the phase profile at y = 0.5 (degree 25, no squaring) and (1, 2, 1) at
-# y = 0.3 (4-5 squarings): 17 states 34.8 -> 42.3 and 57.4 -> 65.6 us,
-# 28: 45.8 -> 49.4 and 76.2 -> 82.9, 31: 48.4 -> 49.7 and 82.7 -> 85.4,
-# 32: 52.3 -> 49.4 and 87.5 -> 84.0, 40: 66.1 -> 57.2 and 111.6 -> 99.1,
-# 60: 124.5 -> 76.4 and 228.8 -> 186.4
-_PARITY_MIN = 32
+# evaluation, a smaller one the dense pass.  _exp on exp(iy(R + L))'s K, the
+# parity evaluation's chiral test included (one BLAS thread on one of 2
+# vCPUs, the two passes interleaved in one process, best of 60 x 100 calls
+# each, dense -> parity, us), where the parity evaluation saves a squaring,
+# for (1, 2, 1) at y = 0.3, (1, 1, 1) at y = 0.6 and the phase profile at
+# y = 0.8, and where it saves none, the phase profile at y = 0.5 (norm 1):
+# 24 states 55.5 -> 59.4, 59.9 -> 62.6, 40.2 -> 41.1 and 35.7 -> 41.2;
+# 26: 68.4 -> 63.5, 72.7 -> 68.5, 48.2 -> 47.7 and 43.3 -> 47.6;
+# 27: 71.1 -> 64.2, 77.5 -> 69.2, 51.4 -> 47.7 and 45.3 -> 45.4;
+# 28: 76.4 -> 67.2, 77.2 -> 68.5, 51.5 -> 48.0 and 45.2 -> 46.3;
+# 32: 88.1 -> 78.0, 94.5 -> 84.6, 58.9 -> 51.7 and 52.7 -> 48.9;
+# 60: 226.5 -> 173.2, 243.6 -> 191.4, 141.0 -> 83.9 and 123.0 -> 76.9.
+# An earlier run had 26 states at 69.1 -> 69.6 and 73.7 -> 75.2: 27 is the
+# first size where every exponent that saves a squaring gains in both
+_PARITY_MIN = 27
 
 
 def _taylor_ps(a: np.ndarray, scale: float, m: int,
@@ -126,8 +143,8 @@ def _taylor_ps(a: np.ndarray, scale: float, m: int,
 
     where the lower right is E(CB), as x F(x) = E(x) - 1.  Y has ceil(n/2)
     states: the pass and the five products around it (Y itself and the
-    assembly) cost about 13/8 n x n products at degree 25, where the dense
-    pass costs 8."""
+    assembly) cost about 13/8 n x n products at degree 25 and 15/8 at
+    degree 32 (p = 8, r = 1), where the dense pass costs 8 at degree 25."""
     if parity:
         up, low = a[::2, 1::2] * scale, a[1::2, ::2] * scale  # B, C
         coefs, diag = _PARITY_ROWS[m]
@@ -179,11 +196,22 @@ def _odd_rows_negated(k: np.ndarray) -> np.ndarray:
     return k
 
 
-def _exp(x: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _is_chiral(h: np.ndarray) -> bool:
+    """Whether h is zero wherever row + column is even: on one view, every
+    other entry of the flattened h for odd n, the diagonals of its 2 x 2
+    blocks for even n (about 30% less per call than two strided views)."""
+    n = len(h)
+    same = (h.reshape(-1)[::2] if n % 2
+            else h.reshape(n // 2, 2, n // 2, 2).diagonal(axis1=1, axis2=3))
+    return not same.any()
+
+
+def _exp(x: np.ndarray, parity: bool = False) -> tuple[np.ndarray, float] | None:
     """exp(x) and its truncation bound for a square float64 or complex x,
     in x's arithmetic; None when x is zero, whose exponential is exactly
-    the identity.  Raises OverflowError if an intermediate norm leaves the
-    floating range."""
+    the identity.  ``parity``: x is float64, chiral and of at least
+    _PARITY_MIN states, and takes the parity evaluation.  Raises
+    OverflowError if an intermediate norm leaves the floating range."""
     # overflow, in the row sums of x or in a squaring, is detected and
     # raised explicitly; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -193,24 +221,21 @@ def _exp(x: np.ndarray) -> tuple[np.ndarray, float] | None:
         if norm == 0.0:
             return None
 
-        # scale so the Taylor argument has norm <= 1; the tail's geometric
-        # ratio nb/(k+2) then stays <= 1/3
-        squarings = max(0, math.ceil(math.log2(norm)))
+        # scale so the Taylor argument has norm nb <= 1, or <= 2 on the
+        # parity evaluation, one squaring fewer; the tail's geometric ratio
+        # nb/(k+2) then stays <= 2/3
+        squarings = max(0, math.ceil(math.log2(norm)) - parity)
         nb = norm / (2.0 ** squarings)
 
         # the degree from the tail rule, on scalars only
         term_bound = 1.0
         tail = math.inf
-        for k in range(1, _MAX_TERMS + 1):
+        for k in range(1, (_PARITY_TERMS if parity else _MAX_TERMS) + 1):
             term_bound *= nb / k
             dropped = term_bound * nb / (k + 1)
             tail = dropped / (1.0 - nb / (k + 2))
             if tail <= _TAIL_TOL:
                 break
-        # the parity evaluation for a chiral float64 x past the break-even
-        parity = (x.dtype == float and len(x) >= _PARITY_MIN
-                  and not (np.count_nonzero(x[::2, ::2])
-                           or np.count_nonzero(x[1::2, 1::2])))
         total = _taylor_ps(x, 2.0 ** -squarings, k, parity)
         bound = tail
 
@@ -244,21 +269,23 @@ def expm(a: np.ndarray) -> ExpmResult:
         a = a.astype(complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm needs a square matrix")
-    # an imaginary exponent i h is chiral when h is zero wherever row +
-    # column is even, and is then exponentiated as K, built in a copy of
-    # h (a.imag is a view of the caller's matrix).  A real part on a[0, 0]
-    # or a[0, 1] (c and a in operator_matrix's exponents) settles the test
-    # for most complex exponents before the O(n^2) scan.
-    real = a.dtype == float or a.size and (
-        a.item(0).real or a.size > 1 and a.item(1).real or a.real.any())
-    h = None if real else a.imag
-    chiral = not (h is None or np.count_nonzero(h[::2, ::2])
-                  or np.count_nonzero(h[1::2, 1::2]))
-    res = _exp(_odd_rows_negated(h.copy()) if chiral else a)
+    big = len(a) >= _PARITY_MIN
+    if a.dtype == float:
+        phased, parity = False, big and _is_chiral(a)
+    else:
+        # an imaginary exponent i h is chiral when h is, and is then
+        # exponentiated as K, built in a copy of h (a.imag is a view of the
+        # caller's matrix).  A real part on a[0, 0] or a[0, 1] (c and a in
+        # operator_matrix's exponents) settles the test for most complex
+        # exponents before the O(n^2) scan.
+        phased = not (a.size and (a.item(0).real or a.size > 1 and a.item(1).real
+                                  or a.real.any())) and _is_chiral(a.imag)
+        parity = big and phased
+    res = _exp(_odd_rows_negated(a.imag.copy()) if phased else a, parity)
     if res is None:
         return ExpmResult(np.eye(len(a), dtype=a.dtype), 0.0)
     total, bound = res
-    if chiral:
+    if phased:
         # E^-1 exp(K) E, exact entry by entry: exp(K) on entries of the same
         # parity, i exp(K) on (even, odd) and -i exp(K) on (odd, even)
         v, total = total, np.zeros(total.shape, dtype=complex)
@@ -267,12 +294,11 @@ def expm(a: np.ndarray) -> ExpmResult:
     return ExpmResult(total, bound)
 
 
-def _bands(spec: AlgebraSpec, window: IndexWindow,
+def _bands(l2: np.ndarray,
            coeffs: tuple[complex, complex, complex]) -> tuple[np.ndarray, ...]:
-    """The diagonal, upper and lower bands of a*L + b*R + c*S on the
-    window, for coeffs = (a, b, c), from ``squared_couplings``."""
+    """The diagonal, upper and lower bands of a*L + b*R + c*S on a window
+    with squared couplings l2 (``squared_couplings``), for coeffs = (a, b, c)."""
     a, b, c = coeffs
-    l2 = squared_couplings(spec, window)
     lam = np.sqrt(l2[1:-1])
     return c * np.subtract(l2[1:], l2[:-1], dtype=complex), a * lam, b * lam
 
@@ -282,7 +308,8 @@ def _tridiagonal(diag: np.ndarray, up: np.ndarray,
     """The square array of diag's dtype with these three bands."""
     n = len(diag)
     out = np.zeros((n, n), dtype=diag.dtype)
-    out.flat[::n + 1], out.flat[1::n + 1], out.flat[n::n + 1] = diag, up, low
+    flat = out.reshape(-1)
+    flat[::n + 1], flat[1::n + 1], flat[n::n + 1] = diag, up, low
     return out
 
 
@@ -290,7 +317,7 @@ def operator_matrix(spec: AlgebraSpec, window: IndexWindow,
                     coeffs: tuple[complex, complex, complex]) -> np.ndarray:
     """a*L + b*R + c*S on the window, for coeffs = (a, b, c): one
     tridiagonal array built from ``squared_couplings``."""
-    return _tridiagonal(*_bands(spec, window, coeffs))
+    return _tridiagonal(*_bands(squared_couplings(spec, window), coeffs))
 
 
 def oracle_element(spec: AlgebraSpec, window: IndexWindow,
@@ -299,8 +326,9 @@ def oracle_element(spec: AlgebraSpec, window: IndexWindow,
     """<n| exp(a*L + b*R + c*S) |m> by direct exponentiation: the value of
     ``expm(operator_matrix(...))``, bit for bit.
 
-    An exponent that ``expm`` takes as chiral (exp(iy(R + L)) for real y)
-    goes to it as the real K, built from the bands; the element then takes
+    An exponent with no real part and nothing on its diagonal, read from
+    the coefficients and couplings (exp(iy(R + L)) for real y), goes to
+    ``expm`` as the real K, built from float bands; the element then takes
     its phase from the parity of its window indices (i, j): none on the
     same parity, i on (even, odd), -i on (odd, even).
 
@@ -311,15 +339,20 @@ def oracle_element(spec: AlgebraSpec, window: IndexWindow,
         raise ValueError(f"labels ({n}, {m}) outside core "
                          f"[{window.core_lo}, {window.core_hi}]")
     i, j = window.idx(n), window.idx(m)
-    diag, up, low = _bands(spec, window, coeffs)
-    # expm's chiral test, read on the bands: no real part anywhere and
-    # nothing on the diagonal, the only band where row + column is even
-    # (count_nonzero costs less per call than any)
-    if (np.count_nonzero(diag) or np.count_nonzero(up.real)
-            or np.count_nonzero(low.real)):
-        return complex(expm(_tridiagonal(diag, up, low)).matrix[i, j])
-    up, low = up.imag, low.imag
-    v = expm(_odd_rows_negated(_tridiagonal(diag.imag, up, low))).matrix[i, j]
+    l2 = squared_couplings(spec, window)
+    a, b, c = coeffs
+    # expm's chiral test, read on the coefficients: a real a or b puts a
+    # real part on the off-diagonal bands, and c on S's diagonal, the only
+    # band where row + column is even, unless S is zero (constant-one).
+    # What it misses, a band that underflows to zero, expm finds itself.
+    if a.real or b.real or c and (l2[1:] != l2[:-1]).any():
+        return complex(expm(_tridiagonal(*_bands(l2, coeffs))).matrix[i, j])
+    # the imaginary parts of _bands as numpy's complex products form them,
+    # the signs of zeros included: x.imag * v + x.real * 0.0 for x * (v + 0j)
+    lam = np.sqrt(l2[1:-1])
+    up, low = a.imag * lam + a.real * 0.0, b.imag * lam + b.real * 0.0
+    diag = c.imag * np.subtract(l2[1:], l2[:-1]) + c.real * 0.0
+    v = expm(_odd_rows_negated(_tridiagonal(diag, up, low))).matrix[i, j]
     if (i - j) % 2 == 0 or not (np.count_nonzero(up) or np.count_nonzero(low)):
         # same parity, or a zero exponent, whose exponential expm returns
         # as the identity with no phase put back

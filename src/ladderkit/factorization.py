@@ -142,15 +142,18 @@ def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Facto
     and f+-, g+- are real: tanh(y sqrt(sigma))/(y sqrt(sigma)) and
     sech(y sqrt(sigma)), continued to tan/sec for sigma < 0.  Finite
     wherever D+- != 0; raises PoleError where |D+| or |D-| falls below
-    1e-9.  The factors grow as 1/|D+-| towards a pole and the ordered
-    products cancel that growth: at |D+| = 1e-10 the spin-1 rotation
-    product is off by about 1e4."""
+    1e-9, and OverflowError where q^2 is not finite.  The factors grow as
+    1/|D+-| towards a pole and the ordered products cancel that growth: at
+    |D+| = 1e-10 the spin-1 rotation product is off by about 1e4."""
     if not spec.is_parametric:
         raise ValueError("u2 factorization needs a parametric spec")
     si = spec.sigma
     # sigma first: at (iy, iy, 0) q^2 is then the float -(sigma*y)*y of the
     # amplitude formulas (gn.py)
     q_sq = complex(si * a * b - si * si * c * c)
+    if not cmath.isfinite(q_sq):
+        raise OverflowError(f"q^2 = sigma a b - sigma^2 c^2 = {q_sq} is not finite"
+                            f" at (a, b, c) = ({a}, {b}, {c})")
     s, cq = _even_pair(q_sq)
     shift = c * si * s
     d_plus, d_minus = cq - shift, cq + shift

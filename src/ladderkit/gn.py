@@ -22,6 +22,7 @@ only through sigma*y^2.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 from .algebra import (AlgebraSpec, _breaks, lambda_coupling, padded_window,
@@ -33,6 +34,9 @@ from .factorization import u2_factors
 # a 2F1 sum not settled after this many terms (about 0.1 s) fails
 _HYP_MAX_TERMS = 100000
 _CLOSED_MAX_TERMS = 500  # longer gn_closed sums (cancellation unchecked) go to the oracle
+# ln of the largest float: a prefactor whose log reaches it overflows
+_LOG_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 class Hyp2F1Sum(NamedTuple):
@@ -44,9 +48,15 @@ class Hyp2F1Sum(NamedTuple):
     terms: int
 
 
+def _first_zero(x: float) -> float:
+    """The first k >= 0 where the factor x + k of the series vanishes: -x
+    for a non-positive integer x, inf otherwise."""
+    return -x if x <= 0 and float(x).is_integer() else math.inf
+
+
 def _terminates(a: float, b: float) -> bool:
     """Whether 2F1(a, b; c; z) is a polynomial: a or b a non-positive integer."""
-    return any(x <= 0 and x == round(x) for x in (a, b))
+    return min(_first_zero(a), _first_zero(b)) < math.inf
 
 
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
@@ -55,8 +65,14 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     Exact (terminating) when a or b is a non-positive integer; otherwise
     requires |z| < 1.  Raises ConvergenceError outside that domain, on
     overflow and past _HYP_MAX_TERMS terms; of the callers, only ``gn_auto``
-    falls back to the exponential oracle there.
+    falls back to the exponential oracle there.  Raises ValueError at c a
+    non-positive integer, where a denominator c + k vanishes, unless a or b
+    ends the sum at an earlier term.
     """
+    pole = _first_zero(c)
+    if pole < math.inf and pole <= min(_first_zero(a), _first_zero(b)):
+        raise ValueError(f"2F1 series denominator c + k vanishes at k = {pole:g}"
+                         f" (c = {c:g}) before a or b ends the sum")
     if abs(z) >= 1.0 and not _terminates(a, b):
         raise ConvergenceError(f"2F1 series argument |z| = {abs(z):.3g} >= 1"
                                " and not terminating")
@@ -125,8 +141,39 @@ def _amplitude(spec: AlgebraSpec, n: int, y: float, a: float, b: float,
     hyp = hyp2f1_series(a, b, 1.0 + n, z)
     if hyp.terms > max_terms:
         raise ConvergenceError(f"2F1 series did not settle within {max_terms} terms")
+    pre, rel = _prefactor(spec, n, yf, g, expo)
+    value, err = pre * hyp.value, abs(pre) * hyp.err_estimate
+    if rel:
+        err += rel * abs(value)
+    return GnEvaluation(value, route, err)
+
+
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
+def _prefactor(spec: AlgebraSpec, n: int, yf: float, g: float,
+               expo: float) -> tuple[float, float]:
+    """A_n (yf)^n g^expo (g^expo real) and a relative error bound on its
+    rounding, counted only where the product is formed in logs.  That is
+    where the direct product is not finite (an A_n that overflows times a
+    (yf)^n that underflows is inf * 0): then ln A_n + n ln|yf| + expo ln|g|,
+    its sign tracked.  OverflowError where the log sum is not finite or
+    leaves the float range."""
     pre = a_n(spec, n) * yf ** n * g ** expo
-    return GnEvaluation(pre * hyp.value, route, abs(pre) * hyp.err_estimate)
+    if math.isfinite(pre):
+        return pre, 0.0
+    parts = [_log_abs(lambda_coupling(spec, j)) for j in range(n)]
+    parts += [-math.lgamma(n + 1.0), n * _log_abs(yf) if n else 0.0,
+              expo * _log_abs(g)]
+    log = math.fsum(parts)
+    if not (math.isfinite(log) and log < _LOG_MAX):
+        raise OverflowError(f"amplitude prefactor A_n (yf)^n g^expo at n = {n},"
+                            f" yf = {yf:g}, g = {g:g} leaves the float range")
+    negative = (yf < 0 and n % 2 == 1) != (g < 0 and expo % 2 == 1)
+    # the rounding of each log, and that of yf and g raised to n and expo
+    rel = 8 * _EPS * (math.fsum(map(abs, parts)) + n + abs(expo))
+    return -math.exp(log) if negative else math.exp(log), rel
 
 
 def gn_closed(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:

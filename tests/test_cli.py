@@ -891,6 +891,20 @@ def test_factorize_negative_pad_exit_3(capsys):
     assert "padding" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "gn --alpha 0.5 --beta 1e300 --sigma 124.9 --n 40 --y 1e-300",
+    "gn --alpha 1e300 --beta 4.25 --sigma 5.5 --n 12 --m 1 --y 1e-300",
+])
+def test_an_overflowing_a_n_times_an_underflowing_power_is_finite(capsys, argv):
+    # A_n overflows to inf and (yf)^n underflows to 0, which printed
+    # "value": NaN at exit 0; formed in logs, the product is far below the
+    # smallest float
+    code, doc, err = run_json(capsys, *argv.split())
+    assert code == 0 and err == ""
+    (row,) = doc["rows"]
+    assert row["value"] == 0.0 and row["err_estimate"] == 0.0
+
+
 @pytest.mark.parametrize("argv, code, lines", [
     # lambda_0^2 overflows to inf: main's one refusal line alone
     ("gn --alpha 1e160 --beta 1e160 --sigma 1 --n 1 --y 0.3", 2, 1),

@@ -1,5 +1,6 @@
 import cmath
 import importlib
+import itertools
 import math
 
 import mpmath
@@ -374,18 +375,30 @@ def test_chiral_route_matches_paterson_stockmeyer_at_every_degree(n):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _taylor_sum(b, m):
+    """sum_k b^k/k! for k <= m, term by term."""
+    term = total = np.eye(len(b))
+    for k in range(1, m + 1):
+        term = term @ b / k
+        total = total + term
+    return total
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 40, 41])
 def test_parity_evaluation_matches_the_dense_pass_at_every_degree(n):
-    # every degree the tail rule can pick, so every layout of p and r: the
-    # polynomial on the parity blocks of K^2 is the dense one in K, on even
-    # and odd sizes, with the scale applied before the split or not
+    # every degree the parity tail rule can pick, so every layout of p and
+    # r: the polynomial on the parity blocks of K^2 is the dense one in K
+    # (term by term past the dense cap), on even and odd sizes, up to the
+    # parity evaluation's scaled norm 2, with the scale applied before the
+    # split or not
     xm = importlib.import_module("ladderkit.expm")
     k = _chiral(n, n + 1)
-    for norm, scale in ((1.0, 1.0), (0.5, 1.0), (4.0, 0.25)):
+    for norm, scale in ((2.0, 1.0), (1.0, 1.0), (0.5, 1.0), (4.0, 0.25)):
         b = k * (norm / _norm(k))
-        for m in range(1, xm._MAX_TERMS + 1):
+        for m in range(1, xm._PARITY_TERMS + 1):
             got = xm._taylor_ps(b, scale, m, True)
-            want = xm._taylor_ps(b, scale, m)
+            want = (xm._taylor_ps(b, scale, m) if m <= xm._MAX_TERMS
+                    else _taylor_sum(b * scale, m))
             assert got.dtype == float and got.flags.c_contiguous
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -393,9 +406,11 @@ def test_parity_evaluation_matches_the_dense_pass_at_every_degree(n):
 def test_parity_layouts_take_the_fewest_products_and_hold_the_three_series():
     # series E, O and F in Y = b^2 hold 1/(2j)!, 1/(2j + 1)! and 1/(2j + 2)!
     # on Y^j, each while 2j + s <= m; p takes the fewest products for three
-    # stacked series, p - 1 + 3 r
+    # stacked series, p - 1 + 3 r; one layout for every degree the parity
+    # tail rule can pick (test_tail_rule_needs_exactly_the_table_degrees)
     xm = importlib.import_module("ladderkit.expm")
-    for m in range(1, xm._MAX_TERMS + 1):
+    assert len(xm._PARITY_ROWS) == xm._PARITY_TERMS + 1
+    for m in range(1, xm._PARITY_TERMS + 1):
         coefs, diag = xm._PARITY_ROWS[m]
         assert coefs.dtype == diag.dtype == float
         assert coefs.flags.c_contiguous and diag.flags.c_contiguous
@@ -443,8 +458,8 @@ def test_the_parity_evaluation_starts_at_the_break_even(monkeypatch):
 ])
 def test_parity_evaluation_against_mpmath_past_the_break_even(
         monkeypatch, spec, window, y):
-    # exp(iy(R + L)) on windows that take the parity evaluation, one
-    # squaring and five, within the property test's allowance
+    # exp(iy(R + L)) on windows that take the parity evaluation, with no
+    # squaring and four, within the property test's allowance
     calls = _spy_taylor_ps(monkeypatch)
     a = operator_matrix(spec, window, (1j * y, 1j * y, 0.0))
     res = expm(a)
@@ -456,6 +471,114 @@ def test_parity_evaluation_against_mpmath_past_the_break_even(
     assert _norm(res.matrix - ref) <= res.remainder_bound + allow
 
 
+def _fixed_point_exp(k, bits=200):
+    """exp(k) for a real tridiagonal k, rounded to float64 from fixed point
+    with ``bits`` fractional bits (numpy object arrays of Python ints, whose
+    products are exact): the Taylor series of k / 2^s, s such that its
+    norm is at most 1/16, term by term until a term truncates to zero, then
+    s squarings.  Each step truncates by at most 2^-bits per entry, far
+    below float64 rounding: an independent high-precision reference that
+    runs in about a second at 84 states, where 30-digit ``mpmath.expm``
+    takes about 20 s."""
+    n = len(k)
+    norm = _norm(k)
+    s = max(0, math.ceil(math.log2(norm * 16))) if norm else 0
+
+    def fixed(band):
+        # exact: a float times a power of two
+        return np.array([int(math.ldexp(x, bits - s)) for x in band],
+                        dtype=object)
+    diag, up, low = fixed(np.diag(k)), fixed(np.diag(k, 1)), fixed(np.diag(k, -1))
+    term = np.zeros((n, n), dtype=object)
+    term[range(n), range(n)] = 1 << bits
+    total = term.copy()
+    j = 0
+    while any(term.flat):
+        j += 1
+        # term @ k, column j from columns j - 1, j and j + 1 of term
+        step = term * diag
+        step[:, 1:] += term[:, :-1] * up
+        step[:, :-1] += term[:, 1:] * low
+        term = (step >> bits) // j
+        total += term
+    for _ in range(s):
+        total = (total @ total) >> bits
+    return np.array([[x / (1 << bits) for x in row] for row in total])
+
+
+def test_the_fixed_point_reference_matches_mpmath():
+    # 40-digit mpmath on exp(iy(R + L))'s K at 12 states, nine squarings
+    a = operator_matrix(AlgebraSpec.parametric(1, 1, 1), IndexWindow(0, 11, 0, 0),
+                        (1.2j, 1.2j, 0.0))
+    k = a.imag * (1 - 2 * (np.arange(12) % 2))[:, None]
+    with mpmath.workdps(40):
+        want = np.array(mpmath.expm(mpmath.matrix(k.tolist())).tolist(),
+                        dtype=float)
+    got = _fixed_point_exp(k)
+    assert np.abs(got - want).max() <= _EPS * np.abs(want).max()
+
+
+def _phased(v):
+    """E^-1 v E for E = diag(1, i, 1, i, ...): exp(i h) from exp(K)."""
+    e = 1j ** (np.arange(len(v)) % 2)
+    return v / e[:, None] * e
+
+
+@pytest.mark.parametrize("n", [27, 40])
+def test_the_parity_evaluation_takes_one_squaring_fewer(monkeypatch, n):
+    # exp(iy(R + L)) on constant-one, K with y on both off-diagonals: norm
+    # exactly 2y.  Past the break-even the parity evaluation scales to norm
+    # <= 2, so where 2y lies in (2^k, 2^(k+1)] it takes k squarings, one
+    # fewer than the dense rule, which the same K with one tiny same-parity
+    # entry takes; none on both at 2y <= 1.  The remainder bound stays
+    # honest against the fixed-point reference
+    xm = importlib.import_module("ladderkit.expm")
+    assert n >= xm._PARITY_MIN
+    scales = []
+    calls = _spy_taylor_ps(monkeypatch, scales)
+    spec = AlgebraSpec.from_profile("constant-one")
+    for norm, squarings in ((0.5, 0), (1.0, 0), (1.0 + 2.0 ** -40, 0),
+                            (2.0, 0), (2.0 + 2.0 ** -39, 1), (4.0, 1),
+                            (64.0, 5), (64.0 + 2.0 ** -34, 6)):
+        a = operator_matrix(spec, IndexWindow(0, n - 1, 0, 0),
+                            (0.5j * norm, 0.5j * norm, 0.0))
+        assert _norm(a) == norm
+        k = xm._odd_rows_negated(a.imag.copy())
+        dense = k.copy()
+        dense[n - 1, n - 1] = 1e-300
+        del calls[:], scales[:]
+        res = expm(a)
+        expm(dense)
+        assert [parity for *_, parity in calls] == [True, False]
+        assert scales == [2.0 ** -squarings,
+                          2.0 ** -(squarings + (norm > 1.0))]
+        allow = _ROUNDING * _EPS * max(1.0, norm) * _frechet_scale(a)
+        ref = _phased(_fixed_point_exp(k))
+        assert _norm(res.matrix - ref) <= res.remainder_bound + allow
+
+
+@pytest.mark.parametrize("spec, window, y", [
+    (AlgebraSpec.from_profile("phase"), IndexWindow(0, 59, 0, 0), 0.6),
+    (AlgebraSpec.from_profile("phase"), IndexWindow(0, 59, 0, 0), 0.95),
+    # gn_oracle's windows for n = 6 at y = 0.75 and 1.2
+    (AlgebraSpec.parametric(2, 3, 1), IndexWindow(-1, 63, 0, 6), 0.75),
+    (AlgebraSpec.parametric(1, 1, 1), IndexWindow(0, 83, 0, 6), 1.2),
+])
+def test_parity_evaluation_against_the_fixed_point_reference(
+        monkeypatch, spec, window, y):
+    # the oracle's exp(iy(R + L)) at 60-84 states, norms 1.2 to 238, within
+    # the property test's allowance; the tail target keeps the remainder
+    # bound far below rounding
+    calls = _spy_taylor_ps(monkeypatch)
+    a = operator_matrix(spec, window, (1j * y, 1j * y, 0.0))
+    res = expm(a)
+    assert [parity for *_, parity in calls] == [True]
+    ref = _phased(_fixed_point_exp(a.imag * (1 - 2 * (np.arange(len(a)) % 2))[:, None]))
+    allow = _ROUNDING * _EPS * max(1.0, _norm(a)) * _frechet_scale(a)
+    assert _norm(res.matrix - ref) <= res.remainder_bound + allow
+    assert res.remainder_bound <= 1e-19
+
+
 def test_a_real_part_past_the_first_two_entries_takes_the_complex_path():
     # a[0, 0] and a[0, 1] are imaginary and the imaginary part is chiral, so
     # only the full scan sees the real part; the real route would drop it
@@ -465,25 +588,28 @@ def test_a_real_part_past_the_first_two_entries_takes_the_complex_path():
     assert np.abs(expm(a).matrix - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def _spy_taylor_ps(monkeypatch):
-    """Record (dtype, degree, parity) of every ``_taylor_ps`` call."""
+def _spy_taylor_ps(monkeypatch, scales=None):
+    """Record (dtype, degree, parity) of every ``_taylor_ps`` call, and its
+    scale 2^-s, s the squarings that follow, in ``scales`` when given."""
     xm = importlib.import_module("ladderkit.expm")
     calls, evaluate = [], xm._taylor_ps
 
     def run(a, scale, m, parity=False):
         calls.append((a.dtype, m, parity))
+        if scales is not None:
+            scales.append(scale)
         return evaluate(a, scale, m, parity)
     monkeypatch.setattr(xm, "_taylor_ps", run)
     return calls
 
 
 def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
-    # the scaled norm is at most 1, where the tail rule takes the most
-    # terms: at norm 1 it stops at the last degree the tables hold, with
-    # its tail bound met, and below it it stops sooner; the same degrees
-    # for complex exponents, real ones and chiral ones, which take the
-    # real route, and chiral ones past the break-even, which take the
-    # parity evaluation
+    # the scaled norm is at most 1 on the dense passes and 2 on the parity
+    # evaluation, where the tail rule takes the most terms: there it stops
+    # at the last degree the path's tables hold, with its tail bound met,
+    # and below it it stops sooner; the same degrees for complex exponents,
+    # real ones and chiral ones, which take the real route, and chiral ones
+    # past the break-even, which take the parity evaluation
     xm = importlib.import_module("ladderkit.expm")
     calls = _spy_taylor_ps(monkeypatch)
     norms = (1.0, 0.5, 1e-3)
@@ -494,24 +620,30 @@ def test_tail_rule_needs_exactly_the_table_degrees(monkeypatch):
                for nb in norms]
     # nb on the first superdiagonal, where row + column is odd: norm nb
     shift = np.eye(xm._PARITY_MIN + 1, k=1)
-    bounds += [expm(shift * nb).remainder_bound for nb in norms]
+    bounds += [expm(shift * nb).remainder_bound for nb in (2.0, *norms)]
     degrees = [xm._MAX_TERMS, 20, 7]
     assert calls == ([(complex, m, False) for m in degrees]
                      + [(float, m, False) for m in degrees]
                      + [(float, m, False) for m in degrees]
-                     + [(float, m, True) for m in degrees])
+                     + [(float, m, True) for m in (xm._PARITY_TERMS, 25, 20, 7)])
+    assert xm._MAX_TERMS == len(xm._RE_ROWS) - 1 == len(xm._PS_ROWS) - 1
+    assert xm._PARITY_TERMS == len(xm._PARITY_ROWS) - 1
     assert max(bounds) <= xm._TAIL_TOL
-    # one term fewer would leave the tail above the tolerance at norm 1
-    m = xm._MAX_TERMS - 1
-    assert xm._INV_FACT[m + 1] / (1.0 - 1.0 / (m + 2)) > xm._TAIL_TOL
+    # one term fewer would leave the tail above the tolerance at norm 1 on
+    # the dense passes and at norm 2 on the parity evaluation
+    for m, nb in ((xm._MAX_TERMS - 1, 1.0), (xm._PARITY_TERMS - 1, 2.0)):
+        tail = xm._INV_FACT[m + 1] * nb ** (m + 1) / (1.0 - nb / (m + 2))
+        assert tail > xm._TAIL_TOL
 
 
 @pytest.mark.parametrize("table, dtype", [("_RE_ROWS", float),
                                           ("_PS_ROWS", complex)])
 def test_layouts_take_the_fewest_products_and_hold_the_taylor_terms(
         table, dtype):
-    # one layout of exp(b) in b per degree: real, and its complex cast
+    # one layout of exp(b) in b per degree the dense tail rule can pick:
+    # real, and its complex cast
     xm = importlib.import_module("ladderkit.expm")
+    assert len(getattr(xm, table)) == xm._MAX_TERMS + 1
     for m in range(1, xm._MAX_TERMS + 1):
         coefs, diag = getattr(xm, table)[m]
         assert coefs.dtype == diag.dtype == dtype
@@ -555,6 +687,24 @@ def test_expm_leaves_its_argument_unchanged(form):
     assert a.tobytes() == keep.tobytes()
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_the_chiral_test_reads_every_same_parity_entry(n):
+    # one tiny entry anywhere row + column is even makes h not chiral, on
+    # even and odd sizes, C-ordered, F-ordered and as the imaginary part of
+    # a complex array
+    xm = importlib.import_module("ladderkit.expm")
+    h = _chiral(n, n)
+    assert xm._is_chiral(h) and xm._is_chiral(np.asfortranarray(h))
+    assert xm._is_chiral((1j * h).imag)
+    for i, j in itertools.product(range(n), repeat=2):
+        g = h.copy()
+        g[i, j] = 1e-300
+        chiral = (i + j) % 2 == 1
+        assert xm._is_chiral(g) == chiral
+        assert xm._is_chiral(np.asfortranarray(g)) == chiral
+        assert xm._is_chiral((1j * g).imag) == chiral
+
+
 def test_one_same_parity_entry_takes_the_complex_path(monkeypatch):
     # the chiral test is exact: a single tiny entry where row + column is
     # even leaves the real route, and the complex path keeps it
@@ -592,28 +742,34 @@ def _same(z, w):
 
 @pytest.mark.parametrize("spec, window", [
     (AlgebraSpec.parametric(1, 1, 1), IndexWindow(0, 17, 0, 5)),
+    # lambda_-1 = 0: a zero on both off-diagonal bands
+    (AlgebraSpec.parametric(1, 1, 1), IndexWindow(-1, 12, -1, 3)),
     (AlgebraSpec.parametric(1.5, 2.5, 0.7), IndexWindow(1, 20, 1, 6)),
     (AlgebraSpec.parametric(6, -7, -0.5), IndexWindow(-5, 7, -5, 7)),
     (AlgebraSpec.from_profile("sho"), IndexWindow(-2, 9, 0, 5)),
     (AlgebraSpec.from_profile("constant-one"), IndexWindow(-7, 8, -3, 3)),
+    (AlgebraSpec.from_profile("constant-one"), IndexWindow(-15, 15, -3, 3)),
     (AlgebraSpec.from_profile("phase"), IndexWindow(0, 29, 0, 5)),
     (AlgebraSpec.parametric(1, 2, 1), IndexWindow(0, 40, 0, 5)),
 ])
 def test_oracle_element_reads_the_chiral_route_bit_for_bit(spec, window):
-    # at (iy, iy, 0) oracle_element builds K from the couplings and phases
-    # one element; it must give what the complex exponent gives through
-    # expm, for n > m and n < m on both parities of the window index, at
-    # y = 0 (expm returns the identity there, +0.0 off the diagonal) and
-    # where entries underflow to signed zeros
+    # at (iy, iy, c) oracle_element builds K from the couplings and phases
+    # one element where the exponent is chiral: c = 0, or any c on
+    # constant-one, where S is zero; it must give what the complex exponent
+    # gives through expm, for n > m and n < m on both parities of the
+    # window index, at y = 0 (expm returns the identity there, +0.0 off the
+    # diagonal), where entries underflow to signed zeros, with zero
+    # coefficients of either sign, and with a != b
     labels = range(window.core_lo, window.core_hi + 1)
-    for y in (0.0, 1e-300, 0.3, -1.1, 2.5):
-        coeffs = (1j * y, 1j * y, 0.0)
+    for y, b, c in itertools.product((0.0, 1e-300, 0.3, -1.1, 2.5),
+                                     (1.0, -0.5), (0.0, -0.0, 0.7j, -0.4j, 0.2)):
+        coeffs = (complex(0.0, y), complex(-0.0, y * b), c)
         full = expm(operator_matrix(spec, window, coeffs)).matrix
         for n in labels:
             for m in labels:
                 got = oracle_element(spec, window, coeffs, n, m)
                 want = complex(full[window.idx(n), window.idx(m)])
-                assert _same(got, want), (y, n, m, got, want)
+                assert _same(got, want), (y, b, c, n, m, got, want)
 
 
 def test_oracle_element_makes_one_expm_call(monkeypatch):

@@ -199,6 +199,15 @@ def test_u2_denominator_zero_raises():
         u2_factors(spec, a, b, c_near)
 
 
+def test_u2_factors_refuse_a_q_squared_that_overflows():
+    # sigma a b = -1e320 and sigma^2 c^2 = inf: q^2 is -inf + nan i, which
+    # made every factor NaN
+    spec = AlgebraSpec.parametric(1, 2, 1e300)
+    with pytest.raises(OverflowError, match=r"not finite at \(a, b, c\) = "
+                       r"\(10000000000j, 10000000000j, 1e\+200\)$"):
+        u2_factors(spec, 1e10j, 1e10j, 1e200)
+
+
 def test_u1_pole_negative_sigma():
     # the guard reaches every consumer of the factors: at the sec pole and
     # 5e-10 below it, where |cos(y sqrt(0.5))| is 3.5e-10

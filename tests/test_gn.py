@@ -12,7 +12,7 @@ from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow,
                        gn_bessel_limit, gn_closed, gn_oracle, gn_series,
                        gn_sho_limit, gnm, hyp2f1_series, oracle_element,
                        padded_window, recursion_residual)
-from ladderkit.gn import _bessel_family
+from ladderkit.gn import _bessel_family, _prefactor
 
 SPEC11 = AlgebraSpec.parametric(1, 1, 1)
 SPEC12 = AlgebraSpec.parametric(1, 2, 1)
@@ -37,6 +37,23 @@ def test_hyp2f1_series_against_scipy_region():
 def test_hyp2f1_rejects_out_of_domain():
     with pytest.raises(ConvergenceError):
         hyp2f1_series(0.3, 1.7, 2.2, -1.5)
+
+
+@pytest.mark.parametrize("c", [0, -2, -2.0])
+def test_hyp2f1_refuses_a_vanishing_denominator(c):
+    # c + k = 0 at k = -c, and no numerator factor ends the sum first
+    with pytest.raises(ValueError, match=f"c = {c:g}"):
+        hyp2f1_series(0.5, 0.5, c, 0.3)
+    # a numerator factor that vanishes at the same term is no earlier end
+    with pytest.raises(ValueError, match=f"c = {c:g}"):
+        hyp2f1_series(c, 0.5, c, 0.3)
+
+
+def test_hyp2f1_ends_before_a_vanishing_denominator():
+    # (-1, 0.5; -2; z) = 1 + z/4: a + 1 = 0 ends the sum at k = 1, before
+    # c + k = 0 at k = 2
+    for z in (0.3, -3.0):
+        assert hyp2f1_series(-1, 0.5, -2, z) == (1 + 0.25 * z, 0.0, 2)
 
 
 def test_a_n_values():
@@ -423,3 +440,30 @@ def test_gn_series_terminates_on_finite_block():
         b = gn_closed(spec, n, 0.9)
         assert a.err_estimate == 0.0          # coupling zero ends the sum
         assert abs(a.value - b.value) < 1e-12
+
+
+@pytest.mark.parametrize("route", [gn_closed, gn_series])
+@pytest.mark.parametrize("n, y", [(5, 1e-76), (7, -1e-76), (6, 5e-76)])
+def test_prefactor_in_logs_where_the_product_is_not_finite(route, n, y):
+    # at sigma = 1e150, A_n = 1e75n n!/n! overflows and (yf)^n underflows:
+    # inf * 0.  Amplitudes depend on sigma only through sigma y^2, so the
+    # same amplitude at sigma = 1 is the reference; the log form's
+    # err_estimate covers its rounding
+    got = route(AlgebraSpec.parametric(1, 1, 1e150), n, y)
+    want = route(SPEC11, n, y * 1e75)
+    assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
+    assert got.err_estimate <= 1e-10 * abs(want.value)
+
+
+def test_prefactor_refuses_a_log_sum_out_of_range():
+    # the direct product is inf * 0 (NaN) or inf, and so is its log sum's
+    # value: a typed refusal, not a NaN
+    spec = AlgebraSpec.parametric(1, 1, 1e150)
+    assert _prefactor(spec, 5, 1e-76, 1.0, 1.0)[0] > 0
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        _prefactor(spec, 5, 0.0, 1.0, 1.0)
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        _prefactor(spec, 5, 1e-10, 1.0, 1.0)
+    # a finite product is the direct one, with no rounding term
+    assert _prefactor(SPEC12, 3, 0.25, 0.5, 3.5) == (
+        a_n(SPEC12, 3) * 0.25 ** 3 * 0.5 ** 3.5, 0.0)
