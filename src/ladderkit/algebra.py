@@ -259,7 +259,9 @@ def padded_window(spec: AlgebraSpec, core_lo: int, core_hi: int,
         pad_hi = pad
     if min(pad, pad_hi) < 0:
         raise ValueError(f"padding must be >= 0, got {pad} and {pad_hi}")
-    below, above = _breaks(spec, core_lo)[0], _breaks(spec, core_hi)[1]
+    below, above = _breaks(spec, core_lo)
+    if above < core_hi:  # a break inside the core: scan again from its top
+        above = _breaks(spec, core_hi)[1]
     # a window needs lambda^2 >= 0 on j_min - 1 .. j_max: each side stops at
     # its break, one state short of it where lambda^2 < 0 there
     lo = below + 1 + (below > -math.inf and lambda_sq(spec, below) < 0.0)
@@ -279,6 +281,23 @@ def suggested_pad(spec: AlgebraSpec, core_lo: int, core_hi: int,
     factorization.antinormal_reach).  Raises OverflowError, as
     squared_couplings does, where a core coupling is not finite.
     """
-    l2 = lambda_sq(spec, np.arange(core_lo, core_hi + 2))
-    lam_max = math.sqrt(_finite_top(spec, l2, core_lo))
-    return max(PAD_FLOOR, math.ceil(8.0 * abs(magnitude) * lam_max))
+    # a profile's lambda^2 never falls as j grows: the top label's is the largest
+    top = (_finite_top(spec, lambda_sq(spec, np.arange(core_lo, core_hi + 2)), core_lo)
+           if spec.is_parametric else lambda_sq(spec, core_hi + 1))
+    return max(PAD_FLOOR, math.ceil(8.0 * abs(magnitude) * math.sqrt(top)))
+
+
+def _oracle_window(spec, core_lo, core_hi, coeffs, within=None) -> IndexWindow:
+    """The oracle's window for exp(a*L + b*R + c*S) on a core: the core +-
+    ``suggested_pad`` at max |(a, b, c)|, each side stopping at its break as
+    in ``padded_window``, cut to a product's window ``within`` (kept whole
+    where no side passes PAD_FLOOR); expm's OverflowError where 8 max is inf."""
+    lo, hi = ((core_lo - within.j_min, within.j_max - core_hi) if within
+              else (math.inf, math.inf))
+    if max(lo, hi) <= PAD_FLOOR:
+        return within
+    magnitude = max(map(abs, coeffs))
+    if 8.0 * magnitude == math.inf:
+        raise OverflowError("non-finite entries in exponent")
+    pad = suggested_pad(spec, core_lo, core_hi, magnitude)
+    return padded_window(spec, core_lo, core_hi, min(pad, lo), min(pad, hi))

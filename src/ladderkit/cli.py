@@ -81,12 +81,10 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_complex(text: str) -> complex:
+    parts = text.split(",")
     try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) <= 2:
+            return complex(*map(float, parts))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
@@ -160,11 +158,10 @@ def _emit(payload: dict, args) -> None:
 def _flatten(payload, prefix=""):
     out = {}
     for k, v in payload.items():
-        key = f"{prefix}{k}"
         if isinstance(v, dict):
-            out.update(_flatten(v, key + "."))
+            out.update(_flatten(v, f"{prefix}{k}."))
         else:
-            out[key] = v
+            out[f"{prefix}{k}"] = v
     return out
 
 
@@ -197,9 +194,7 @@ def _spec_payload(spec: algebra.AlgebraSpec) -> dict:
 
 
 def _ys_from_args(args) -> list[float]:
-    ys = list(args.y or [])
-    if args.y_grid:
-        ys.extend(args.y_grid)
+    ys = [*(args.y or ()), *(args.y_grid or ())]
     if not ys:
         raise ValueError("give --y (repeatable) or --y-grid")
     return ys
@@ -256,9 +251,8 @@ def cmd_factorize(args) -> dict:
     else:
         raise ValueError("factorize needs --y or both --a and --b")
     core_lo, core_hi = args.core
-    magnitude = max(abs(c) for c in coeffs)
-    pad = (args.pad if args.pad is not None
-           else algebra.suggested_pad(spec, core_lo, core_hi, magnitude))
+    pad = (args.pad if args.pad is not None else algebra.suggested_pad(
+        spec, core_lo, core_hi, max(map(abs, coeffs))))
     orderings = (["normal", "anti-normal"] if args.ordering == "both"
                  else [args.ordering])
     # only the anti-normal sum needs the window grown to its reach
@@ -283,15 +277,13 @@ def cmd_factorize(args) -> dict:
         payload["factors"] = {"diagonal_scalar": factorization._profile_diagonal(
             spec, complex(coeffs[0]).imag)}
 
-    residuals = {}
-    for ordering in orderings:
-        residuals[ordering] = factorization.factorization_residual(
-            spec, windows[ordering], coeffs, ordering)
+    residuals = {o: factorization.factorization_residual(spec, windows[o], coeffs, o)
+                 for o in orderings}
     payload["residuals"] = residuals
     payload["residual_windows"] = {o: _span(w) for o, w in windows.items()}
     if args.certify_pad:
         # certify each distinct oracle window once; report the largest
-        certs = dict.fromkeys(factorization.oracle_window(spec, w, coeffs)
+        certs = dict.fromkeys(algebra._oracle_window(spec, core_lo, core_hi, coeffs, w)
                               for w in windows.values())
         for box in certs:
             certs[box] = pad_sufficiency(spec, box, coeffs, core_hi, core_lo)
@@ -328,9 +320,8 @@ def _gn_row(spec, n, m, y, route, with_recursion):
 def cmd_gn(args) -> dict:
     _require(args, "n")
     spec = _spec_from_args(args)
-    ys = _ys_from_args(args)
     rows = [_gn_row(spec, args.n, args.m, y, args.route, args.recursion)
-            for y in ys]
+            for y in _ys_from_args(args)]
     return {"spec": _spec_payload(spec), "rows": rows}
 
 
@@ -418,9 +409,8 @@ def _phase_row(n, m, y, oracle_dim):
 
 def cmd_phase(args) -> dict:
     _require(args, "n")
-    ys = _ys_from_args(args)
-    rows = [_phase_row(args.n, args.m, y, args.check_oracle) for y in ys]
-    return {"rows": rows}
+    return {"rows": [_phase_row(args.n, args.m, y, args.check_oracle)
+                     for y in _ys_from_args(args)]}
 
 
 def cmd_sumrule(args) -> dict:

@@ -368,9 +368,9 @@ def pad_sufficiency(spec: AlgebraSpec, window: IndexWindow,
     a zero coupling (no state past it can change the element) or where real
     couplings end.  Exactly zero when no side can grow, small once the
     padding is sufficient."""
-    base = oracle_element(spec, window, coeffs, n, m)
     grown = padded_window(spec, window.j_min, window.j_max, 8)
     if (grown.j_min, grown.j_max) == (window.j_min, window.j_max):
         return 0.0
     bigger = IndexWindow(grown.j_min, grown.j_max, window.core_lo, window.core_hi)
-    return abs(oracle_element(spec, bigger, coeffs, n, m) - base)
+    return abs(oracle_element(spec, bigger, coeffs, n, m)
+               - oracle_element(spec, window, coeffs, n, m))

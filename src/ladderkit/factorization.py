@@ -31,7 +31,7 @@ cancel; a float product loses about peak/ln 10 digits.
 ``antinormal_core``, which sums every element exactly in fixed-point
 Python ints with at least peak/ln 2 + 136 bits and rounds it to float
 once.  The sum may need the window grown to ``antinormal_reach``; the oracle
-does not (``oracle_window``).  The normal ordering has no exact route: its
+does not (``_oracle_window``).  The normal ordering has no exact route: its
 factor entries peak near exp(|c| lambda_max) on wide blocks, and the float
 product's error is about that peak squared times the float epsilon.
 """
@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (PAD_FLOOR, AlgebraSpec, IndexWindow, _breaks, lambda_sq,
-                      squared_couplings, suggested_pad)
+from .algebra import (AlgebraSpec, IndexWindow, _breaks, _oracle_window,
+                      lambda_sq, squared_couplings)
 from .errors import ConvergenceError, PoleError
 from .expm import expm, operator_matrix
 
@@ -148,9 +148,9 @@ def u2_factors(spec: AlgebraSpec, a: complex, b: complex, c: complex) -> U2Facto
     if not spec.is_parametric:
         raise ValueError("u2 factorization needs a parametric spec")
     si = spec.sigma
-    # sigma first: at (iy, iy, 0) q^2 is then the float -(sigma*y)*y of the
-    # amplitude formulas (gn.py)
-    q_sq = complex(si * a * b - si * si * c * c)
+    # sigma first: at (iy, iy, 0) q^2 is the float -(sigma*y)*y of gn.py's
+    # amplitudes, with no sigma^2 c^2 (inf * 0 past sigma ~ 1.3e154)
+    q_sq = complex(si * a * b - (si * si * c * c if c else 0))
     if not cmath.isfinite(q_sq):
         raise OverflowError(f"q^2 = sigma a b - sigma^2 c^2 = {q_sq} is not finite"
                             f" at (a, b, c) = ({a}, {b}, {c})")
@@ -450,23 +450,11 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     return out
 
 
-def oracle_window(spec: AlgebraSpec, window: IndexWindow,
-                  coeffs: tuple[complex, complex, complex]) -> IndexWindow:
-    """``window`` cut to core +- ``suggested_pad`` at max |coeffs|, never
-    grown (kept whole when no side passes the rule's floor): the oracle's."""
-    lo, hi = window.core_lo, window.core_hi
-    if max(lo - window.j_min, window.j_max - hi) <= PAD_FLOOR:
-        return window
-    pad = suggested_pad(spec, lo, hi, max(map(abs, coeffs)))
-    return IndexWindow(max(window.j_min, lo - pad),
-                       min(window.j_max, hi + pad), lo, hi)
-
-
 def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
                            coeffs: tuple[complex, complex, complex],
                            ordering: str) -> float:
     """Max abs deviation on the window core between the ordered product on
-    the window and the exponential oracle on ``oracle_window``.
+    the window and the exponential oracle on ``algebra._oracle_window``.
 
     The anti-normal ordering on a parametric spec takes the exact
     ``antinormal_core``, given the peak scanned here, where that peak term
@@ -476,7 +464,7 @@ def factorization_residual(spec: AlgebraSpec, window: IndexWindow,
     j <= min(n, m), so it needs [j_min, core_hi]; of the anti-normal one,
     over j >= max(n, m), so it needs [core_lo, j_max].
     """
-    box = oracle_window(spec, window, coeffs)
+    box = _oracle_window(spec, window.core_lo, window.core_hi, coeffs, window)
     core = box.core_slice()
     oracle = expm(operator_matrix(spec, box, coeffs)).matrix[core, core]
     peak = (_anti_peak(spec, window, coeffs)

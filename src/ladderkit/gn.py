@@ -25,8 +25,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .algebra import (AlgebraSpec, _breaks, lambda_coupling, padded_window,
-                      suggested_pad)
+from .algebra import AlgebraSpec, _breaks, _oracle_window, lambda_coupling
 from .errors import ConvergenceError
 from .expm import oracle_element
 from .factorization import u2_factors
@@ -96,15 +95,17 @@ class GnEvaluation(NamedTuple):
 
 
 def a_n(spec: AlgebraSpec, n: int) -> float:
-    """Prefactor A_n = (1/n!) * lambda_0 * ... * lambda_{n-1}; A_0 = 1.
-
-    Computed from the coupling product (never from Gamma ratios, which
-    have poles at non-positive alpha, beta).
+    """Prefactor A_n = (1/n!) * lambda_0 * ... * lambda_{n-1}; A_0 = 1, from
+    the coupling product (never from Gamma ratios, which have poles at
+    non-positive alpha, beta).  OverflowError where it leaves the float range.
     """
     acc = 1.0
     for j in range(n):
         acc *= lambda_coupling(spec, j)
-    return acc / math.factorial(n)
+    value = acc / math.factorial(n)
+    if not math.isfinite(value):
+        raise OverflowError(f"A_{n} leaves the float range for {spec.label()}")
+    return value
 
 
 def _require_tower(spec: AlgebraSpec, n: int) -> None:
@@ -121,11 +122,11 @@ def _require_tower(spec: AlgebraSpec, n: int) -> None:
 def _amplitude(spec: AlgebraSpec, n: int, y: float, a: float, b: float,
                expo: float, route: str, cut: float = 1.0,
                max_terms: int = _HYP_MAX_TERMS) -> GnEvaluation:
-    """A_n (yf)^n g^expo 2F1(a, b; n+1; z), z = -sinh(y*sqrt(sigma))^2, with f
-    and g as in the module docstring.  ConvergenceError at |z| >= ``cut``
-    unless the 2F1 ends, past ``max_terms`` terms, and at g <= 0 under a
-    non-integer ``expo``, where the power would be complex; ValueError at
-    n < 0, where the 2F1 has c = n + 1 <= 0."""
+    """A_n (yf)^n g^expo 2F1(a, b; n+1; z), z = -sinh(y*sqrt(sigma))^2, f, g
+    as in the module docstring.  ConvergenceError at |z| >= ``cut`` unless
+    the 2F1 ends, past ``max_terms`` terms, and at g <= 0 under a non-integer
+    ``expo`` (a complex power); ValueError at n < 0 (c = n + 1 <= 0);
+    OverflowError where the value or its error bound is not finite."""
     if n < 0:
         raise ValueError(f"amplitudes need n >= 0, got n = {n}")
     _require_tower(spec, n)
@@ -142,9 +143,10 @@ def _amplitude(spec: AlgebraSpec, n: int, y: float, a: float, b: float,
     if hyp.terms > max_terms:
         raise ConvergenceError(f"2F1 series did not settle within {max_terms} terms")
     pre, rel = _prefactor(spec, n, yf, g, expo)
-    value, err = pre * hyp.value, abs(pre) * hyp.err_estimate
-    if rel:
-        err += rel * abs(value)
+    value = pre * hyp.value
+    err = abs(pre) * hyp.err_estimate + (rel * abs(value) if rel else 0.0)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise OverflowError(f"G_{n} = {value:g} +- {err:g} leaves the float range")
     return GnEvaluation(value, route, err)
 
 
@@ -155,12 +157,14 @@ def _log_abs(x: float) -> float:
 def _prefactor(spec: AlgebraSpec, n: int, yf: float, g: float,
                expo: float) -> tuple[float, float]:
     """A_n (yf)^n g^expo (g^expo real) and a relative error bound on its
-    rounding, counted only where the product is formed in logs.  That is
-    where the direct product is not finite (an A_n that overflows times a
-    (yf)^n that underflows is inf * 0): then ln A_n + n ln|yf| + expo ln|g|,
-    its sign tracked.  OverflowError where the log sum is not finite or
-    leaves the float range."""
-    pre = a_n(spec, n) * yf ** n * g ** expo
+    rounding, counted only where the product is formed in logs: where the
+    direct product overflows or is not finite (an A_n past the float range
+    times a (yf)^n that underflows), as ln A_n + n ln|yf| + expo ln|g|, sign
+    tracked.  OverflowError where the log sum leaves the float range."""
+    try:
+        pre = a_n(spec, n) * yf ** n * g ** expo
+    except OverflowError:  # A_n or a power past the float range
+        pre = math.inf
     if math.isfinite(pre):
         return pre, 0.0
     parts = [_log_abs(lambda_coupling(spec, j)) for j in range(n)]
@@ -196,18 +200,15 @@ def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
                       1.0 - 2 * n - spec.alpha - spec.beta, "series")
 
 
-def gn_oracle(spec: AlgebraSpec, n: int, y: float, *,
-              m: int = 0) -> GnEvaluation:
-    """Exponential-oracle route: (-i)^(n-m) <n| exp(iy(R+L)) |m> on a
-    window padded past the core (down-padding stops at a decoupling
-    boundary, so hole sectors are included exactly where they couple).
-    The exponent is chiral, so ``oracle_element`` puts the phase back
-    exactly: the imaginary part is 0, and err_estimate is 1e-15, no
-    rounding bound."""
-    lo, hi = min(0, m), max(n, m)
-    window = padded_window(spec, lo, hi, suggested_pad(spec, lo, hi, y))
-    val = (-1j) ** ((n - m) % 4) * oracle_element(
-        spec, window, (1j * y, 1j * y, 0.0), n, m)
+def gn_oracle(spec: AlgebraSpec, n: int, y: float, *, m: int = 0) -> GnEvaluation:
+    """Exponential-oracle route: (-i)^(n-m) <n| exp(iy(R+L)) |m> on the
+    oracle's window (``algebra._oracle_window``) for the core min(0, m) ..
+    max(n, m), which includes hole sectors exactly where they couple.  The
+    exponent is chiral, so ``oracle_element`` puts the phase back exactly:
+    the imaginary part is 0, and err_estimate is 1e-15, no rounding bound."""
+    coeffs = (1j * y, 1j * y, 0.0)
+    window = _oracle_window(spec, min(0, m), max(n, m), coeffs)
+    val = (-1j) ** ((n - m) % 4) * oracle_element(spec, window, coeffs, n, m)
     return GnEvaluation(val.real, "oracle", abs(val.imag) + 1e-15)
 
 

@@ -15,7 +15,7 @@ border-respecting lattice paths from m to n: they are column n of
 triangles.generate(unit_rule(), "triangular", m, rows).
 """
 
-from .algebra import AlgebraSpec, IndexWindow
+from .algebra import AlgebraSpec, IndexWindow, _oracle_window
 from .expm import oracle_element
 from .gn import bessel_jn
 
@@ -37,7 +37,9 @@ def phase_element(n: int, m: int, y: float) -> complex:
 
 
 def phase_oracle_element(n: int, m: int, y: float, dim: int = 60) -> complex:
-    """<n| exp(iy(P + P_dagger)) |m> by brute-force exponentiation on a
-    dim-state window (pad well past max(n, m))."""
-    window = IndexWindow(0, dim - 1, 0, dim - 1)
-    return oracle_element(_PHASE_SPEC, window, (1j * y, 1j * y, 0.0), n, m)
+    """<n| exp(iy(P + P_dagger)) |m> by brute-force exponentiation on the
+    oracle's window (``algebra._oracle_window``) for the core 0 .. max(n, m),
+    grown to ``dim`` states from 0 if smaller: a floor, never a cap."""
+    coeffs, hi = (1j * y, 1j * y, 0.0), max(n, m)
+    top = max(_oracle_window(_PHASE_SPEC, 0, hi, coeffs).j_max, dim - 1)
+    return oracle_element(_PHASE_SPEC, IndexWindow(0, top, 0, hi), coeffs, n, m)

@@ -318,6 +318,15 @@ def test_phase_with_oracle(capsys):
     assert doc["rows"][0]["oracle_deviation"] <= 1e-10
 
 
+def test_phase_check_oracle_dim_is_the_least_window(capsys):
+    # the oracle's window rule takes 0..114 where 60 states were off by
+    # 0.0173 at exit 0
+    code, doc, _ = run_json(capsys, "phase", "--n", "50", "--m", "50",
+                            "--y", "8", "--check-oracle", "60")
+    assert code == 0
+    assert doc["rows"][0]["oracle_deviation"] <= 1e-10
+
+
 def test_sumrule(capsys):
     code, doc, _ = run_json(capsys, "sumrule", "--name", "bessel-unity",
                             "--y", "0.8", "--k-max", "12")

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
-                       expm, gn_oracle, operator_matrix, oracle_element,
-                       pad_sufficiency, padded_window, phase_oracle_element)
+                       expm, factorization_residual, gn_oracle,
+                       operator_matrix, oracle_element, pad_sufficiency,
+                       padded_window, phase_oracle_element, suggested_pad)
 from ladderkit.algebra import squared_couplings
 
 _EPS = np.finfo(float).eps
@@ -188,6 +189,81 @@ def test_pad_sufficiency_finite_block_exact_zero():
     window = padded_window(spec, -4, 6, 20)   # clips to the block [-5, 7]
     assert (window.j_min, window.j_max) == (-5, 7)
     assert pad_sufficiency(spec, window, (0.3j, 0.3j, 0.0), 0, 0) == 0.0
+
+
+def test_pad_sufficiency_exponentiates_only_where_the_window_grows(
+        monkeypatch):
+    # a window that cannot grow certifies 0.0 with no oracle call; one that
+    # can takes two, on the grown window and on its own
+    xm = importlib.import_module("ladderkit.expm")
+    calls, element = [], xm.oracle_element
+
+    def spy(spec, window, *args):
+        calls.append((window.j_min, window.j_max))
+        return element(spec, window, *args)
+    monkeypatch.setattr(xm, "oracle_element", spy)
+    block = AlgebraSpec.parametric(7, -8, -0.5)
+    window = padded_window(block, -6, 8, 16)     # the whole block -6..8
+    assert (window.j_min, window.j_max) == (-6, 8)
+    assert pad_sufficiency(block, window, (0.4j, 0.4j, 0.0), 8, -6) == 0.0
+    assert calls == []
+    tower = AlgebraSpec.parametric(1, 2, 1)
+    window = padded_window(tower, 0, 4, 20)
+    assert pad_sufficiency(tower, window, (0.1j, 0.1j, 0.0), 2, 0) <= 1e-14
+    assert calls == [(0, 32), (0, 24)]
+
+
+def test_every_oracle_caller_runs_on_the_window_rule(monkeypatch):
+    # one rule sizes the oracle's window: the core +- suggested_pad at
+    # max |coeffs|, each side stopping at its break; a product's window
+    # caps it, and the phase oracle's dim is a floor under it.  The spy
+    # reads the size of every exponent the oracle takes
+    xm = importlib.import_module("ladderkit.expm")
+    sizes, exponentiate = [], xm._exp
+
+    def spy(x, parity=False):
+        sizes.append(len(x))
+        return exponentiate(x, parity)
+    monkeypatch.setattr(xm, "_exp", spy)
+
+    def sizes_of(call, *args, **kwargs):
+        sizes.clear()
+        call(*args, **kwargs)
+        return sizes[:]
+
+    # a sigma > 0 tower, its break at j = -1: core 0..3 and
+    # ceil(8 * 0.5 * lambda_4) = 22 states of pad, so 0..25
+    tower = AlgebraSpec.parametric(1, 2, 1)
+    assert suggested_pad(tower, 0, 3, 0.5) == 22
+    assert sizes_of(gn_oracle, tower, 3, 0.5) == [26]
+    assert sizes_of(gn_oracle, tower, 3, 0.5, m=1) == [26]
+    # the product's window 0..64 cut to core 0..4 plus the pad 16
+    window = padded_window(tower, 0, 4, 60)
+    assert sizes_of(factorization_residual, tower, window,
+                    (0.1j, 0.1j, 0.0), "normal") == [21]
+    # the spin block -20..20: core -3..3 plus 16 on each side, inside the
+    # block; gn_oracle's core 0..3 at y = 0.2, padded by 24, stops at both
+    # block edges
+    spin = AlgebraSpec.parametric(21, -20, -0.5)
+    window = padded_window(spin, -3, 3, 40)
+    assert (window.j_min, window.j_max) == (-20, 20)
+    assert sizes_of(factorization_residual, spin, window,
+                    (0.05j, 0.05j, 0.0), "normal") == [39]
+    assert suggested_pad(spin, 0, 3, 0.2) == 24
+    assert sizes_of(gn_oracle, spin, 3, 0.2) == [41]
+    # a product's window with both sides within the pad floor stays whole
+    block = AlgebraSpec.parametric(6, -7, -0.5)
+    window = padded_window(block, -4, 6, 20)     # the whole block -5..7
+    assert sizes_of(factorization_residual, block, window,
+                    (0.3j, 0.3j, 0.0), "normal") == [13]
+    # profiles: "sho" from its break at -1, core 0..2, pad 16
+    assert sizes_of(gn_oracle, AlgebraSpec.from_profile("sho"), 2, 0.5) == [19]
+    # "phase": 0..50+64 at y = 8; the floor dim = 60 where the rule needs
+    # 0..2+16, and the rule alone at dim = 0
+    assert sizes_of(phase_oracle_element, 50, 50, 8.0) == [115]
+    assert sizes_of(phase_oracle_element, 2, 1, 0.5) == [60]
+    assert sizes_of(phase_oracle_element, 2, 1, 0.5, dim=0) == [19]
+    assert sizes_of(phase_oracle_element, 65, 60, 1.0) == [82]
 
 
 def test_pad_sufficiency_documents_underpadding():

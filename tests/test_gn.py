@@ -455,6 +455,38 @@ def test_prefactor_in_logs_where_the_product_is_not_finite(route, n, y):
     assert got.err_estimate <= 1e-10 * abs(want.value)
 
 
+@pytest.mark.parametrize("n", [0, 3, 8])
+def test_amplitudes_past_sigma_1e154_at_c_0(n):
+    # exp(iy(R+L)) has c = 0, so q^2 = sigma a b needs no sigma^2 c^2 term,
+    # which overflowed to inf * 0 = NaN past sigma ~ 1.3e154 and refused
+    # every amplitude there.  Amplitudes depend on sigma only through
+    # sigma y^2: bit for bit at n = 0 and 3, within err_estimate at n = 8,
+    # where the prefactor takes the log form
+    got = gn_closed(AlgebraSpec.parametric(1, 1, 1e200), n, 1e-101)
+    want = gn_closed(SPEC11, n, 0.1)
+    if n < 8:
+        assert got == want
+    assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate
+
+
+def test_a_non_finite_prefactor_or_error_bound_is_refused():
+    # found by the contract property (test_contract.py): lambda_0 = 0 beside
+    # an overflowing lambda_1^2 made A_2 = 0 * inf = NaN; at sigma = 1e300
+    # A_3 = 1e450 overflowed to inf; and at expo = 1 - 2n - alpha - beta =
+    # -1e300 the log form's rounding bound is inf, with a value of 1.9e103
+    with pytest.raises(OverflowError, match="^A_2 leaves the float range"):
+        a_n(AlgebraSpec.parametric(0, 1e300, 1e300), 2)
+    with pytest.raises(OverflowError, match="^A_3 leaves the float range"):
+        a_n(AlgebraSpec.parametric(1, 1, 1e300), 3)
+    spec = AlgebraSpec.parametric(-37, 1e300, -35)
+    with pytest.raises(OverflowError, match="leaves the float range$"):
+        gn_series(spec, 21, 5.119914713532753e-149)
+    # the log form still answers where the product is in range
+    got = gn_closed(AlgebraSpec.parametric(1, 1, 1e300), 3, 1e-151)
+    want = gn_closed(SPEC11, 3, 0.1)
+    assert 0 < abs(got.value - want.value) <= got.err_estimate
+
+
 def test_prefactor_refuses_a_log_sum_out_of_range():
     # the direct product is inf * 0 (NaN) or inf, and so is its log sum's
     # value: a typed refusal, not a NaN

@@ -77,6 +77,20 @@ def test_only_the_algebra_derives_the_coupling_roots():
     assert negating == {"algebra.py"}
 
 
+def test_only_the_window_rules_read_suggested_pad():
+    # the oracle's window comes from algebra._oracle_window alone; cli.py
+    # reads suggested_pad for the products' windows (--pad), not the
+    # oracle's.  No other module derives a pad
+    readers = set()
+    for path in Path(ladderkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name == "suggested_pad":
+                readers.add(path.name)
+    assert readers == {"algebra.py", "cli.py"}
+
+
 def test_only_the_oracle_core_runs_the_taylor_polynomial():
     # one Paterson-Stockmeyer evaluator, expm._taylor_ps, called from
     # expm._exp alone, and its layout tables read by it alone (past their

@@ -89,6 +89,20 @@ def test_element_matches_oracle():
                 assert dev <= 1e-10
 
 
+def test_oracle_dim_is_a_floor_under_the_window_rule():
+    # on 60 states (50, 50) at y = 8 was off by 0.0173; the oracle's window
+    # rule pads the core 0..50 by 8 * 8 = 64 states, to 0..114
+    assert abs(phase_oracle_element(50, 50, 8.0)
+               - phase_element(50, 50, 8.0)) <= 1e-10
+    # max(n, m) >= dim is answered on the rule's window
+    for n, m in ((65, 60), (61, 58), (60, 60)):
+        assert abs(phase_oracle_element(n, m, 1.0, dim=60)
+                   - phase_element(n, m, 1.0)) <= 1e-10
+    for n, m in ((-1, 2), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            phase_oracle_element(n, m, 0.5)
+
+
 def test_gnm_columns_match_path_counts():
     # the lattice-path diagrams code exactly the Taylor series of G_nm
     for m in (0, 1, 2):
