@@ -16,6 +16,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -242,6 +243,12 @@ def _span(window) -> dict:
     return {"j_min": window.j_min, "j_max": window.j_max}
 
 
+def _worst(values: dict):
+    """The key of the largest value; a NaN anywhere is the largest (Python's
+    ``max`` drops a NaN that is not first)."""
+    return max(values, key=lambda k: (math.isnan(values[k]), values[k]))
+
+
 def cmd_factorize(args) -> dict:
     spec = _spec_from_args(args)
     if args.y is not None:
@@ -287,10 +294,10 @@ def cmd_factorize(args) -> dict:
                               for w in windows.values())
         for box in certs:
             certs[box] = pad_sufficiency(spec, box, coeffs, core_hi, core_lo)
-        box = max(certs, key=certs.get)
+        box = _worst(certs)
         payload["pad_sufficiency"] = certs[box]
         payload["pad_sufficiency_window"] = _span(box)
-    payload["pass"] = max(residuals.values()) <= args.tol
+    payload["pass"] = residuals[_worst(residuals)] <= args.tol
     return payload
 
 
@@ -393,7 +400,7 @@ def cmd_rotate(args) -> dict:
         devs = {f"{x}|{z}": float(np.abs(mats[x] - mats[z]).max())
                 for x, z in itertools.combinations(mats, 2)}
         payload["pairwise_deviation"] = devs
-        payload["pass"] = max(devs.values()) <= args.tol
+        payload["pass"] = devs[_worst(devs)] <= args.tol
     return payload
 
 

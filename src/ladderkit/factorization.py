@@ -31,7 +31,10 @@ cancel; a float product loses about peak/ln 10 digits.
 ``antinormal_core``, which sums every element exactly in fixed-point
 Python ints with at least peak/ln 2 + 136 bits and rounds it to float
 once.  The sum may need the window grown to ``antinormal_reach``; the oracle
-does not (``_oracle_window``).  The normal ordering has no exact route: its
+does not (``_oracle_window``).  Profiles have no exact anti-normal route,
+and no peak is scanned for them: theirs is always the float product, which
+can lose every digit (on "sho" at core 0..3 its residual is 3e91 at
+y = 12 and NaN from y = 22).  The normal ordering has no exact route: its
 factor entries peak near exp(|c| lambda_max) on wide blocks, and the float
 product's error is about that peak squared times the float epsilon.
 """
@@ -361,8 +364,8 @@ def antinormal_core(spec: AlgebraSpec, window: IndexWindow,
     """
     a, b, c = (complex(v) for v in coeffs)
     if not spec.is_parametric:
-        raise ValueError("profile anti-normal products are well conditioned;"
-                         " use ordered_product")
+        raise ValueError("antinormal_core needs a parametric spec: profiles"
+                         " have no exact anti-normal route")
     ab = spec.alpha + spec.beta
     lo, hi = window.core_lo, window.core_hi
     e_lo = 2 * lo - 1 + ab

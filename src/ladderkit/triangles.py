@@ -114,8 +114,9 @@ class CoeffDiagram:
     Row r holds integer numerators over one positive scale,
     T(r, n) = numerators[r][n] / scales[r], with every stored numerator
     nonzero.  ``rows`` gives the nodes as normalised Fractions, built on
-    its first read; the text layout and the records read them, so each
-    node is reduced once.
+    its first read.  The text layout, the records and the sums read a row
+    of scale 1 straight from its integers; only a row of another scale is
+    read through ``rows``, so its nodes are reduced once.
     """
 
     rule_name: str
@@ -232,7 +233,7 @@ def row_sums(d: CoeffDiagram, signs: str = "plain") -> list[Fraction]:
             n_min = min(nums)
             total = sum(-v if (n - n_min) // 2 % 2 else v
                         for n, v in nums.items())
-        out.append(Fraction(total, scale))
+        out.append(Fraction(total) if scale == 1 else Fraction(total, scale))
     return out
 
 
@@ -290,9 +291,10 @@ def sumrule_check(name: str, y: float, k_max: int) -> float:
 
 
 def render_ascii(d: CoeffDiagram) -> str:
-    """Node values laid out on their staggered columns, one text row per
-    diagram row."""
-    texts = [{n: str(v) for n, v in row.items()} for row in d.rows]
+    """Node values in lowest terms laid out on their staggered columns, one
+    text row per diagram row.  A row of scale 1 prints its integers."""
+    texts = [{n: str(v) for n, v in (nums if scale == 1 else d.rows[r]).items()}
+             for r, (nums, scale) in enumerate(zip(d.numerators, d.scales))]
     cols = sorted({n for row in texts for n in row})
     if not cols:
         return ""
@@ -308,8 +310,16 @@ def render_ascii(d: CoeffDiagram) -> str:
 
 
 def to_records(d: CoeffDiagram) -> list[dict]:
-    """One machine-readable record per node; numerator/denominator as
-    strings so arbitrary-size integers survive serialization."""
-    return [{"row": r, "column": n, "numerator": str(v.numerator),
-             "denominator": str(v.denominator)}
-            for r, row in enumerate(d.rows) for n, v in sorted(row.items())]
+    """One machine-readable record per node, in lowest terms;
+    numerator/denominator as strings so arbitrary-size integers survive
+    serialization.  A row of scale 1 reads its integers, denominator "1"."""
+    out = []
+    for r, (nums, scale) in enumerate(zip(d.numerators, d.scales)):
+        if scale == 1:
+            out += [{"row": r, "column": n, "numerator": str(v),
+                     "denominator": "1"} for n, v in sorted(nums.items())]
+        else:
+            out += [{"row": r, "column": n, "numerator": str(v.numerator),
+                     "denominator": str(v.denominator)}
+                    for n, v in sorted(d.rows[r].items())]
+    return out

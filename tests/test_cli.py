@@ -600,6 +600,44 @@ def test_factorize_both_certifies_each_oracle_window(capsys, monkeypatch):
     assert [w for w, _ in calls] == [(0, 43)]
 
 
+def test_a_nan_residual_anywhere_fails_factorize(capsys):
+    # sho at y = 22: the float anti-normal product overflows to a NaN
+    # residual, listed after the normal ordering's finite one
+    code, doc, _ = run_json(capsys, "factorize", "--profile", "sho",
+                            "--y", "22", "--core", "0:3")
+    assert math.isnan(doc["residuals"]["anti-normal"])
+    assert doc["residuals"]["normal"] <= 1e-10
+    assert doc["pass"] is False
+    assert code == 1
+
+
+def test_a_nan_certificate_is_the_one_reported(capsys, monkeypatch):
+    # --pad 5 certifies 0..16 and then 0..43; a NaN on the second wins
+    certify = cli.pad_sufficiency
+    monkeypatch.setattr(cli, "pad_sufficiency", lambda spec, window, *rest: (
+        math.nan if window.j_max == 43 else certify(spec, window, *rest)))
+    _, doc, _ = run_json(capsys, "factorize", "--alpha", "1", "--beta", "1",
+                         "--sigma", "1", "--y", "0.3", "--core", "0:11",
+                         "--certify-pad", "--pad", "5")
+    assert math.isnan(doc["pad_sufficiency"])
+    assert doc["pad_sufficiency_window"] == {"j_min": 0, "j_max": 43}
+
+
+def test_a_nan_deviation_anywhere_fails_rotate(capsys, monkeypatch):
+    # a NaN anti-normal matrix: the first deviation, factorized|direct, is
+    # finite and the two after it are NaN
+    anti = cli.rotations.antinormal_rotation
+    monkeypatch.setattr(cli.rotations, "antinormal_rotation",
+                        lambda spec: np.full_like(anti(spec), np.nan))
+    code, doc, _ = run_json(capsys, "rotate", "--omega", "0.7", "--theta",
+                            "1.1", "--phi", "2.3", "--j", "1.5")
+    devs = doc["pairwise_deviation"]
+    assert devs.pop("factorized|direct") <= 1e-11
+    assert all(map(math.isnan, devs.values()))
+    assert doc["pass"] is False
+    assert code == 1
+
+
 def test_ascii_format_flattens_the_payload(capsys):
     code, out, _ = run(capsys, "--format", "ascii", "check-algebra",
                        "--alpha", "1", "--beta", "1", "--sigma", "1",

@@ -98,7 +98,7 @@ def test_u1_factors_phase_profile_rejected():
     sho = AlgebraSpec.from_profile("sho")
     with pytest.raises(ValueError):
         antinormal_reach(sho, 8, coeffs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no exact anti-normal route"):
         antinormal_core(sho, window, coeffs)
     # a profile factors exp(iy(R+L)) only; an ordering is one of two
     with pytest.raises(ValueError, match="only factor"):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagram_references import (bar_gn, reference_column_series,
@@ -463,16 +463,38 @@ _CONSUMER_RULES = ([make(p) for make in (tilde_rule, bar_rule)
 @given(st.sampled_from(_CONSUMER_RULES),
        st.sampled_from(["triangular", "diamond"]), st.integers(0, 3),
        st.integers(1, 40))
+# bar(3/2): every row after the first has a scale above 1
+@example(bar_rule(Fraction(3, 2)), "triangular", 1, 40)
+@example(bar_rule(Fraction(3, 2)), "diamond", 0, 40)
 @settings(max_examples=120, deadline=None)
 def test_integer_consumers_match_the_fraction_references(rule, boundary,
                                                          start, num_rows):
     d = generate(rule, boundary, start, num_rows)
-    for n in range(-2, 6):
-        assert column_series(d, n) == reference_column_series(d, n)
-    for signs in ("plain", "alternating"):
-        assert row_sums(d, signs) == reference_row_sums(d, signs)
-    assert render_ascii(d) == reference_render_ascii(d)
-    assert to_records(d) == reference_to_records(d)
+    series = {n: column_series(d, n) for n in range(-2, 6)}
+    sums = {signs: row_sums(d, signs) for signs in ("plain", "alternating")}
+    text, records = render_ascii(d), to_records(d)
+    # the Fraction view is built only for a row whose scale is not 1
+    assert ("rows" in vars(d)) == any(s != 1 for s in d.scales)
+    for n, got in series.items():
+        assert got == reference_column_series(d, n)
+    for signs, got in sums.items():
+        assert got == reference_row_sums(d, signs)
+    assert text == reference_render_ascii(d)
+    assert records == reference_to_records(d)
+
+
+@pytest.mark.parametrize("rule", [unit_rule(), tilde_rule(2),
+                                  gauss_tilde_rule()], ids=lambda r: r.name)
+@pytest.mark.parametrize("boundary", ["triangular", "diamond"])
+def test_integral_diagrams_build_no_fraction_view(rule, boundary):
+    d = generate(rule, boundary, 1, 30)
+    assert set(d.scales) == {1}
+    column_series(d, 1)
+    row_sums(d, "plain")
+    row_sums(d, "alternating")
+    render_ascii(d)
+    to_records(d)
+    assert "rows" not in vars(d)
 
 
 def test_rows_are_built_on_first_read():
