@@ -5,13 +5,17 @@ form and ordered factorization in the package is checked, so it shares no
 code with them: plain scaling-and-squaring around a truncated Taylor
 series.  The argument is scaled by 2^-s to induced infinity norm <= 1 (2 on
 the parity evaluation, below).  The Taylor degree m comes from a scalar tail
-rule run before any matrix work:
-the dropped tail is bounded by a geometric estimate from the first dropped
-term, and that bound is propagated through the squarings.  The degree-m
-polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in
-about 2 sqrt(m) matrix products instead of m, with the block size that needs
-the fewest.  Taylor-plus-scaling is used instead of an eigendecomposition
-because truncated band matrices need not be normal.
+rule run before any matrix work: the dropped tail is bounded by a geometric
+estimate from the first dropped term, and that bound is propagated through
+the squarings.  For a skew-Hermitian x (x^H = -x) every e^(x/2^k) is
+unitary and the tail also bounds the 2-norm error, so a squaring takes that
+error E to 2E + E^2 with no norm, and sqrt(n) E is reported; for any other
+x a squaring takes the infinity-norm bound E to 2 ||P|| E + 3E^2, with the
+norm of each partial product P.  The degree-m polynomial is evaluated by
+Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in about 2 sqrt(m) matrix
+products instead of m, with the block size that needs the fewest.
+Taylor-plus-scaling is used instead of an eigendecomposition because
+truncated band matrices need not be normal.
 
 An exponent i h with h real and chiral, zero wherever row + column is even
 (exp(iy(R + L)): R + L couples j only to j +- 1), is a real one up to a
@@ -30,7 +34,7 @@ A real chiral exponent, such as that K, is [[0, B], [C, 0]] in parity order
 states up the degree-m polynomial runs on the half-size BC (``_taylor_ps``),
 where a higher degree costs half-size products, so this parity evaluation
 scales to norm <= 2: s is one lower wherever the norm is above 1, which
-saves a full-size squaring and its norm, and the same tail target takes
+saves a full-size squaring, and the same tail target takes
 degree 32 at norm 2 (2^33/33! ~ 9.9e-28), about 15/8 full-size products
 where the dense pass takes 8 at degree 25.  The dense passes keep norm <= 1,
 since their extra degree would cost full-size products.  Not beyond 2: at
@@ -206,12 +210,23 @@ def _is_chiral(h: np.ndarray) -> bool:
     return not same.any()
 
 
+def _is_skew(x: np.ndarray) -> bool:
+    """Whether x^H == -x exactly (x^T == -x for float64).  A real part on
+    x[0, 0], or x[0, 1] != -conj(x[1, 0]), settles it in O(1) for most
+    other exponents before the full comparison."""
+    n = len(x)
+    if x.item(0).real or n > 1 and x.item(1) != -x.item(n).conjugate():
+        return False
+    return bool((x == -x.T.conj()).all())
+
+
 def _exp(x: np.ndarray, parity: bool = False) -> tuple[np.ndarray, float] | None:
     """exp(x) and its truncation bound for a square float64 or complex x,
     in x's arithmetic; None when x is zero, whose exponential is exactly
     the identity.  ``parity``: x is float64, chiral and of at least
     _PARITY_MIN states, and takes the parity evaluation.  Raises
-    OverflowError if an intermediate norm leaves the floating range."""
+    OverflowError if an intermediate norm leaves the floating range or the
+    result is not finite."""
     # overflow, in the row sums of x or in a squaring, is detected and
     # raised explicitly; keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,12 +254,22 @@ def _exp(x: np.ndarray, parity: bool = False) -> tuple[np.ndarray, float] | None
         total = _taylor_ps(x, 2.0 ** -squarings, k, parity)
         bound = tail
 
-        for _ in range(squarings):
-            tn = _norm_inf(total)
-            if not math.isfinite(tn):
-                raise OverflowError("matrix exponential overflowed during squaring")
-            total = np.dot(total, total)
-            bound = 2.0 * tn * bound + 3.0 * bound * bound
+        if squarings and _is_skew(x):
+            # exp(x / 2^s) is unitary, and nb bounds ||x||_2 / 2^s as well
+            # (||x||_1 = ||x||_inf), so the tail bounds the 2-norm error E
+            # of the Taylor sum; a squaring takes it to 2E + E^2 with no
+            # norm, and sqrt(n) E bounds the infinity norm at the end
+            for _ in range(squarings):
+                total = np.dot(total, total)
+                bound = 2.0 * bound + bound * bound
+            bound *= math.sqrt(len(x))
+        else:
+            for _ in range(squarings):
+                tn = _norm_inf(total)
+                if not math.isfinite(tn):
+                    raise OverflowError("matrix exponential overflowed during squaring")
+                total = np.dot(total, total)
+                bound = 2.0 * tn * bound + 3.0 * bound * bound
     if not np.isfinite(total).all() or not math.isfinite(bound):
         raise OverflowError("matrix exponential overflowed")
     return total, bound
@@ -257,12 +282,16 @@ def expm(a: np.ndarray) -> ExpmResult:
     its exponential returned as float64; any other is taken as complex and
     its exponential returned as complex.
 
-    The per-call work is the chiral tests, the norm, the scalar tail rule
-    and the matrix products: the coefficients 1/k! and their
-    Paterson-Stockmeyer layouts, real, complex and parity, for each degree
-    the tail rule can pick are tables built at import.
+    The per-call work is the chiral tests, the norm, the scalar tail rule,
+    the matrix products and, where there is a squaring, one skew-Hermitian
+    test: a skew exponent squares with no further norm, its bound carried
+    as 2E + E^2 in the 2-norm and reported as sqrt(n) E, and any other
+    takes one norm per squaring for 2 ||P|| E + 3E^2.  The coefficients
+    1/k! and their Paterson-Stockmeyer layouts, real, complex and parity,
+    for each degree the tail rule can pick are tables built at import.
 
-    Raises OverflowError if an intermediate norm leaves the floating range.
+    Raises OverflowError if an intermediate norm leaves the floating range
+    or the result is not finite.
     """
     a = np.asarray(a)
     if a.dtype != float:

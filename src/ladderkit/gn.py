@@ -79,10 +79,14 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> Hyp2F1Sum:
     for k in range(_HYP_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        if not math.isfinite(total):
+        # total - total is 0.0 for a finite total and NaN, which is true,
+        # for an inf or NaN one; the stop is |term| < 1e-17 max(1, |total|)
+        # with the max written out as two comparisons
+        if total - total:
             raise ConvergenceError("2F1 series terms overflow")
-        if abs(term) < 1e-17 * max(1.0, abs(total)):
-            return Hyp2F1Sum(total, abs(term), k + 1)
+        small = abs(term)
+        if small < 1e-17 or small < 1e-17 * abs(total):
+            return Hyp2F1Sum(total, small, k + 1)
     raise ConvergenceError(f"2F1 series did not settle within {_HYP_MAX_TERMS} terms")
 
 

@@ -15,7 +15,9 @@ from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
                        expm, factorization_residual, gn_oracle,
                        operator_matrix, oracle_element, pad_sufficiency,
                        padded_window, phase_oracle_element, suggested_pad)
+from ladderkit import rotations
 from ladderkit.algebra import squared_couplings
+from ladderkit.rotations import RotationSpec
 
 _EPS = np.finfo(float).eps
 
@@ -870,3 +872,107 @@ def test_oracle_element_makes_one_expm_call(monkeypatch):
     phase_oracle_element(2, 1, 0.5)
     pad_sufficiency(spec, window, (0.1j, 0.1j, 0.0), 2, 0)
     assert dtypes == [float] * 4
+
+
+def _spy_norms(monkeypatch):
+    """Count the ``_norm_inf`` calls: one per exponent, and one per squaring
+    on an exponent that is not skew-Hermitian."""
+    xm = importlib.import_module("ladderkit.expm")
+    calls, norm = [], xm._norm_inf
+
+    def run(a):
+        calls.append(a.shape)
+        return norm(a)
+    monkeypatch.setattr(xm, "_norm_inf", run)
+    return calls
+
+
+def _skew_exponent(case):
+    """Skew-Hermitian exponents with at least one squaring: the real K of
+    exp(iy(R + L)) on gn_oracle's windows, dense (17 states) and on the
+    parity evaluation (65 states), and a rotation's complex 2i W.J."""
+    xm = importlib.import_module("ladderkit.expm")
+    if case == 2:
+        spec = RotationSpec(2.5, 1.1, 0.4, 2.5)
+        return operator_matrix(*rotations._exponent(spec))
+    spec, window, y = (
+        (AlgebraSpec.parametric(1, 1, 1), IndexWindow(0, 16, 0, 4), 1.5),
+        (AlgebraSpec.parametric(2, 3, 1), IndexWindow(-1, 63, 0, 6), 0.75))[case]
+    a = operator_matrix(spec, window, (1j * y, 1j * y, 0.0))
+    return xm._odd_rows_negated(a.imag.copy())
+
+
+def _not_skew(case):
+    """Exponents with at least one squaring that are not skew-Hermitian:
+    each skew one with one interior entry moved, which both corner screens
+    pass, a criterion-03 exponent (complex a, b and c; a real part on the
+    diagonal) and a real matrix whose corner fails the second screen."""
+    if case < 3:
+        x = _skew_exponent(case)
+        x[3, 4] += 0.25
+        assert x.item(0).real == 0.0 and x[0, 1] == -np.conj(x[1, 0])
+        return x
+    if case == 3:
+        return operator_matrix(AlgebraSpec.parametric(1, 2, 1),
+                               IndexWindow(0, 19, 0, 4),
+                               (1.2 + 0.7j, -0.4 + 1.1j, 0.3 - 0.2j))
+    return np.random.default_rng(3).normal(size=(9, 9)) * 2.0
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_a_skew_exponent_takes_one_norm(monkeypatch, case):
+    # exp(x / 2^s) is unitary: the squarings carry their bound in the
+    # 2-norm with no norm of the partial products
+    xm = importlib.import_module("ladderkit.expm")
+    x = _skew_exponent(case)
+    assert xm._is_skew(x) and (x.dtype == complex) == (case == 2)
+    if case == 2:  # the complex path: real parts off the diagonal
+        assert x.real.any()
+    scales = []
+    _spy_taylor_ps(monkeypatch, scales)
+    norms = _spy_norms(monkeypatch)
+    res = expm(x)
+    assert len(norms) == 1 and scales[0] <= (0.5 if case == 2 else 0.25)
+    assert 0.0 < res.remainder_bound <= 1e-19
+
+
+def test_every_skew_oracle_exponent_takes_one_norm(monkeypatch):
+    # the K of exp(iy(R + L)) that oracle_element builds, through gn_oracle
+    # and the phase oracle, and rotation_direct's complex exponent
+    norms = _spy_norms(monkeypatch)
+    scales = []
+    _spy_taylor_ps(monkeypatch, scales)
+    gn_oracle(AlgebraSpec.parametric(2, 3, 1), 6, 0.75)
+    phase_oracle_element(2, 1, 1.7)
+    rotations.rotation_direct(RotationSpec(2.5, 1.1, 0.4, 2.5))
+    assert len(norms) == 3 and max(scales) < 1.0
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_an_exponent_that_is_not_skew_takes_a_norm_per_squaring(
+        monkeypatch, case):
+    xm = importlib.import_module("ladderkit.expm")
+    x = _not_skew(case)
+    assert not xm._is_skew(x)
+    scales = []
+    _spy_taylor_ps(monkeypatch, scales)
+    norms = _spy_norms(monkeypatch)
+    expm(x)
+    squarings = round(-math.log2(scales[0]))
+    assert squarings >= 1 and len(norms) == 1 + squarings
+
+
+@pytest.mark.parametrize("x", [_skew_exponent(c) for c in range(3)]
+                         + [_not_skew(c) for c in (0, 2, 3, 4)])
+def test_the_squarings_form_the_same_matrix_bit_for_bit(monkeypatch, x):
+    # skew or not, expm's matrix is the Taylor polynomial squared s times
+    # by np.dot: only the norms and the bound differ between the two
+    xm = importlib.import_module("ladderkit.expm")
+    scales = []
+    calls = _spy_taylor_ps(monkeypatch, scales)
+    got = expm(x).matrix
+    (_, m, parity), = calls
+    total = xm._taylor_ps(x, scales[0], m, parity)
+    for _ in range(round(-math.log2(scales[0]))):
+        total = np.dot(total, total)
+    assert np.array_equal(got, total)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -10,9 +11,9 @@ from diagram_references import bar_gn, tilde_gn, variant_recursion_residual
 from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow,
                        NonUnitaryRegime, a_n, bessel_jn, gn_auto,
                        gn_bessel_limit, gn_closed, gn_oracle, gn_series,
-                       gn_sho_limit, gnm, hyp2f1_series, oracle_element,
-                       padded_window, recursion_residual)
-from ladderkit.gn import _bessel_family, _prefactor
+                       gn_sho_limit, gnm, Hyp2F1Sum, hyp2f1_series,
+                       oracle_element, padded_window, recursion_residual)
+from ladderkit.gn import _bessel_family, _prefactor, _terminates
 
 SPEC11 = AlgebraSpec.parametric(1, 1, 1)
 SPEC12 = AlgebraSpec.parametric(1, 2, 1)
@@ -54,6 +55,59 @@ def test_hyp2f1_ends_before_a_vanishing_denominator():
     # c + k = 0 at k = 2
     for z in (0.3, -3.0):
         assert hyp2f1_series(-1, 0.5, -2, z) == (1 + 0.25 * z, 0.0, 2)
+
+
+def _direct_2f1(a, b, c, z):
+    """The 2F1 loop of ``hyp2f1_series`` written with ``math.isfinite`` and
+    ``max``, word for word: the reference for its leaner loop's bits."""
+    total, term = 1.0, 1.0
+    for k in range(100000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        if not math.isfinite(total):
+            raise ConvergenceError("2F1 series terms overflow")
+        if abs(term) < 1e-17 * max(1.0, abs(total)):
+            return Hyp2F1Sum(total, abs(term), k + 1)
+    raise ConvergenceError("2F1 series did not settle within 100000 terms")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def test_hyp2f1_loop_gives_the_direct_loops_bits():
+    # a seeded grid inside the series' domain: terminating sums (|z| up to
+    # 4), |z| within 1e-2 of 1, sums that settle at |total| < 1 and > 1,
+    # terms that overflow and a sum past the term cap at |z| = 1 - 1e-4;
+    # the same value, tail and term count, or the same refusal
+    rng = random.Random(2024)
+
+    def parameter():
+        return (-float(rng.randint(0, 30)) if rng.random() < 0.3
+                else rng.uniform(-25.0, 25.0))
+    draws = [(500.0, 500.0, 0.5, 0.99), (-400.0, 300.0, 0.5, -4.0),
+             (0.3, 1.7, 2.2, 1.0 - 1e-4), (1e-300, 0.5, 1.0, 0.5)]
+    for _ in range(2000):
+        a, b, c = parameter(), parameter(), rng.uniform(0.05, 30.0)
+        near = 1.0 - 10.0 ** -rng.uniform(0.0, 2.0)
+        z = rng.choice((rng.uniform(-1.0, 1.0), near, -near))
+        if _terminates(a, b) and rng.random() < 0.5:
+            z *= 4.0
+        draws.append((a, b, c, z))
+    outcomes = []
+    for a, b, c, z in draws:
+        want = _outcome(_direct_2f1, a, b, c, z)
+        assert _outcome(hyp2f1_series, a, b, c, z) == want, (a, b, c, z)
+        outcomes.append(want)
+    assert outcomes[:3] == ["2F1 series terms overflow",
+                            "2F1 series terms overflow",
+                            "2F1 series did not settle within 100000 terms"]
+    sums = [o for o in outcomes if not isinstance(o, str)]
+    assert {o.err_estimate == 0.0 for o in sums} == {True, False}
+    assert min(abs(o.value) for o in sums) < 1.0 < max(abs(o.value) for o in sums)
 
 
 def test_a_n_values():
