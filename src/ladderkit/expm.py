@@ -23,11 +23,11 @@ diagonal phase.  With E = diag(1, i, 1, i, ...), exp(ih) = E^-1 exp(K) E for
 K = E (ih) E^-1, which is h with its odd rows negated: real, of the same
 norm (Higham, Functions of Matrices, 2008, ch. 10).  exp(K) is taken in
 real products, bit for bit as for the float64 K, and the phase is put back
-entry by entry, without rounding.  One core serves all
-three kinds: a float64 exponent goes through it in real arithmetic and
-stays real, a complex one in complex arithmetic, and K in real arithmetic
-before its phase.  ``oracle_element`` builds K for exp(iy(R + L)) straight
-from the couplings and puts the phase back on the one element it reads.
+entry by entry, without rounding.  One core serves all three kinds: a
+float64 exponent goes through it in real arithmetic and stays real, a
+complex one in complex arithmetic, and K in real arithmetic before its
+phase.  ``oracle_element`` reads K off the imaginary part of the bands
+``operator_matrix`` builds, and puts the phase back on the element it reads.
 
 A real chiral exponent, such as that K, is [[0, B], [C, 0]] in parity order
 (even indices first), so its square is diag(BC, CB).  From _PARITY_MIN
@@ -355,11 +355,11 @@ def oracle_element(spec: AlgebraSpec, window: IndexWindow,
     """<n| exp(a*L + b*R + c*S) |m> by direct exponentiation: the value of
     ``expm(operator_matrix(...))``, bit for bit.
 
-    An exponent with no real part and nothing on its diagonal, read from
-    the coefficients and couplings (exp(iy(R + L)) for real y), goes to
-    ``expm`` as the real K, built from float bands; the element then takes
-    its phase from the parity of its window indices (i, j): none on the
-    same parity, i on (even, odd), -i on (odd, even).
+    An exponent with no real part and nothing on its diagonal (exp(iy(R + L))
+    for real y) goes to ``expm`` as the real K, the imaginary part of its
+    bands with the odd rows negated; the element then takes its phase from
+    the parity of its window indices (i, j): none on the same parity, i on
+    (even, odd), -i on (odd, even).
 
     n and m must lie in the window core; the caller is responsible for
     enough padding (certify with pad_sufficiency).
@@ -368,20 +368,14 @@ def oracle_element(spec: AlgebraSpec, window: IndexWindow,
         raise ValueError(f"labels ({n}, {m}) outside core "
                          f"[{window.core_lo}, {window.core_hi}]")
     i, j = window.idx(n), window.idx(m)
-    l2 = squared_couplings(spec, window)
+    diag, up, low = _bands(squared_couplings(spec, window), coeffs)
     a, b, c = coeffs
-    # expm's chiral test, read on the coefficients: a real a or b puts a
-    # real part on the off-diagonal bands, and c on S's diagonal, the only
-    # band where row + column is even, unless S is zero (constant-one).
-    # What it misses, a band that underflows to zero, expm finds itself.
-    if a.real or b.real or c and (l2[1:] != l2[:-1]).any():
-        return complex(expm(_tridiagonal(*_bands(l2, coeffs))).matrix[i, j])
-    # the imaginary parts of _bands as numpy's complex products form them,
-    # the signs of zeros included: x.imag * v + x.real * 0.0 for x * (v + 0j)
-    lam = np.sqrt(l2[1:-1])
-    up, low = a.imag * lam + a.real * 0.0, b.imag * lam + b.real * 0.0
-    diag = c.imag * np.subtract(l2[1:], l2[:-1]) + c.real * 0.0
-    v = expm(_odd_rows_negated(_tridiagonal(diag, up, low))).matrix[i, j]
+    # expm's chiral test: a real a or b puts a real part on the off-diagonal
+    # bands, and the diagonal is the one band where row + column is even
+    if a.real or b.real or c and diag.any():
+        return complex(expm(_tridiagonal(diag, up, low)).matrix[i, j])
+    k = _odd_rows_negated(_tridiagonal(diag.imag, up.imag, low.imag))
+    v = expm(k).matrix[i, j]
     if (i - j) % 2 == 0 or not (np.count_nonzero(up) or np.count_nonzero(low)):
         # same parity, or a zero exponent, whose exponential expm returns
         # as the identity with no phase put back

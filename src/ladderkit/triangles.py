@@ -238,17 +238,21 @@ def row_sums(d: CoeffDiagram, signs: str = "plain") -> list[Fraction]:
 
 
 def _integral_j1_over_z(y: float) -> float:
-    # int_0^y J_1(2z)/z dz by termwise integration of the series
-    total, term = 0.0, y
+    """int_0^y J_1(2z)/z dz = y sum_j (-y^2)^j / (j! (j+1)! (2j+1)), summed
+    in fixed-point ints at 2^-p from y's binary value and rounded once: the
+    terms alternate below e^(2|y|), so p takes 53 bits, those of e^(2|y|)
+    and 8 guard bits for the floors, which lose under 2 units a term."""
+    num, den = y.as_integer_ratio()
+    shift = 2 * (den.bit_length() - 1)  # y^2 = num^2 / 2^shift
+    y2 = num * num
+    p = 61 + math.ceil(2.0 * abs(y) / math.log(2))
+    term = total = 1 << p
     j = 0
-    while True:
-        total += term / (2 * j + 1)
+    while term:
         j += 1
-        nxt = term * (-(y * y)) / (j * (j + 1))
-        if abs(nxt) < 1e-18 * max(1.0, abs(total)) or j > 200:
-            break
-        term = nxt
-    return total
+        term = (term * y2 >> shift) // (j * (j + 1))
+        total += -(term // (2 * j + 1)) if j % 2 else term // (2 * j + 1)
+    return num * total / (den << p)  # correctly rounded int division
 
 
 SUMRULE_NAMES = ("bessel-unity", "bessel-cos", "bessel-sin",

@@ -688,6 +688,9 @@ def _core_cases(draw):
           (0.6j, 0.6j, 0.0)))
 @example((AlgebraSpec.parametric(21, -20, -0.5), IndexWindow(-20, 20, -20, 20),
           (0.5j, 0.5j, 0.0)))
+# alpha + beta = 2.5: the prefactor's fractional part takes the float power
+@example((AlgebraSpec.parametric(1, 1.5, 1), IndexWindow(0, 48, 0, 3),
+          (0.5j, 0.5j, 0.0)))
 def test_antinormal_core_matches_mpmath_reference(case):
     spec, window, coeffs = case
     want = _reference_core(spec, window, coeffs)

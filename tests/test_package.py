@@ -118,6 +118,25 @@ def test_only_the_oracle_core_runs_the_taylor_polynomial():
                        "_PARITY_ROWS": {"expm._taylor_ps"}}
 
 
+def test_only_the_band_builder_derives_the_oracle_bands():
+    # operator_matrix's bands come from expm._bands alone: oracle_element
+    # reads its real K off them and takes no root or difference of its own
+    tree = ast.parse(Path(ladderkit.__file__).with_name("expm.py").read_text())
+    calls = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = (f.id if isinstance(f, ast.Name)
+                            else ast.unparse(f) if isinstance(f, ast.Attribute)
+                            else None)
+                    calls.setdefault(name, set()).add(func.name)
+    assert calls.get("np.sqrt") == {"_bands"}
+    assert calls.get("np.subtract") == {"_bands"}
+    assert "oracle_element" in calls.get("_bands", set())
+
+
 def test_spin_reference_shares_no_route_code():
     # the J_x/J_y reference builds its own spin matrices and rotation
     # vector: from the library it takes the angles' container and the oracle

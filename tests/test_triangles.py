@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -416,6 +417,15 @@ def test_sumrule_check_keeps_its_teeth(monkeypatch):
 def test_sumrules_at_the_edge_of_the_bessel_domain(name):
     # x = 2y = 17; the alternating series read 1.3e-11 to 6.1e-11 here
     assert sumrule_check(name, 8.5, 40) <= 1e-11
+
+
+@pytest.mark.parametrize("y", [2.0, 5.0, 8.5, -8.5])
+def test_phase_integral_right_side_against_mpmath(y):
+    # the series' alternating terms reach 2.9e4 at y = 8.5: a float sum of
+    # them loses up to 6.4e-12 here to cancellation
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda z: mpmath.besselj(1, 2 * z) / z, [0, y])
+    assert abs(triangles._integral_j1_over_z(y) - want) <= 2e-16
 
 
 def test_render_and_records():
