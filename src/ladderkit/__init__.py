@@ -8,7 +8,7 @@ from .algebra import (AlgebraSpec, IndexWindow, LadderMatrices,
                       lambda_coupling, lambda_sq, padded_window,
                       suggested_pad)
 from .errors import (ConvergenceError, LadderError, NonUnitaryRegime,
-                     PoleError, SingularS)
+                     PoleError)
 from .expm import (ExpmResult, expm, operator_matrix, oracle_element,
                    pad_sufficiency)
 from .factorization import (U2Factors, antinormal_core, antinormal_reach,
@@ -33,7 +33,6 @@ __all__ = [
     "commutator_residual", "detect_blocks", "lambda_coupling", "lambda_sq",
     "padded_window", "suggested_pad",
     "LadderError", "NonUnitaryRegime", "PoleError", "ConvergenceError",
-    "SingularS",
     "ExpmResult", "expm", "operator_matrix", "oracle_element",
     "pad_sufficiency",
     "U2Factors", "u2_factors", "ordered_product", "factorization_residual",

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, factorization, gn, phase, rotations, triangles
-from .errors import ConvergenceError, LadderError, SingularS
+from .errors import ConvergenceError, LadderError, PoleError
 from .expm import pad_sufficiency
 
 EXIT_OK = 0
@@ -386,7 +386,7 @@ def cmd_rotate(args) -> dict:
             if args.method in ("all", meth)}
     try:
         h, s = complex(spec.h), complex(spec.s)
-    except SingularS:
+    except PoleError:
         # s = 0: the factorized routes have raised already; the direct
         # route and the singlet need neither
         h = s = None

@@ -17,9 +17,4 @@ class PoleError(LadderError):
 
 
 class ConvergenceError(LadderError):
-    """A series evaluation cannot converge in the requested domain."""
-
-
-class SingularS(LadderError):
-    """The rotation parametrization degenerates (the scale factor s
-    vanishes, e.g. omega = theta = pi/2)."""
+    """A series cannot converge, or an oracle window passes its ceiling."""

@@ -206,10 +206,10 @@ def gn_series(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
 
 def gn_oracle(spec: AlgebraSpec, n: int, y: float, *, m: int = 0) -> GnEvaluation:
     """Exponential-oracle route: (-i)^(n-m) <n| exp(iy(R+L)) |m> on the
-    oracle's window (``algebra._oracle_window``) for the core min(0, m) ..
-    max(n, m), which includes hole sectors exactly where they couple.  The
-    exponent is chiral, so ``oracle_element`` puts the phase back exactly:
-    the imaginary part is 0, and err_estimate is 1e-15, no rounding bound."""
+    oracle's window (``algebra._oracle_window``; ConvergenceError past its
+    ceiling) for the core min(0, m) .. max(n, m), hole sectors included where
+    they couple.  The exponent is chiral, so ``oracle_element`` puts the phase
+    back exactly: imaginary part 0, err_estimate 1e-15, no rounding bound."""
     coeffs = (1j * y, 1j * y, 0.0)
     window = _oracle_window(spec, min(0, m), max(n, m), coeffs)
     val = (-1j) ** ((n - m) % 4) * oracle_element(spec, window, coeffs, n, m)
@@ -230,7 +230,7 @@ def _closed_or_limit(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
 
 def gn_auto(spec: AlgebraSpec, n: int, y: float) -> GnEvaluation:
     """The closed form or the profile's limit where it applies, else the
-    oracle (route tag says which)."""
+    oracle, which refuses past its window ceiling (route tag says which)."""
     try:
         return _closed_or_limit(spec, n, y)
     except ConvergenceError:

@@ -38,8 +38,9 @@ def phase_element(n: int, m: int, y: float) -> complex:
 
 def phase_oracle_element(n: int, m: int, y: float, dim: int = 60) -> complex:
     """<n| exp(iy(P + P_dagger)) |m> by brute-force exponentiation on the
-    oracle's window (``algebra._oracle_window``) for the core 0 .. max(n, m),
-    grown to ``dim`` states from 0 if smaller: a floor, never a cap."""
+    oracle's window (``algebra._oracle_window``; ConvergenceError past its
+    ceiling, |y| > 127.6 on small cores) for the core 0 .. max(n, m), grown
+    to ``dim`` states from 0 if smaller: a floor, never a cap nor refused."""
     coeffs, hi = (1j * y, 1j * y, 0.0), max(n, m)
     top = max(_oracle_window(_PHASE_SPEC, 0, hi, coeffs).j_max, dim - 1)
     return oracle_element(_PHASE_SPEC, IndexWindow(0, top, 0, hi), coeffs, n, m)

@@ -18,10 +18,11 @@ factors work out to
 with s = cos(omega) - i cos(theta) sin(omega) = D+ and
 h = sqrt(2) sin(theta) sin(omega) / s, or anti-normally with (h*, s*) and
 the factors reversed.  The parametrization degenerates where s = 0
-(omega = theta = pi/2): that set is an error, not a limit.  The factorized
-routes and ``RotationSpec.h`` raise SingularS wherever |s| < 1e-9, the pole
-guard of ``factorization.u2_factors``.  ``rotation_direct``, the reference,
-is the oracle ``expm`` on the same block and exponent.
+(omega = theta = pi/2): that set is an error, not a limit.  It is the pole
+set of ``factorization.u2_factors``, so the factorized routes raise its
+PoleError, unchanged, wherever |s| < 1e-9, and ``RotationSpec.h`` raises
+PoleError under the same guard.  ``rotation_direct``, the reference, is the
+oracle ``expm`` on the same block and exponent.
 """
 
 import cmath
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraSpec, IndexWindow
-from .errors import PoleError, SingularS
+from .errors import PoleError
 from .expm import expm, operator_matrix
 from .factorization import _POLE_TOL, ordered_product
 
@@ -64,7 +65,7 @@ class RotationSpec:
     def h(self) -> complex:
         s = self.s
         if abs(s) < _POLE_TOL:
-            raise SingularS(
+            raise PoleError(
                 f"s = {s:.3g}: factorization degenerates at this (omega, theta)"
             )
         return _SQRT2 * math.sin(self.theta) * math.sin(self.omega) / s
@@ -103,16 +104,12 @@ def _exponent(spec: RotationSpec) -> tuple[AlgebraSpec, IndexWindow, tuple]:
 
 
 def _on_spin_block(spec: RotationSpec, ordering: str) -> np.ndarray:
-    """The ordered product of exp(2i W.J) on the spin-j block."""
+    """The ordered product of exp(2i W.J) on the spin-j block; its D+- are
+    s and s*, so u2_factors' PoleError is the refusal where |s| < 1e-9."""
     if round(2 * spec.j) == 0:
         # the singlet is fixed, even at s = 0, where the factors have a pole
         return np.ones((1, 1), dtype=complex)
-    try:
-        return ordered_product(*_exponent(spec), ordering)
-    except PoleError:
-        # D+- = s, s*: the factors' only singular set
-        raise SingularS(f"s = {spec.s:.3g}: factorization degenerates at"
-                        " this (omega, theta)") from None
+    return ordered_product(*_exponent(spec), ordering)
 
 
 def rotation_factorized(spec: RotationSpec) -> np.ndarray:

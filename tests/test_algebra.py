@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ladderkit import (AlgebraSpec, IndexWindow, NonUnitaryRegime,
-                       build_matrices, commutator_residual, detect_blocks,
-                       lambda_coupling, lambda_sq, padded_window,
-                       suggested_pad)
-from ladderkit.algebra import PAD_FLOOR, squared_couplings
+from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow,
+                       NonUnitaryRegime, build_matrices, commutator_residual,
+                       detect_blocks, lambda_coupling, lambda_sq,
+                       padded_window, suggested_pad)
+from ladderkit.algebra import (_ORACLE_MAX, PAD_FLOOR, _oracle_window,
+                               squared_couplings)
 
 
 def test_lambda_sq_parametric_values():
@@ -334,3 +335,40 @@ def test_closure_grid_positive_sigma(sigma):
         spec = AlgebraSpec.parametric(alpha, beta, sigma)
         m = build_matrices(spec, IndexWindow(0, 20, 2, 18))
         assert commutator_residual(m, spec) <= 1e-12
+
+
+@given(st.floats(-60, 60), st.floats(-60, 60), st.floats(-4, 4),
+       st.integers(-30, 30), st.integers(0, 40), st.floats(-3, 3),
+       st.one_of(st.none(), st.tuples(st.integers(0, 1500),
+                                      st.integers(0, 1500))))
+def test_oracle_window_never_passes_its_ceiling(alpha, beta, sigma, core_lo,
+                                                width, log_y, pads):
+    # the window rule alone, no exponential: on either branch (the rule's
+    # pad, or a product's window kept whole) a window it returns has at most
+    # _ORACLE_MAX states, and a larger one is refused
+    spec, core_hi = AlgebraSpec.parametric(alpha, beta, sigma), core_lo + width
+    within = pads and IndexWindow(core_lo - pads[0], core_hi + pads[1],
+                                  core_lo, core_hi)
+    y = 10.0 ** log_y
+    try:
+        window = _oracle_window(spec, core_lo, core_hi, (1j * y, 1j * y, 0.0),
+                                within)
+    except ConvergenceError:
+        return
+    assert window.size <= _ORACLE_MAX
+
+
+def test_oracle_window_ceiling_is_inclusive():
+    # a window of _ORACLE_MAX states is kept, one state more is refused, on
+    # either branch: a product's window kept whole (pads up to PAD_FLOOR) or
+    # cut from the rule's pad (about 800 states here)
+    spec, coeffs = AlgebraSpec.parametric(1, 1, 1), (0.1j, 0.1j, 0.0)
+    for pad in (0, PAD_FLOOR, 2 * PAD_FLOOR):
+        for size in (_ORACLE_MAX, _ORACLE_MAX + 1):
+            within = IndexWindow(0, size - 1, 0, size - 1 - pad)
+            if size == _ORACLE_MAX:
+                assert _oracle_window(spec, 0, within.core_hi, coeffs,
+                                      within) == within
+            else:
+                with pytest.raises(ConvergenceError):
+                    _oracle_window(spec, 0, within.core_hi, coeffs, within)

@@ -530,7 +530,7 @@ def test_rotate_direct_at_singular_s(capsys):
     assert doc["h"] is None and doc["s"] is None
     assert len(doc["matrices"]["direct"]) == 3
     code, _, err = run(capsys, "rotate", *angles)
-    assert code == 2 and "degenerates" in err
+    assert code == 2 and "pole" in err
 
 
 def test_factorize_both_keeps_the_normal_residual_on_the_padded_window(capsys):
@@ -844,6 +844,14 @@ def test_gn_off_diagonal_parametric_takes_gnm(capsys):
     assert code == 0
     assert ref["rows"][0]["route"] == "oracle"
     assert abs(row["value"] - ref["rows"][0]["value"]) <= 1e-9
+
+
+def test_gn_oracle_past_the_window_ceiling_exit_2(capsys):
+    code, out, err = run(capsys, "gn", "--alpha", "1", "--beta", "1",
+                         "--sigma", "1", "--n", "3", "--y", "30",
+                         "--route", "oracle")
+    assert (code, out) == (2, "")
+    assert "passes 1024 states" in err
 
 
 def test_gn_negative_m_off_the_oracle_exit_3(capsys):

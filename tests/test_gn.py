@@ -281,6 +281,12 @@ def test_gn_oracle_on_the_spin_singlet():
     assert gn_oracle(spec, 0, 0.3).value == 1.0
 
 
+def test_gn_oracle_refuses_past_the_window_ceiling():
+    # y = 30 pads the core 0..3 of (1, 1, 1) by 1200 states: 1204 in all
+    with pytest.raises(ConvergenceError, match="passes 1024 states"):
+        gn_oracle(SPEC11, 3, 30.0)
+
+
 def test_gn_auto_falls_back_to_oracle():
     spec = AlgebraSpec.parametric(2.5, 3.5, 1)   # non-terminating 2F1
     with pytest.raises(ConvergenceError):

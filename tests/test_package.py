@@ -171,6 +171,20 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_no_library_handler_raises():
+    # a refusal reaches the caller as the error that was raised: outside the
+    # CLI, which maps errors to exit codes, no except handler raises another
+    raising = []
+    for path in Path(ladderkit.__file__).parent.glob("*.py"):
+        if path.name != "cli.py":
+            raising += [f"{path.name}:{node.lineno}"
+                        for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.ExceptHandler)
+                        and any(isinstance(inner, ast.Raise)
+                                for inner in ast.walk(node))]
+    assert raising == []
+
+
 def test_cli_refuses_through_main_alone():
     # a command refuses by raising (ValueError: exit 3, a domain error:
     # exit 2) and otherwise returns its payload; main alone writes the

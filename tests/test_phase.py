@@ -6,9 +6,10 @@ import pytest
 
 from diagram_references import phase_recursion_residual
 from exact_series import phase_gn_series, phase_gnm_series
-from ladderkit import (AlgebraSpec, IndexWindow, bessel_jn, build_matrices,
-                       column_series, generate, phase_element, phase_gnm,
-                       phase_oracle_element, sumrule_check, unit_rule)
+from ladderkit import (AlgebraSpec, ConvergenceError, IndexWindow, bessel_jn,
+                       build_matrices, column_series, generate, phase_element,
+                       phase_gnm, phase_oracle_element, sumrule_check,
+                       unit_rule)
 
 PHASE = AlgebraSpec.from_profile("phase")
 
@@ -101,6 +102,12 @@ def test_oracle_dim_is_a_floor_under_the_window_rule():
     for n, m in ((-1, 2), (3, -1), (-1, -1)):
         with pytest.raises(ValueError):
             phase_oracle_element(n, m, 0.5)
+
+
+def test_oracle_refuses_past_the_window_ceiling():
+    # the rule pads the core 0..2 by 8000 states at y = 1000
+    with pytest.raises(ConvergenceError, match="passes 1024 states"):
+        phase_oracle_element(2, 1, 1000.0)
 
 
 def test_gnm_columns_match_path_counts():

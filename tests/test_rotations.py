@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ladderkit import (AlgebraSpec, IndexWindow, RotationSpec, SingularS,
+import ladderkit
+from ladderkit import (AlgebraSpec, IndexWindow, PoleError, RotationSpec,
                        antinormal_rotation, build_matrices,
                        commutator_residual, rotation_direct,
                        rotation_factorized, u2_factors)
@@ -112,7 +113,7 @@ def test_singular_parametrization_raises():
     # would be off from rotation_direct by about 1e4 there
     for omega in (math.pi / 2, math.pi / 2 - 1e-10):
         spec = RotationSpec(omega, math.pi / 2, 0.3, 1.0)
-        with pytest.raises(SingularS):
+        with pytest.raises(PoleError):
             rotation_factorized(spec)
 
 
@@ -121,15 +122,31 @@ def test_h_shares_the_factorized_routes_pole_guard(capsys):
     # refuse together, and the direct route reports h as null
     omega, theta = math.pi / 2 - 5e-10, math.pi / 2
     spec = RotationSpec(omega, theta, 0.0, 1.0)
-    with pytest.raises(SingularS):
+    with pytest.raises(PoleError):
         spec.h
-    with pytest.raises(SingularS):
+    with pytest.raises(PoleError):
         rotation_factorized(spec)
     code = main(["rotate", "--omega", repr(omega), "--theta", repr(theta),
                  "--phi", "0", "--j", "1", "--method", "direct"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["h"] is None
 
+
+
+def test_every_rotation_refusal_is_the_factors_pole_error():
+    # |s| = 5e-10: the factorized routes and h refuse with u2_factors' own
+    # PoleError, the oracle route answers, and no second name is left
+    spec = RotationSpec(math.pi / 2 - 5e-10, math.pi / 2, 0.3, 1.5)
+    assert 4e-10 < abs(spec.s) < 6e-10
+    for route in (rotation_factorized, antinormal_rotation):
+        with pytest.raises(PoleError, match="pole of the factors"):
+            route(spec)
+    with pytest.raises(PoleError):
+        spec.h
+    u = rotation_direct(spec)
+    assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-13
+    assert not hasattr(ladderkit, "SingularS")
+    assert "SingularS" not in ladderkit.__all__
 
 def test_invalid_j_rejected():
     with pytest.raises(ValueError):
